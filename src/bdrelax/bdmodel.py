@@ -14,7 +14,6 @@ factor per atom family), which lets rescaling identities be verified with
 zero tolerance.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -598,10 +597,6 @@ class StructuredBD:
             prof = Profile(eta=pd["eta"], xi=pd["xi"], beta=float(pd.get("beta", 0.0)),
                            staircase=stair)
         return StructuredBD(smooth=smooth, jumps=tuple(jumps), profile=prof)
-
-    @staticmethod
-    def from_json_str(s: str) -> "StructuredBD":
-        return StructuredBD.from_json(json.loads(s))
 
 
 def combine(u1: StructuredBD, u2: StructuredBD) -> StructuredBD:

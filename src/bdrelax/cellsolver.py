@@ -99,24 +99,51 @@ def abs_sym(mu: float = 1e-6) -> Integrand:
     return replace(f, recession_exact=f)
 
 
-def scaled(f0: Integrand, c: float, name: str | None = None) -> Integrand:
-    """c * f0 for c > 0 (flags unchanged)."""
-    if c <= 0:
+def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
+                  s_A: float = 1.0) -> Integrand:
+    """c f0(x, v0 + eps_v w, A0 + A / s_A) as an integrand in (x, w, A), with
+    the chained gradients (c eps_v df0/dv, (c / s_A) df0/dA).
+
+    v0=None leaves v as it is (eps_v is then unused) and A0=None adds no
+    offset. Flags are those of f0; the exact recession, where f0 has one,
+    is (c / s_A) f0^inf(x, v0 + eps_v w, A).
+    """
+    if c <= 0 or s_A <= 0:
         raise ValueError("scale must be positive")
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=float).reshape(1, 2)
+    if A0 is not None:
+        A0 = np.asarray(A0, dtype=float).reshape(1, 2, 2)
+    c_v, c_A = c * eps_v, c / s_A
+
+    def args(V, A):
+        if v0 is not None:
+            V = v0 + eps_v * V
+        if s_A != 1.0:
+            A = np.asarray(A) / s_A
+        if A0 is not None:
+            A = A0 + A
+        return V, A
 
     def value(X, V, A):
-        return c * f0.value(X, V, A)
+        return c * f0.value(X, *args(V, A))
 
     def grad(X, V, A):
-        dV, dA = f0.grad(X, V, A)
-        return c * dV, c * dA
+        dV, dA = f0.grad(X, *args(V, A))
+        return c_v * dV, c_A * dA
 
     def raw(X, V, A):
-        return c * f0.raw(X, V, A)
+        return c * f0.raw(X, *args(V, A))
 
-    rec = scaled(f0.recession_exact, c) if f0.recession_exact is not None else None
-    return replace(f0, name=name or f"{f0.name}*{c:g}", value=value, grad=grad, raw=raw,
-                   recession_exact=rec)
+    rec = f0.recession_exact
+    if rec is not None:
+        rec = reparametrize(rec, c=c_A, v0=v0, eps_v=eps_v)
+    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec)
+
+
+def scaled(f0: Integrand, c: float, name: str | None = None) -> Integrand:
+    """c * f0 for c > 0 (flags unchanged)."""
+    return replace(reparametrize(f0, c=c), name=name or f"{f0.name}*{c:g}")
 
 
 def sqrt1plus_sym() -> Integrand:
@@ -225,15 +252,6 @@ class JumpData:
     @property
     def scale(self) -> float:
         return max(float(np.linalg.norm(self.v_plus - self.v_minus)), 1e-12)
-
-
-@dataclass(frozen=True)
-class SampledData:
-    fn: object
-    scale: float = 1.0
-
-    def value(self, X):
-        return np.asarray(self.fn(np.atleast_2d(X)), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -392,57 +410,47 @@ class GridDisplacement:
         return np.einsum("ij,mkj->mki", np.linalg.inv(g.R).T, G_axis)
 
 
-def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand,
-                    freeze_x=None, v_shift=None, want_grad: bool = True):
-    """Quadrature energy sum_q w f(x_q, v_q, grad_q) and its nodal gradient."""
-    Ue = U[grid.conn]  # (E, 4, 2)
+def _q1_quadrature(grid: Grid, Ue: np.ndarray, f: Integrand, freeze_x=None, raw: bool = False,
+                   exact_sum: bool = False):
+    """The Q1 element kernel: quadrature energy sum_q w f(x_q, v_q, grad_q)
+    of element-gathered nodal values Ue (E, 4, 2).
+
+    Returns (energy, per-element gradient (E, 4, 2)) for the smoothed
+    density, or (energy, None) for the raw one (raw=True), summed exactly
+    with math.fsum when exact_sum is set. Callers own the gather and the
+    scatter, so conforming, discontinuous and periodic fields share it.
+    """
     V = np.einsum("qa,eak->eqk", grid.Nval, Ue)
     G = np.einsum("qaj,eak->eqkj", grid.dN, Ue)
     X = grid.qp
     if freeze_x is not None:
         X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
-    if v_shift is not None:
-        V = V + v_shift
     E, Q = V.shape[0], V.shape[1]
     Xf, Vf, Gf = X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2)
-    vals = f.value(Xf, Vf, Gf)
-    energy = grid.wq * float(np.sum(vals))
-    if not want_grad:
-        return energy, None
+    if raw:
+        vals = f.raw(Xf, Vf, Gf)
+        if exact_sum:
+            return math.fsum(float(grid.wq) * v for v in vals.tolist()), None
+        return grid.wq * float(np.sum(vals)), None
+    energy = grid.wq * float(np.sum(f.value(Xf, Vf, Gf)))
     dV, dA = f.grad(Xf, Vf, Gf)
-    dV = dV.reshape(E, Q, 2)
-    dA = dA.reshape(E, Q, 2, 2)
-    nodeG = grid.wq * (np.einsum("qa,eqk->eak", grid.Nval, dV)
-                       + np.einsum("qaj,eqkj->eak", grid.dN, dA))
+    nodeG = grid.wq * (np.einsum("qa,eqk->eak", grid.Nval, dV.reshape(E, Q, 2))
+                       + np.einsum("qaj,eqkj->eak", grid.dN, dA.reshape(E, Q, 2, 2)))
+    return energy, nodeG
+
+
+def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None):
+    """Quadrature energy sum_q w f(x_q, v_q, grad_q) and its nodal gradient."""
+    energy, nodeG = _q1_quadrature(grid, U[grid.conn], f, freeze_x)
     gradU = np.zeros_like(U)
     np.add.at(gradU, grid.conn, nodeG)
     return energy, gradU
 
 
-def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None, v_shift=None,
+def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None,
                exact_sum: bool = False) -> float:
     """Quadrature energy with the unsmoothed integrand."""
-    Ue = U[grid.conn]
-    V = np.einsum("qa,eak->eqk", grid.Nval, Ue)
-    G = np.einsum("qaj,eak->eqkj", grid.dN, Ue)
-    X = grid.qp
-    if freeze_x is not None:
-        X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
-    if v_shift is not None:
-        V = V + v_shift
-    vals = f.raw(X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2))
-    if exact_sum:
-        return math.fsum(float(grid.wq) * v for v in vals.tolist())
-    return grid.wq * float(np.sum(vals))
-
-
-def emass_grid(w: GridDisplacement) -> float:
-    """Discrete |E .| mass: quadrature sum of |sym grad w| (exact fsum)."""
-    g = w.grid
-    Ue = w.values[g.conn]
-    G = np.einsum("qaj,eak->eqkj", g.dN, Ue)
-    vals = frob(sym(G.reshape(-1, 2, 2)))
-    return math.fsum(float(g.wq) * v for v in vals.tolist())
+    return _q1_quadrature(grid, U[grid.conn], f, freeze_x, raw=True, exact_sum=exact_sum)[0]
 
 
 def prolong(w: GridDisplacement, factor: int = 2) -> GridDisplacement:
@@ -469,6 +477,40 @@ def _interpolate_boundary(grid: Grid, data) -> np.ndarray:
     return np.asarray(data.value(grid.nodes), dtype=float)
 
 
+def _multistart(make_fg, x0: np.ndarray, spec: CellSpec, extra_starts=()):
+    """Minimize from x0, from multistarts - 1 seeded Gaussian perturbations
+    of it (sized by the datum's scale) and from `extra_starts`, on `jobs`
+    workers, with the solver parameters of `spec`.
+
+    `make_fg` gives each start its own objective. The reduction runs in
+    start order, so the lowest smoothed energy wins with ties going to the
+    lowest seed, whatever the worker count. Returns the winning L-BFGS
+    result and the diagnostics shared by the cell solvers.
+    """
+    sp, scale = spec.solver, getattr(spec.boundary, "scale", 1.0)
+    starts = []
+    for k in range(max(1, sp.multistarts)):
+        xk = x0.copy()
+        if k > 0:
+            rng = np.random.default_rng(sp.seed + k)
+            xk += 0.5 * scale * rng.normal(size=xk.shape)
+        starts.append((xk, sp.seed + k))
+    for j, xj in enumerate(extra_starts):
+        starts.append((xj, sp.seed + sp.multistarts + j))
+
+    def run_one(start):
+        return minimize_lbfgs(make_fg(), start[0], max_iters=sp.max_iters, grad_tol=sp.grad_tol)
+
+    results = pmap(run_one, starts, jobs=sp.jobs)
+    k_best = min(range(len(results)), key=lambda k: results[k]["f"])
+    res = results[k_best]
+    diag = {"iters": res["iters"], "converged": res["converged"],
+            "grad_norm": res["grad_norm"], "grad_tol": res["grad_tol"],
+            "seed": starts[k_best][1], "start_values": [r["f"] for r in results],
+            "max_iters_hit": res["iters"] >= sp.max_iters}
+    return res, diag
+
+
 def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     """Minimize the bulk quadrature energy over Q1 fields matching the
     boundary datum at the boundary nodes.
@@ -485,8 +527,6 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     free = ~mask
     if not free.any():
         raise BadSpec("bad spec")
-    scale = getattr(spec.boundary, "scale", 1.0)
-    sp = spec.solver
 
     def make_fg():
         U = datum.copy()
@@ -500,39 +540,15 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
 
         return fg
 
-    starts = []
-    for k in range(max(1, sp.multistarts)):
-        U0 = datum.copy()
-        if k > 0:
-            rng = np.random.default_rng(sp.seed + k)
-            U0[free] += 0.5 * scale * rng.normal(size=U0[free].shape)
-        starts.append((U0, sp.seed + k))
-    for j, Ux in enumerate(extra_starts):
-        Ux = np.asarray(Ux, dtype=float).reshape(grid.n_nodes, 2)
-        starts.append((Ux, sp.seed + sp.multistarts + j))
-
-    def run_one(start):
-        U0, seed_k = start
-        res = minimize_lbfgs(make_fg(), U0[free].ravel(), max_iters=sp.max_iters,
-                             grad_tol=sp.grad_tol)
-        return res, seed_k
-
-    results = pmap(run_one, starts, jobs=sp.jobs)
-    best = None
-    per_start = [res["f"] for res, _ in results]
-    for res, seed_k in results:  # ordered reduction: ties keep the lowest seed
-        if best is None or res["f"] < best[0]["f"]:
-            Ubest = datum.copy()
-            Ubest[free] = res["x"].reshape(-1, 2)
-            best = (res, Ubest, seed_k)
-    res, Ubest, seed_used = best
+    extra = [np.asarray(Ux, dtype=float).reshape(grid.n_nodes, 2)[free].ravel()
+             for Ux in extra_starts]
+    res, diag = _multistart(make_fg, datum[free].ravel(), spec, extra)
+    Ubest = datum.copy()
+    Ubest[free] = res["x"].reshape(-1, 2)
     argmin = GridDisplacement(grid=grid, values=Ubest, boundary_mask=mask)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)
-    diag = {"iters": res["iters"], "converged": res["converged"],
-            "grad_norm": res["grad_norm"], "grad_tol": res["grad_tol"],
-            "mu": f.mu, "seed": seed_used, "start_values": per_start,
-            "max_iters_hit": res["iters"] >= sp.max_iters}
-    return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin, diagnostics=diag)
+    return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin,
+                      diagnostics={**diag, "mu": f.mu})
 
 
 def boundary_l1_gap(spec: CellSpec, data1, data2, panels_per_edge: int = 256) -> float:
@@ -633,19 +649,7 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
 
     def split_fg(vals_flat):
         vals = vals_flat.reshape(E, 4, 2)
-        # bulk
-        V = np.einsum("qa,eak->eqk", grid.Nval, vals)
-        G = np.einsum("qaj,eak->eqkj", grid.dN, vals)
-        X = grid.qp
-        if spec.freeze_x is not None:
-            X = np.broadcast_to(spec.freeze_x, X.shape)
-        fvals = f1.value(X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2))
-        bulk = grid.wq * float(np.sum(fvals))
-        dV, dA = f1.grad(X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2))
-        dV = dV.reshape(E, 4, 2)
-        dA = dA.reshape(E, 4, 2, 2)
-        gradv = grid.wq * (np.einsum("qa,eqk->eak", grid.Nval, dV)
-                           + np.einsum("qaj,eqkj->eak", grid.dN, dA))
+        bulk, gradv = _q1_quadrature(grid, vals, f1, spec.freeze_x)
         # interior facets
         surf = 0.0
         if len(interior):
@@ -688,31 +692,10 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     centers = corner_pts.mean(axis=1, keepdims=True)
     nudged = corner_pts + 1e-9 * (centers - corner_pts)
     U0 = spec.boundary.value(nudged.reshape(-1, 2)).reshape(E, 4, 2)
-    sp = spec.solver
-    scale = getattr(spec.boundary, "scale", 1.0)
-    best = None
-    for k in range(max(1, sp.multistarts)):
-        x0 = U0.copy()
-        if k > 0:
-            rng = np.random.default_rng(sp.seed + k)
-            x0 += 0.5 * scale * rng.normal(size=x0.shape)
-        res = minimize_lbfgs(fg, x0.ravel(), max_iters=sp.max_iters, grad_tol=sp.grad_tol)
-        if best is None or res["f"] < best["f"]:
-            best = res
-    vals = best["x"].reshape(E, 4, 2)
-    bulk, surf, _ = split_fg(best["x"])
-    raw_bulk = raw_energy_sbd(grid, vals, f1, freeze_x=spec.freeze_x)
-    diag = {"iters": best["iters"], "converged": best["converged"],
-            "grad_norm": best["grad_norm"], "mu": f1.mu}
-    return SBDSolution(value=raw_bulk + surf, value_smoothed=best["f"], bulk=bulk,
-                       surface=surf, argmin=SBDField(grid=grid, values=vals), diagnostics=diag)
-
-
-def raw_energy_sbd(grid: Grid, vals: np.ndarray, f1: Integrand, freeze_x=None) -> float:
-    V = np.einsum("qa,eak->eqk", grid.Nval, vals)
-    G = np.einsum("qaj,eak->eqkj", grid.dN, vals)
-    X = grid.qp
-    if freeze_x is not None:
-        X = np.broadcast_to(freeze_x, X.shape)
-    fv = f1.raw(X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2))
-    return grid.wq * float(np.sum(fv))
+    res, diag = _multistart(lambda: fg, U0.ravel(), spec)
+    vals = res["x"].reshape(E, 4, 2)
+    bulk, surf, _ = split_fg(res["x"])
+    raw_bulk = _q1_quadrature(grid, vals, f1, spec.freeze_x, raw=True)[0]
+    return SBDSolution(value=raw_bulk + surf, value_smoothed=res["f"], bulk=bulk,
+                       surface=surf, argmin=SBDField(grid=grid, values=vals),
+                       diagnostics={**diag, "mu": f1.mu})

@@ -109,9 +109,10 @@ def _json_default(o):
     return str(o)
 
 
-def _emit(args, command: str, cfg: dict, payload: dict,
-          csv_header=None, csv_rows=None) -> None:
+def _emit(args, command: str, payload: dict, csv_header=None, csv_rows=None) -> None:
     os.makedirs(args.out, exist_ok=True)
+    # fn, the dispatch function, would put a memory address into the hash
+    cfg = {k: v for k, v in vars(args).items() if k != "fn"}
     summary = {"command": command, "config-hash": _config_hash(cfg), "seed": args.seed,
                "version": __version__, **payload}
     text = json.dumps(summary, sort_keys=True, indent=2, default=_json_default)
@@ -151,8 +152,7 @@ def cmd_density(args) -> None:
     est = bulk_density(f0, parse_vector(args.x0), parse_vector(args.v),
                        parse_matrix(args.A), eps_schedule=parse_schedule(args.eps_schedule),
                        mesh=args.mesh, solver=_solver_params(args))
-    cfg = vars(args).copy()
-    _emit(args, "density", cfg, _estimate_payload(est), ["key", "value"],
+    _emit(args, "density", _estimate_payload(est), ["key", "value"],
           [[float(k), v] for k, v in est.samples])
 
 
@@ -161,8 +161,7 @@ def cmd_sq(args) -> None:
     meshes = tuple(int(m) for m in args.mesh.split(","))
     est = sq_envelope(f0, parse_matrix(args.A), mesh_schedule=meshes,
                       x0=parse_vector(args.x0), solver=_solver_params(args))
-    _emit(args, "sq", vars(args).copy(), _estimate_payload(est), ["key", "value"],
-          [[k, v] for k, v in est.samples])
+    _emit(args, "sq", _estimate_payload(est), ["key", "value"], [[k, v] for k, v in est.samples])
 
 
 def cmd_jump(args) -> None:
@@ -176,7 +175,7 @@ def cmd_jump(args) -> None:
                        parse_vector(args.v_plus), parse_vector(args.nu),
                        eps_schedule=parse_schedule(args.eps_schedule), mesh=args.mesh,
                        solver=_solver_params(args), variant=args.variant)
-    _emit(args, "jump", vars(args).copy(), _estimate_payload(est), ["key", "value"],
+    _emit(args, "jump", _estimate_payload(est), ["key", "value"],
           [[float(k), v] for k, v in est.samples])
 
 
@@ -184,7 +183,7 @@ def cmd_recession(args) -> None:
     f0 = get_integrand(args.integrand)
     est = recession(integrand_evaluator(f0), parse_vector(args.x0), parse_vector(args.v),
                     parse_matrix(args.A), t_schedule=parse_schedule(args.t_schedule))
-    _emit(args, "recession", vars(args).copy(), _estimate_payload(est), ["key", "value"],
+    _emit(args, "recession", _estimate_payload(est), ["key", "value"],
           [[float(k), v] for k, v in est.samples])
 
 
@@ -201,7 +200,7 @@ def cmd_homogenize(args) -> None:
         rows = [[k, v] for k, v in est.samples]
     if args.formula in ("periodic", "both"):
         payload["periodic"] = fhom_periodic(spec)
-    _emit(args, "homogenize", vars(args).copy(), payload, ["T", "value"], rows)
+    _emit(args, "homogenize", payload, ["T", "value"], rows)
 
 
 def cmd_blowup(args) -> None:
@@ -211,8 +210,7 @@ def cmd_blowup(args) -> None:
                            grid_per_axis=args.grid)
     payload = {"rows": [{"eps": r["eps"], "emass": r["emass"], "residual": r["residual"],
                          "beta": r["beta"], "flagged": r["flagged"]} for r in rows]}
-    _emit(args, "blowup", vars(args).copy(), payload,
-          ["eps", "emass", "residual", "beta"],
+    _emit(args, "blowup", payload, ["eps", "emass", "residual", "beta"],
           [[r["eps"], r["emass"], r["residual"], r["beta"]] for r in rows])
 
 
@@ -236,7 +234,7 @@ def cmd_represent(args) -> None:
 
         f.vectorized = g.vectorized = finf.vectorized = True
     rep = assemble(u, box, f, g, finf, quad=args.quad)
-    _emit(args, "represent", vars(args).copy(),
+    _emit(args, "represent",
           {"bulk": rep.bulk, "jump": rep.jump, "cantor": rep.cantor, "total": rep.total})
 
 
@@ -249,8 +247,7 @@ def cmd_mueller(args) -> None:
     wit = convex_envelope_witness_A0()
     payload = {"h": mueller_h(A), "envelope": _estimate_payload(est),
                "witness": {"h_values": wit["h_values"], "mean_is_A0": wit["mean_is_A0"]}}
-    _emit(args, "mueller", vars(args).copy(), payload, ["key", "value"],
-          [[k, v] for k, v in est.samples])
+    _emit(args, "mueller", payload, ["key", "value"], [[k, v] for k, v in est.samples])
 
 
 def cmd_korn(args) -> None:
@@ -258,8 +255,7 @@ def cmd_korn(args) -> None:
     box = parse_box(args.box)
     rows = korn_ratio(u, box, [float(e) for e in parse_schedule(args.eps_schedule)],
                       quad_cells=args.quad)
-    _emit(args, "korn", vars(args).copy(), {"rows": rows},
-          ["eps", "l1_residual", "ev_mass", "ratio"],
+    _emit(args, "korn", {"rows": rows}, ["eps", "l1_residual", "ev_mass", "ratio"],
           [[r["eps"], r["l1_residual"], r["ev_mass"], r["ratio"]] for r in rows])
 
 
@@ -376,9 +372,11 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
+            argv = sys.argv[1:] if argv is None else argv
+            given = {tok.split("=", 1)[0] for tok in argv}  # "--x0=-1,-1" names --x0
             for key, val in cfg.items():
                 attr = key.replace("-", "_")
-                if hasattr(args, attr) and f"--{key}" not in (argv or sys.argv):
+                if hasattr(args, attr) and f"--{key}" not in given:
                     setattr(args, attr, val)
         configure_logging(args.log)
         args.fn(args)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .cellsolver import (AffineData, CellSpec, GridDisplacement, Integrand, JumpData,
                          SolverParams, SurfaceIntegrand, abs_sym, frame_for_normal, g_odot,
-                         g_penalty, prolong, scaled, solve_ld, solve_sbd, sqrt1plus_sym,
-                         _smooth_norm)
+                         g_penalty, prolong, reparametrize, scaled, solve_ld, solve_sbd,
+                         sqrt1plus_sym, _smooth_norm)
 from .tensor import frob, sym
 
 DEFAULT_EPS_SCHEDULE = (1.0, 0.5, 0.25)
@@ -272,43 +272,6 @@ def get_surface_integrand(spec: str) -> SurfaceIntegrand:
 
 
 # ---------------------------------------------------------------------------
-# integrand wrappers for the cell formulas
-
-
-def _with_v_offset(f0: Integrand, v0, eps: float) -> Integrand:
-    """f'(x, w, A) = f0(x, v0 + eps w, A) with chained v-derivatives."""
-    v0 = np.asarray(v0, dtype=float).reshape(2)
-
-    def value(X, V, A):
-        return f0.value(X, v0[None, :] + eps * V, A)
-
-    def grad(X, V, A):
-        dV, dA = f0.grad(X, v0[None, :] + eps * V, A)
-        return eps * dV, dA
-
-    def raw(X, V, A):
-        return f0.raw(X, v0[None, :] + eps * V, A)
-
-    return replace(f0, name=f"{f0.name}|v-offset", value=value, grad=grad, raw=raw)
-
-
-def _with_jump_scaling(f0: Integrand, eps: float) -> Integrand:
-    """f'(x, w, A) = eps f0(x, w, A / eps) (the jump cell rescaling)."""
-
-    def value(X, V, A):
-        return eps * f0.value(X, V, np.asarray(A) / eps)
-
-    def grad(X, V, A):
-        dV, dA = f0.grad(X, V, np.asarray(A) / eps)
-        return eps * dV, dA
-
-    def raw(X, V, A):
-        return eps * f0.raw(X, V, np.asarray(A) / eps)
-
-    return replace(f0, name=f"{f0.name}|jump-scaled({eps:g})", value=value, grad=grad, raw=raw)
-
-
-# ---------------------------------------------------------------------------
 # estimators
 
 
@@ -330,13 +293,10 @@ def bulk_density(f0: Integrand, x0, v, A, eps_schedule=DEFAULT_EPS_SCHEDULE,
     samples = []
     diags = {}
     for eps in eps_schedule:
-        f_eps = _with_v_offset(f0, v, float(eps))
+        f_eps = reparametrize(f0, v0=v, eps_v=float(eps))
         spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=mesh,
                         solver=solver, freeze_x=x0)
-        try:
-            sol = solve_ld(spec, f_eps)
-        except Exception as exc:
-            raise RuntimeError(f"bulk_density solver failed at eps={eps}") from exc
+        sol = solve_ld(spec, f_eps)
         samples.append((float(eps), sol.value))
         diags[float(eps)] = sol.diagnostics
     return DensityEstimate.from_samples(samples, diagnostics=diags)
@@ -409,14 +369,16 @@ def jump_density(f0, x0, v_minus, v_plus, nu, eps_schedule=DEFAULT_EPS_SCHEDULE,
     diags = {}
     for eps in eps_schedule:
         spec = CellSpec(boundary=data, mesh=mesh, solver=solver, frame=frame, freeze_x=x0)
+        eps = float(eps)
         if sbd_pair:
             f1, g1 = f0
-            sol = solve_sbd(spec, _with_jump_scaling(_with_v_offset(f1, np.zeros(2), eps), eps), g1)
-            samples.append((float(eps), sol.value))
+            # eps f1(x0, eps w, e(w)/eps): the v-offset, then the jump rescaling
+            f_eps = reparametrize(reparametrize(f1, v0=np.zeros(2), eps_v=eps), c=eps, s_A=eps)
+            sol = solve_sbd(spec, f_eps, g1)
         else:
-            sol = solve_ld(spec, _with_jump_scaling(f0, float(eps)))
-            samples.append((float(eps), sol.value))
-        diags[float(eps)] = sol.diagnostics
+            sol = solve_ld(spec, reparametrize(f0, c=eps, s_A=eps))
+        samples.append((eps, sol.value))
+        diags[eps] = sol.diagnostics
     return DensityEstimate.from_samples(samples, diagnostics=diags)
 
 

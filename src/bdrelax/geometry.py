@@ -46,12 +46,6 @@ class Box:
         h = 0.5 * factor * e
         return Box(lo=tuple(c - h), hi=tuple(c + h))
 
-    def contains(self, box: "Box", tol: float = 1e-12) -> bool:
-        return bool(
-            np.all(np.asarray(box.lo) >= np.asarray(self.lo) - tol)
-            and np.all(np.asarray(box.hi) <= np.asarray(self.hi) + tol)
-        )
-
     def corners(self) -> np.ndarray:
         (a, b), (c, d) = self.lo, self.hi
         return np.array([[a, b], [c, b], [c, d], [a, d]], dtype=float)

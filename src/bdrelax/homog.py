@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellsolver import (AffineData, CellSpec, Grid, GridDisplacement, Integrand,
-                         SolverParams, emass_grid, raw_energy, solve_ld)
+                         SolverParams, _q1_quadrature, abs_sym, raw_energy, reparametrize,
+                         solve_ld)
 from .density import DensityEstimate
 from .geometry import Box
 from .minimize import minimize_lbfgs
@@ -84,7 +85,6 @@ def fhom_periodic(spec: HomogSpec) -> float:
         raise HomogError("periodic formula requires convex integrand")
     m = spec.mesh_per_period
     grid = Grid(Box((0.0, 0.0), (1.0, 1.0)), m)
-    f0, A = spec.f0, spec.A
 
     # wrap-around connectivity onto the m*m interior node set
     ex, ey = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
@@ -94,19 +94,11 @@ def fhom_periodic(spec: HomogSpec) -> float:
         return (i % m) * m + (j % m)
 
     conn = np.stack([nid(ex, ey), nid(ex + 1, ey), nid(ex, ey + 1), nid(ex + 1, ey + 1)], axis=1)
-    X = grid.qp.reshape(-1, 2)
-    V0 = np.zeros_like(X)
+    f_A = reparametrize(spec.f0, v0=np.zeros(2), eps_v=0.0, A0=spec.A)  # f0(x, 0, A + e(w))
 
     def fg(xvec):
         U = xvec.reshape(m * m, 2)
-        Ue = U[conn]
-        G = np.einsum("qaj,eak->eqkj", grid.dN, Ue).reshape(-1, 2, 2)
-        Atot = A[None, :, :] + G
-        vals = f0.value(X, V0, Atot)
-        energy = grid.wq * float(np.sum(vals))
-        _, dA = f0.grad(X, V0, Atot)
-        dA = dA.reshape(m * m, 4, 2, 2)
-        nodeG = grid.wq * np.einsum("qaj,eqkj->eak", grid.dN, dA)
+        energy, nodeG = _q1_quadrature(grid, U[conn], f_A)
         gradU = np.zeros((m * m, 2))
         np.add.at(gradU, conn, nodeG)
         return energy, gradU.ravel()
@@ -119,9 +111,7 @@ def fhom_periodic(spec: HomogSpec) -> float:
     res = minimize_lbfgs(fg, np.zeros(m * m * 2), max_iters=sp.max_iters,
                          grad_tol=sp.grad_tol, project=project)
     # report with the raw integrand
-    U = res["x"].reshape(m * m, 2)
-    G = np.einsum("qaj,eak->eqkj", grid.dN, U[conn]).reshape(-1, 2, 2)
-    return grid.wq * float(np.sum(f0.raw(X, V0, A[None, :, :] + G)))
+    return _q1_quadrature(grid, res["x"].reshape(m * m, 2)[conn], f_A, raw=True)[0]
 
 
 def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0,
@@ -191,5 +181,5 @@ def fold_energy(w: GridDisplacement, f: Integrand) -> float:
 
 
 def fold_emass(w: GridDisplacement) -> float:
-    """Discrete |E .| mass of the field (exact summation)."""
-    return emass_grid(w)
+    """Discrete |E .| mass of the field: the fold energy of |sym A|."""
+    return fold_energy(w, abs_sym())

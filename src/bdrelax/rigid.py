@@ -13,7 +13,7 @@ import numpy as np
 
 from .bdmodel import BoundaryChargedBox, StructuredBD, total_variation
 from .geometry import Box, box_plane_segment, box_quadrature, gauss_rule, segment_panels
-from .tensor import frob
+from .tensor import frob, sym
 
 
 class KornError(ValueError):
@@ -40,16 +40,12 @@ class RigidMotion:
         return (X - self.anchor) @ self.L.T + self.v
 
 
-def _field_values(u, X) -> np.ndarray:
-    return u.value(X)
-
-
 def b_K(u, K: Box, cells: int = 32) -> np.ndarray:
     """Mean of u over K; exact for StructuredBD, quadrature otherwise."""
     if isinstance(u, StructuredBD):
         return u.mean(K)
     pts, w = box_quadrature(K, cells=cells, npts=2)
-    return (w[:, None] * _field_values(u, pts)).sum(axis=0) / K.volume
+    return (w[:, None] * u.value(pts)).sum(axis=0) / K.volume
 
 
 def _face_breaks(u, p, q) -> list[float]:
@@ -87,7 +83,7 @@ def M_K_boundary(u, K: Box, panels: int = 32) -> np.ndarray:
         hlen = np.sqrt((halves * halves).sum(axis=1))
         for gi, wi in zip(g, w):
             pts = mids + gi * halves
-            vals = _field_values(u, pts)
+            vals = u.value(pts)
             m = np.einsum("mi,j->ij", vals * (wi * hlen)[:, None], nu)
             acc += m - m.T
     return acc / (2.0 * K.volume)
@@ -142,14 +138,12 @@ def korn_ratio(u, K: Box, eps_schedule, quad_cells: int = 256) -> list[dict]:
         ev = total_variation(u, Ke) if isinstance(u, StructuredBD) else None
         if ev is None:
             pts, w = box_quadrature(Ke, cells=quad_cells, npts=1)
-            from .tensor import sym as _sym
-
-            ev = float(np.sum(w * frob(_sym(u.grad(pts)))))
+            ev = float(np.sum(w * frob(sym(u.grad(pts)))))
         if ev <= 0.0:
             raise KornError("rigid on εK")
         r = rigid_projection(u, Ke)
         pts, w = box_quadrature(Ke, cells=quad_cells, npts=1)
-        resid = _field_values(u, pts) - r.value(pts)
+        resid = u.value(pts) - r.value(pts)
         l1 = float(np.sum(w * np.sqrt((resid * resid).sum(axis=1))))
         rows.append({"eps": float(eps), "l1_residual": l1, "ev_mass": ev,
                      "ratio": l1 / (float(eps) * ev)})

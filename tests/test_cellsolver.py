@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
                                 Integrand, JumpData, SolverParams, abs_sym, energy_and_grad,
                                 frame_for_normal, g_odot, g_penalty, m_continuity_check,
-                                prolong, raw_energy, scaled, solve_ld, solve_sbd,
-                                sqrt1plus_sym)
+                                prolong, raw_energy, reparametrize, scaled, solve_ld,
+                                solve_sbd, sqrt1plus_sym)
+from bdrelax.density import vmin_abs
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
 from bdrelax.tensor import frob, odot
@@ -45,9 +47,14 @@ def test_sqrt1plus_zero_data():
     assert sol.value == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gradient_consistency():
+@pytest.mark.parametrize("f", [
+    sqrt1plus_sym(),
+    # v-dependent: the chained v- and A-derivatives of the reparametrization
+    reparametrize(vmin_abs(mu=1e-2), c=0.5, v0=(0.3, -0.2), eps_v=0.5,
+                  A0=[[0.1, 0.2], [0.2, -0.1]], s_A=0.25),
+], ids=["sqrt1plus-sym", "vmin-abs-reparametrized"])
+def test_gradient_consistency(f):
     # finite differences against the assembled gradient
-    f = sqrt1plus_sym()
     grid = Grid(Box.cube((0.0, 0.0), 1.0), 4)
     U = RNG.normal(size=(grid.n_nodes, 2))
     e0, g0 = energy_and_grad(grid, U, f)
@@ -121,19 +128,24 @@ def test_skew_affine_shift_sym_only():
     assert abs(s1.value - s2.value) <= 1e-8
 
 
-def test_multistart_determinism():
+def _solve_sbd_odot(spec, f):
+    return solve_sbd(spec, f, g_odot())
+
+
+@pytest.mark.parametrize("solve, max_iters", [(solve_ld, 2000), (_solve_sbd_odot, 200)],
+                         ids=["solve_ld", "solve_sbd"])
+def test_multistart_determinism(solve, max_iters):
     f = abs_sym(mu=1e-6)
     A = rand_sym()
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8,
-                    solver=SolverParams(multistarts=3, seed=5))
-    v1 = solve_ld(spec, f)
-    v2 = solve_ld(spec, f)
+                    solver=SolverParams(multistarts=3, seed=5, max_iters=max_iters))
+    v1 = solve(spec, f)
+    v2 = solve(spec, f)
     assert v1.value == v2.value
     assert v1.diagnostics["start_values"] == v2.diagnostics["start_values"]
-    spec_par = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8,
-                        solver=SolverParams(multistarts=3, seed=5, jobs=3))
-    v3 = solve_ld(spec_par, f)
+    v3 = solve(replace(spec, solver=replace(spec.solver, jobs=3)), f)
     assert v3.value == v1.value
+    assert v3.diagnostics["start_values"] == v1.diagnostics["start_values"]
 
 
 def test_rotated_frame_affine_exact():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdrelax
 from bdrelax.cli import main, parse_box, parse_matrix, parse_schedule, parse_vector
 
 
@@ -112,6 +117,35 @@ def test_config_file_defaults(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == [[8, pytest.approx(np.sqrt(2.0), abs=1e-5)]]
+
+
+def test_explicit_flag_with_equals_beats_config(tmp_path, capsys):
+    # laminate-a at x0 = (-1, -1) is 3 |A|_mu; the config's x0 = (0.25, 0.25) would give 2 |A|_mu
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"x0": "0.25,0.25"}))
+    code, _ = run_cli(tmp_path, "--config", str(cfg), "density", "--integrand", "laminate-a",
+                      "--A", "1,0;0,0", "--x0=-1,-1", "--eps-schedule", "1", "--mesh", "8")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["extrapolated"] == pytest.approx(3.0 * np.sqrt(1e-4 + 1.0), rel=1e-12)
+
+
+def test_density_solver_failure_exits_3(tmp_path):
+    code, _ = run_cli(tmp_path, "density", "--integrand", "abs-sym*1e308",
+                      "--A", "1e10,0;0,1e10")
+    assert code == 3
+
+
+def test_json_identical_across_processes(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(bdrelax.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), "recession",
+            "--A", "0.5,0;0,0.25"]
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+        outs.append((proc.stdout, (tmp_path / "recession.json").read_bytes()))
+    assert outs[0] == outs[1]
+    assert b'"config-hash"' in outs[0][0]
 
 
 def test_density_command(tmp_path, capsys):
