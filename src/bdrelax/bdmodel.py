@@ -80,8 +80,36 @@ def _as_fraction(x) -> Fraction:
     return Fraction(float(x))  # exact: binary floats are rationals
 
 
+class Staircase:
+    """offset + the sum of the atom jumps at or left of t. Subclasses give
+    the sorted exact (position, jump) list `atoms()` and the float `offset`."""
+
+    def value(self, t) -> np.ndarray:
+        """Staircase value, right-continuous at the atoms."""
+        t = np.asarray(t, dtype=float)
+        atoms = self.atoms()
+        pos = np.array([float(p) for p, _ in atoms] or [0.0])
+        cum = np.cumsum([float(q) for _, q in atoms] or [0.0])
+        idx = np.searchsorted(pos, t, side="right")
+        raw = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
+        return raw + self.offset
+
+    def plateaus(self) -> list[tuple[float, float, float]]:
+        """(t_lo, t_hi, value) pieces covering all of R."""
+        offset = self.offset
+        pieces = []
+        lo = -np.inf
+        level = 0.0
+        for p, q in self.atoms():
+            pieces.append((lo, float(p), level + offset))
+            lo = float(p)
+            level += float(q)
+        pieces.append((lo, np.inf, level + offset))
+        return pieces
+
+
 @dataclass(frozen=True)
-class CantorProfile:
+class CantorProfile(Staircase):
     """Triadic staircase at finite depth: 2**depth jumps of equal mass at
     the midpoints of the depth-d construction intervals of [a, b].
 
@@ -132,33 +160,14 @@ class CantorProfile:
         a, b = self.support
         return sum((q * (b - p) for p, q in self.atoms()), Fraction(0)) / (b - a)
 
-    def value(self, t) -> np.ndarray:
-        """Zero-averaged staircase value, right-continuous at the atoms."""
-        t = np.asarray(t, dtype=float)
-        atoms = self.atoms()
-        pos = np.array([float(p) for p, _ in atoms])
-        cum = np.cumsum([float(q) for _, q in atoms])
-        idx = np.searchsorted(pos, t, side="right")
-        raw = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return raw - float(self.mean_raw())
-
-    def plateaus(self) -> list[tuple[float, float, float]]:
-        """(t_lo, t_hi, value) pieces covering all of R, zero-averaged."""
-        atoms = self.atoms()
-        shift = float(self.mean_raw())
-        pieces = []
-        lo = -np.inf
-        level = 0.0
-        for p, q in atoms:
-            pieces.append((lo, float(p), level - shift))
-            lo = float(p)
-            level += float(q)
-        pieces.append((lo, np.inf, level - shift))
-        return pieces
+    @property
+    def offset(self) -> float:
+        """The zero-average shift: the value left of every atom."""
+        return -float(self.mean_raw())
 
 
 @dataclass(frozen=True)
-class ExplicitStaircase:
+class ExplicitStaircase(Staircase):
     """Monotone staircase given by an explicit sorted atom list plus an
     additive offset (no automatic zero-average shift). Atom positions and
     jumps are kept as exact rationals."""
@@ -177,27 +186,6 @@ class ExplicitStaircase:
     def atoms(self) -> list[tuple[Fraction, Fraction]]:
         return list(self.atom_list)
 
-    def value(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        pos = np.array([float(p) for p, _ in self.atom_list] or [0.0])
-        cum = np.cumsum([float(q) for _, q in self.atom_list] or [0.0])
-        idx = np.searchsorted(pos, t, side="right")
-        raw = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        if not self.atom_list:
-            raw = np.zeros_like(t)
-        return raw + self.offset
-
-    def plateaus(self) -> list[tuple[float, float, float]]:
-        pieces = []
-        lo = -np.inf
-        level = float(self.offset)
-        for p, q in self.atom_list:
-            pieces.append((lo, float(p), level))
-            lo = float(p)
-            level += float(q)
-        pieces.append((lo, np.inf, level))
-        return pieces
-
 
 # ---------------------------------------------------------------------------
 # smooth parts
@@ -210,23 +198,6 @@ def _unit(v, name: str) -> np.ndarray:
     if abs(float(v @ v) - 1.0) > 2e-12:
         raise ValueError(f"{name} must be unit norm")
     return v
-
-
-class SmoothZero:
-    kind = "zero"
-
-    def value(self, X):
-        return np.zeros_like(np.asarray(X, dtype=float))
-
-    def grad(self, X):
-        m = len(np.atleast_2d(X))
-        return np.zeros((m, 2, 2))
-
-    def mean(self, box: Box):
-        return np.zeros(2)
-
-    def to_json(self):
-        return {"type": "zero"}
 
 
 class SmoothAffine:
@@ -249,6 +220,10 @@ class SmoothAffine:
 
     def to_json(self):
         return {"type": "affine", "A": self.A.tolist(), "v": self.v.tolist()}
+
+
+def _zero_smooth() -> SmoothAffine:
+    return SmoothAffine(np.zeros((2, 2)), np.zeros(2))
 
 
 class SmoothPolynomial:
@@ -386,7 +361,7 @@ class SmoothMapped:
 def _smooth_from_json(d) -> object:
     t = d.get("type")
     if t == "zero":
-        return SmoothZero()
+        return _zero_smooth()
     if t == "affine":
         return SmoothAffine(d["A"], d["v"])
     if t == "polynomial":
@@ -423,7 +398,7 @@ class Profile:
 
     eta: np.ndarray
     xi: np.ndarray
-    staircase: CantorProfile
+    staircase: Staircase
     beta: float = 0.0
 
     def __post_init__(self):
@@ -435,7 +410,7 @@ class Profile:
 class StructuredBD:
     """smooth closed-form part + finite jump-plane list + staircase profile."""
 
-    smooth: object = field(default_factory=SmoothZero)
+    smooth: object = field(default_factory=_zero_smooth)
     jumps: tuple[JumpPlane, ...] = ()
     profile: Profile | None = None
     dim: int = 2
@@ -464,8 +439,7 @@ class StructuredBD:
         v_plus = np.asarray(v_plus, dtype=float)
         nu = _unit(nu, "nu")
         jump = JumpPlane(nu=nu, c=0.0, dv=v_plus - v_minus)
-        smooth = SmoothAffine(np.zeros((2, 2)), v_minus) if v_minus.any() else SmoothZero()
-        return StructuredBD(smooth=smooth, jumps=(jump,))
+        return StructuredBD(smooth=SmoothAffine(np.zeros((2, 2)), v_minus), jumps=(jump,))
 
     @staticmethod
     def staircase(depth: int, total_mass=1, support=(0, 1), eta=(1.0, 0.0),
@@ -481,13 +455,23 @@ class StructuredBD:
         """Add the rigid motion L x + v (exact on the affine part)."""
         L = np.asarray(L, dtype=float).reshape(2, 2)
         v = np.asarray(v, dtype=float).reshape(2)
-        if isinstance(self.smooth, SmoothAffine):
-            smooth = SmoothAffine(self.smooth.A + L, self.smooth.v + v)
-        elif isinstance(self.smooth, SmoothZero):
-            smooth = SmoothAffine(L, v)
-        else:
-            raise NotImplementedError("plus_rigid needs a zero or affine smooth part")
-        return self.with_smooth(smooth)
+        if not isinstance(self.smooth, SmoothAffine):
+            raise NotImplementedError("plus_rigid needs an affine smooth part")
+        return self.with_smooth(SmoothAffine(self.smooth.A + L, self.smooth.v + v))
+
+    def without_jump(self, i: int) -> "StructuredBD":
+        """The field with jump plane i removed: continuous across that plane."""
+        i = range(len(self.jumps))[i]  # IndexError when out of range; -1 is the last plane
+        return StructuredBD(smooth=self.smooth, jumps=self.jumps[:i] + self.jumps[i + 1:],
+                            profile=self.profile)
+
+    def planes(self) -> list[tuple[np.ndarray, float]]:
+        """(nu, c) of every atom plane {x . nu = c}: the jump planes, then
+        one plane x . eta = t per staircase atom."""
+        out = [(j.nu, j.c) for j in self.jumps]
+        if self.profile is not None:
+            out += [(self.profile.eta, float(t)) for t, _ in self.profile.staircase.atoms()]
+        return out
 
     # -- evaluation ----------------------------------------------------------
 
@@ -604,15 +588,9 @@ def combine(u1: StructuredBD, u2: StructuredBD) -> StructuredBD:
     if u1.profile is not None and u2.profile is not None:
         raise ValueError("cannot combine two fields with profiles")
     s1, s2 = u1.smooth, u2.smooth
-    if isinstance(s1, SmoothZero):
-        smooth = s2
-    elif isinstance(s2, SmoothZero):
-        smooth = s1
-    elif isinstance(s1, SmoothAffine) and isinstance(s2, SmoothAffine):
-        smooth = SmoothAffine(s1.A + s2.A, s1.v + s2.v)
-    else:
+    if not (isinstance(s1, SmoothAffine) and isinstance(s2, SmoothAffine)):
         raise NotImplementedError("general smooth-part superposition not supported")
-    return StructuredBD(smooth=smooth, jumps=u1.jumps + u2.jumps,
+    return StructuredBD(smooth=SmoothAffine(s1.A + s2.A, s1.v + s2.v), jumps=u1.jumps + u2.jumps,
                         profile=u1.profile or u2.profile)
 
 
@@ -622,6 +600,7 @@ def combine(u1: StructuredBD, u2: StructuredBD) -> StructuredBD:
 
 @dataclass(frozen=True)
 class JumpAtom:
+    plane: int  # index of the carrying plane in u.jumps
     nu: np.ndarray
     c: float
     dv: np.ndarray
@@ -652,12 +631,13 @@ class EMeasure:
 def emeasure(u: StructuredBD) -> EMeasure:
     """Exact decomposition of Eu into ac / jump / singular-profile parts."""
     jump_atoms = []
-    for j in u.jumps:
+    for i, j in enumerate(u.jumps):
         m = odot(j.dv, j.nu)
         dens = float(frob(m))
         if dens == 0.0:
             continue
-        jump_atoms.append(JumpAtom(nu=j.nu, c=j.c, dv=j.dv, polar=m / dens, surface_density=dens))
+        jump_atoms.append(JumpAtom(plane=i, nu=j.nu, c=j.c, dv=j.dv, polar=m / dens,
+                                   surface_density=dens))
     singular = []
     if u.profile is not None:
         p = u.profile
@@ -672,11 +652,8 @@ def emeasure(u: StructuredBD) -> EMeasure:
 
 
 def _check_boundary_charge(u: StructuredBD, box: Box, what: str) -> None:
-    planes = [(j.nu, j.c) for j in u.jumps]
-    if u.profile is not None:
-        planes += [(u.profile.eta, float(t)) for t, _ in u.profile.staircase.atoms()]
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    for nu, c in planes:
+    for nu, c in u.planes():
         for k in range(2):
             if abs(abs(nu[k]) - 1.0) < 1e-12:
                 coord = c / nu[k]
@@ -684,8 +661,30 @@ def _check_boundary_charge(u: StructuredBD, box: Box, what: str) -> None:
                     raise BoundaryChargedBox(what)
 
 
-def _ac_is_constant(u: StructuredBD) -> bool:
-    return isinstance(u.smooth, (SmoothZero, SmoothAffine))
+def _mass(u: StructuredBD, center, area, chord) -> Mass:
+    """|Eu| of a region as exact per-family terms: the constant ac density
+    at `center` times `area` (skipped when area is None), every jump atom,
+    and the staircase atoms summed into one profile term. `chord(nu, c)`
+    is the exact length of {x . nu = c} inside the region, as a Fraction."""
+    out = Mass()
+    if area is not None:
+        e0 = u.e_ac(center[None, :])[0]
+        dens = float(frob(e0))
+        if dens > 0.0:
+            out.add(("ac", e0.tobytes()), area, dens)
+    for j in u.jumps:
+        seg = chord(j.nu, j.c)
+        if seg > 0:
+            dens = float(frob(odot(j.dv, j.nu)))
+            if dens > 0.0:
+                out.add(("jump", j.nu.tobytes(), j.dv.tobytes()), seg, dens)
+    if u.profile is not None:
+        p = u.profile
+        un = float(frob(odot(p.eta, p.xi)))
+        coef = sum((q * chord(p.eta, t) for t, q in p.staircase.atoms()), Fraction(0))
+        if coef > 0 and un > 0.0:
+            out.add(("prof", p.eta.tobytes(), p.xi.tobytes()), coef, un)
+    return out
 
 
 def tv_mass(u: StructuredBD, box: Box, ac_cells: int = 64) -> Mass:
@@ -693,40 +692,17 @@ def tv_mass(u: StructuredBD, box: Box, ac_cells: int = 64) -> Mass:
 
     The box is taken open, and any atom hyperplane coinciding with a box
     face raises BoundaryChargedBox (the open/closed box masses differ).
+    A non-affine smooth part enters as one quadrature term.
     """
     _check_boundary_charge(u, box, "boundary-charged box")
-    out = Mass()
-    # absolutely continuous part
-    if _ac_is_constant(u):
-        e0 = u.e_ac(box.center[None, :])[0]
-        dens = float(frob(e0))
-        if dens > 0.0:
-            key = ("ac", e0.tobytes())
-            out.add(key, _as_fraction(box.volume), dens)
-    else:
+    affine = isinstance(u.smooth, SmoothAffine)
+    out = _mass(u, box.center, _as_fraction(box.volume) if affine else None,
+                lambda nu, c: _as_fraction(box_plane_segment(box, nu, float(c))))
+    if not affine:
         pts, w = box_quadrature(box, cells=ac_cells, npts=3)
         val = float(np.sum(w * frob(u.e_ac(pts))))
         if val > 0.0:
             out.add(("ac-quad",), Fraction(1), val)
-    # jump part
-    for j in u.jumps:
-        seg = box_plane_segment(box, j.nu, j.c)
-        if seg > 0.0:
-            dens = float(frob(odot(j.dv, j.nu)))
-            if dens > 0.0:
-                out.add(("jump", j.nu.tobytes(), j.dv.tobytes()), _as_fraction(seg), dens)
-    # singular profile part
-    if u.profile is not None:
-        p = u.profile
-        un = float(frob(odot(p.eta, p.xi)))
-        key = ("prof", p.eta.tobytes(), p.xi.tobytes())
-        coef = Fraction(0)
-        for t, q in p.staircase.atoms():
-            seg = box_plane_segment(box, p.eta, float(t))
-            if seg > 0.0:
-                coef += q * _as_fraction(seg)
-        if coef > 0 and un > 0.0:
-            out.add(key, coef, un)
     return out
 
 
@@ -748,50 +724,31 @@ def _axis_of(v) -> tuple[int, int] | None:
 def tv_mass_exact(u: StructuredBD, lo, hi) -> Mass:
     """|Eu|(box) over a rational open box, in exact rational arithmetic.
 
-    Requires a zero or affine smooth part and axis-aligned atom planes so
-    chord lengths are rational. Used by the blow-up mass identities.
+    Requires an affine smooth part and axis-aligned atom planes so chord
+    lengths are rational. Used by the blow-up mass identities.
     """
     lo = (_as_fraction(lo[0]), _as_fraction(lo[1]))
     hi = (_as_fraction(hi[0]), _as_fraction(hi[1]))
     if not (hi[0] > lo[0] and hi[1] > lo[1]):
         raise ValueError("empty box")
-    if not _ac_is_constant(u):
-        raise ValueError("exact mass requires a zero or affine smooth part")
+    if not isinstance(u.smooth, SmoothAffine):
+        raise ValueError("exact mass requires an affine smooth part")
     ext = (hi[0] - lo[0], hi[1] - lo[1])
-    out = Mass()
     center = np.array([float((lo[0] + hi[0]) / 2), float((lo[1] + hi[1]) / 2)])
-    e0 = u.e_ac(center[None, :])[0]
-    dens = float(frob(e0))
-    if dens > 0.0:
-        out.add(("ac", e0.tobytes()), ext[0] * ext[1], dens)
 
-    def chord(nu, c: Fraction) -> Fraction:
+    def chord(nu, c) -> Fraction:
         ax = _axis_of(nu)
         if ax is None:
             raise ValueError("exact mass requires axis-aligned atom planes")
         k, sign = ax
-        pos = sign * c
+        pos = sign * _as_fraction(c)
         if pos == lo[k] or pos == hi[k]:
             raise BoundaryChargedBox("boundary-charged box")
         if lo[k] < pos < hi[k]:
             return ext[1 - k]
         return Fraction(0)
 
-    for j in u.jumps:
-        seg = chord(j.nu, _as_fraction(j.c))
-        if seg > 0:
-            dens = float(frob(odot(j.dv, j.nu)))
-            if dens > 0.0:
-                out.add(("jump", j.nu.tobytes(), j.dv.tobytes()), seg, dens)
-    if u.profile is not None:
-        p = u.profile
-        un = float(frob(odot(p.eta, p.xi)))
-        coef = Fraction(0)
-        for t, q in p.staircase.atoms():
-            coef += q * chord(p.eta, t)
-        if coef > 0 and un > 0.0:
-            out.add(("prof", p.eta.tobytes(), p.xi.tobytes()), coef, un)
-    return out
+    return _mass(u, center, ext[0] * ext[1], chord)
 
 
 def trace_pair(u: StructuredBD, plane_index: int, at=None, orientation: int = +1):
@@ -807,10 +764,7 @@ def trace_pair(u: StructuredBD, plane_index: int, at=None, orientation: int = +1
     at = np.asarray(at, dtype=float).reshape(2)
     if abs(float(at @ j.nu) - j.c) > 1e-9:
         raise ValueError("evaluation point is not on the jump plane")
-    rest = StructuredBD(smooth=u.smooth,
-                        jumps=tuple(p for i, p in enumerate(u.jumps) if i != plane_index),
-                        profile=u.profile)
-    base = rest.value(at[None, :])[0]
+    base = u.without_jump(plane_index).value(at[None, :])[0]
     v_minus, v_plus = base, base + j.dv
     if orientation >= 0:
         return v_minus, v_plus, j.nu.copy()

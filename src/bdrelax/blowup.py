@@ -23,11 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .bdmodel import (ExplicitStaircase, JumpPlane, Mass, Profile, SmoothAffine, SmoothMapped,
-                      SmoothZero, StructuredBD, _as_fraction, _axis_of, total_variation,
-                      tv_mass_exact)
+                      StructuredBD, _as_fraction, _axis_of, _mass, total_variation, tv_mass_exact)
 from .geometry import Box
 from .rigid import rigid_projection
-from .tensor import frob, odot
 
 J_SKEW = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -84,41 +82,20 @@ def _pushed_mass(u: StructuredBD, frame: BlowupFrame) -> Mass:
     Klo = (_as_fraction(frame.K.lo[0]), _as_fraction(frame.K.lo[1]))
     Khi = (_as_fraction(frame.K.hi[0]), _as_fraction(frame.K.hi[1]))
     ext = (Khi[0] - Klo[0], Khi[1] - Klo[1])
-    out = Mass()
-    center = np.array([float((Klo[0] + Khi[0]) / 2), float((Klo[1] + Khi[1]) / 2)])
-    wcenter = frame.window.center
-    e0 = u.e_ac(wcenter[None, :])[0]
-    dens = float(frob(e0))
-    if dens > 0.0:
-        out.add(("ac", e0.tobytes()), ext[0] * ext[1] * ef * ef, dens)
 
-    def chord(nu, pos: Fraction) -> Fraction:
+    def chord(nu, pos) -> Fraction:
         ax = _axis_of(nu)
         if ax is None:
             raise ValueError("exact mass requires axis-aligned atom planes")
         k, sign = ax
-        y = (sign * pos - xf[k]) / ef
+        y = (sign * _as_fraction(pos) - xf[k]) / ef
         if y == Klo[k] or y == Khi[k]:
             raise BlowupError("boundary-charged window")
         if Klo[k] < y < Khi[k]:
             return ext[1 - k] * ef
         return Fraction(0)
 
-    for j in u.jumps:
-        seg = chord(j.nu, _as_fraction(j.c))
-        if seg > 0:
-            dens = float(frob(odot(j.dv, j.nu)))
-            if dens > 0.0:
-                out.add(("jump", j.nu.tobytes(), j.dv.tobytes()), seg, dens)
-    if u.profile is not None:
-        p = u.profile
-        un = float(frob(odot(p.eta, p.xi)))
-        coef = Fraction(0)
-        for t, q in p.staircase.atoms():
-            coef += q * chord(p.eta, t)
-        if coef > 0 and un > 0.0:
-            out.add(("prof", p.eta.tobytes(), p.xi.tobytes()), coef, un)
-    return out
+    return _mass(u, frame.window.center, ext[0] * ext[1] * ef * ef, chord)
 
 
 @dataclass
@@ -162,13 +139,9 @@ def rescale(u: StructuredBD, frame: BlowupFrame, grid_per_axis: int = 48) -> Res
     if u.profile is not None and u.profile.beta != 0.0:
         p = u.profile
         beta_const = p.beta * float(x @ p.xi) * p.eta
-    if isinstance(u.smooth, (SmoothAffine, SmoothZero)):
-        if isinstance(u.smooth, SmoothAffine):
-            A0_, v0_ = u.smooth.A, u.smooth.v
-        else:
-            A0_, v0_ = np.zeros((2, 2)), np.zeros(2)
-        A2 = A0_ - r.L
-        v2 = v0_ - (r.v - r.L @ r.anchor)
+    if isinstance(u.smooth, SmoothAffine):
+        A2 = u.smooth.A - r.L
+        v2 = u.smooth.v - (r.v - r.L @ r.anchor)
         smooth = SmoothAffine(s * eps * A2, s * (v2 + A2 @ x + beta_const))
     else:
         smooth = SmoothMapped(u.smooth, x, eps, s, r.L, r.v - beta_const, r.anchor)
@@ -186,7 +159,7 @@ def rescale(u: StructuredBD, frame: BlowupFrame, grid_per_axis: int = 48) -> Res
         s_fr = _as_fraction(s)
         stair = ExplicitStaircase(
             atom_list=tuple(((t - x_eta_fr) / ef, s_fr * q) for t, q in p.staircase.atoms()),
-            offset=s * _staircase_left_value(p.staircase),
+            offset=s * p.staircase.offset,
         )
         profile = Profile(eta=p.eta, xi=p.xi, beta=s * eps * p.beta, staircase=stair)
     resc = StructuredBD(smooth=smooth, jumps=tuple(jumps), profile=profile)
@@ -211,11 +184,6 @@ def rescale(u: StructuredBD, frame: BlowupFrame, grid_per_axis: int = 48) -> Res
     samples = resc.value(pts)
     return RescaledField(structured=resc, points=pts, samples=samples, emass=emass,
                          emass_ratio=ratio, normalization=t_norm)
-
-
-def _staircase_left_value(stair) -> float:
-    """Field value left of all atoms (the staircase's additive offset)."""
-    return float(stair.plateaus()[0][2])
 
 
 # ---------------------------------------------------------------------------

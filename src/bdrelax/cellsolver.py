@@ -395,20 +395,6 @@ class GridDisplacement:
         return (n00 * (1 - tx) * (1 - ty) + n10 * tx * (1 - ty)
                 + n01 * (1 - tx) * ty + n11 * tx * ty)
 
-    def grad(self, X) -> np.ndarray:
-        cell, t = self._locate(X)
-        g = self.grid
-        i, j = cell[:, 0], cell[:, 1]
-        n00 = self.values[i * (g.mesh + 1) + j]
-        n10 = self.values[(i + 1) * (g.mesh + 1) + j]
-        n01 = self.values[i * (g.mesh + 1) + j + 1]
-        n11 = self.values[(i + 1) * (g.mesh + 1) + j + 1]
-        tx, ty = t[:, 0][:, None], t[:, 1][:, None]
-        dx = ((n10 - n00) * (1 - ty) + (n11 - n01) * ty) / g.h[0]
-        dy = ((n01 - n00) * (1 - tx) + (n11 - n10) * tx) / g.h[1]
-        G_axis = np.stack([dx, dy], axis=2)  # (m, comp, axis-deriv)
-        return np.einsum("ij,mkj->mki", np.linalg.inv(g.R).T, G_axis)
-
 
 def _q1_quadrature(grid: Grid, Ue: np.ndarray, f: Integrand, freeze_x=None, raw: bool = False,
                    exact_sum: bool = False):
@@ -598,8 +584,8 @@ def _facet_tables(grid: Grid):
     """Interior and boundary facet index tables.
 
     Each interior facet row holds (elem_minus, local pair, elem_plus, local
-    pair); minus is the side with smaller x . nu. Boundary rows hold the
-    element, its local pair, and the outward normal sign/axis.
+    pair, normal axis); minus is the side with smaller x . nu. Boundary rows
+    hold the element, its local pair, the normal axis and the outward sign.
     """
     m = grid.mesh
     eid = np.arange(m * m).reshape(m, m)  # [ex, ey]
@@ -614,12 +600,12 @@ def _facet_tables(grid: Grid):
             interior.append((eid[ex, ey], 2, 3, eid[ex, ey + 1], 0, 1, 1))
     boundary = []
     for ey in range(m):
-        boundary.append((eid[0, ey], 0, 2, 0, -1.0))  # left, outward -e1
-        boundary.append((eid[m - 1, ey], 1, 3, 0, +1.0))
+        boundary.append((eid[0, ey], 0, 2, 0, -1))  # left, outward -e1
+        boundary.append((eid[m - 1, ey], 1, 3, 0, +1))
     for ex in range(m):
-        boundary.append((eid[ex, 0], 0, 1, 1, -1.0))  # bottom, outward -e2
-        boundary.append((eid[ex, m - 1], 2, 3, 1, +1.0))
-    return np.array(interior, dtype=int), boundary
+        boundary.append((eid[ex, 0], 0, 1, 1, -1))  # bottom, outward -e2
+        boundary.append((eid[ex, m - 1], 2, 3, 1, +1))
+    return np.array(interior, dtype=int), np.array(boundary, dtype=int)
 
 
 def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolution:
@@ -637,39 +623,34 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     def local_mid(e, a, b):
         return 0.5 * (grid.nodes[grid.conn[e, a]] + grid.nodes[grid.conn[e, b]])
 
-    imid = np.array([local_mid(r[0], r[1], r[2]) for r in interior]) if len(interior) else np.zeros((0, 2))
-    inu = np.array([grid.R[:, r[6]] for r in interior]) if len(interior) else np.zeros((0, 2))
-    ilen = np.array([facet_len[r[6]] for r in interior]) if len(interior) else np.zeros(0)
+    imid = np.array([local_mid(r[0], r[1], r[2]) for r in interior])
+    inu = np.array([grid.R[:, r[6]] for r in interior])
+    ilen = np.array([facet_len[r[6]] for r in interior])
     bmid = np.array([local_mid(r[0], r[1], r[2]) for r in boundary])
     bnu = np.array([r[4] * grid.R[:, r[3]] for r in boundary])
     blen = np.array([facet_len[r[3]] for r in boundary])
     datum_b = spec.boundary.value(bmid)
     xs_i = np.broadcast_to(spec.freeze_x, imid.shape) if spec.freeze_x is not None else imid
     xs_b = np.broadcast_to(spec.freeze_x, bmid.shape) if spec.freeze_x is not None else bmid
+    em, a1, a2, ep, b1, b2 = interior[:, :6].T
+    eb, c1, c2 = boundary[:, :3].T
 
     def split_fg(vals_flat):
         vals = vals_flat.reshape(E, 4, 2)
         bulk, gradv = _q1_quadrature(grid, vals, f1, spec.freeze_x)
         # interior facets
-        surf = 0.0
-        if len(interior):
-            em, a1, a2, ep, b1, b2 = (interior[:, 0], interior[:, 1], interior[:, 2],
-                                      interior[:, 3], interior[:, 4], interior[:, 5])
-            vm = 0.5 * (vals[em, a1] + vals[em, a2])
-            vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
-            gv = g1.value(xs_i, vm, vp, inu)
-            surf += float(np.sum(gv * ilen))
-            dVM, dVP = g1.grad(xs_i, vm, vp, inu)
-            dVM = 0.5 * dVM * ilen[:, None]
-            dVP = 0.5 * dVP * ilen[:, None]
-            np.add.at(gradv, (em, a1), dVM)
-            np.add.at(gradv, (em, a2), dVM)
-            np.add.at(gradv, (ep, b1), dVP)
-            np.add.at(gradv, (ep, b2), dVP)
+        vm = 0.5 * (vals[em, a1] + vals[em, a2])
+        vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
+        gv = g1.value(xs_i, vm, vp, inu)
+        surf = float(np.sum(gv * ilen))
+        dVM, dVP = g1.grad(xs_i, vm, vp, inu)
+        dVM = 0.5 * dVM * ilen[:, None]
+        dVP = 0.5 * dVP * ilen[:, None]
+        np.add.at(gradv, (em, a1), dVM)
+        np.add.at(gradv, (em, a2), dVM)
+        np.add.at(gradv, (ep, b1), dVP)
+        np.add.at(gradv, (ep, b2), dVP)
         # boundary facets: inside trace against the datum, outward normal
-        eb = np.array([r[0] for r in boundary])
-        c1 = np.array([r[1] for r in boundary])
-        c2 = np.array([r[2] for r in boundary])
         vin = 0.5 * (vals[eb, c1] + vals[eb, c2])
         gv = g1.value(xs_b, vin, datum_b, bnu)
         surf += float(np.sum(gv * blen))

@@ -51,15 +51,12 @@ def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64,
         fvals = np.asarray([f(x, v, a) for x, v, a in zip(pts, vals, eac)])
     bulk = float(np.sum(w * fvals))
     jump = 0.0
-    for idx, atom in enumerate(em.jump_atoms):
+    for atom in em.jump_atoms:
         chord = box_plane_chord(box, atom.nu, atom.c)
         if chord is None:
             continue
         qpts, seg = _line_quadrature(*chord, line_panels)
-        rest = StructuredBD(smooth=u.smooth,
-                            jumps=tuple(p for i, p in enumerate(u.jumps) if i != idx),
-                            profile=u.profile)
-        base = rest.value(qpts)
+        base = u.without_jump(atom.plane).value(qpts)
         vm, vp = base, base + atom.dv[None, :]
         if _vectorized(g):
             jump += seg * float(np.sum(g(qpts, vm, vp, np.broadcast_to(atom.nu, qpts.shape))))
@@ -156,7 +153,7 @@ class MollifiedField:
         if u.profile is not None:
             p = u.profile
             t = X @ p.eta
-            acc = np.full(len(X), _left_level(p.staircase))
+            acc = np.full(len(X), p.staircase.offset)
             for tp, q in p.staircase.atoms():
                 acc = acc + float(q) * _hat_cdf(t - float(tp), self.h)
             out = out + acc[:, None] * p.xi[None, :]
@@ -177,10 +174,6 @@ class MollifiedField:
                 dens = dens + float(q) * _hat_pdf(t - float(tp), self.h)
             E = E + dens[:, None, None] * odot(p.xi, p.eta)[None, :, :]
         return E
-
-
-def _left_level(stair) -> float:
-    return float(stair.plateaus()[0][2])
 
 
 def mollified_energy(u: StructuredBD, f0: Integrand, width: float, box: Box,

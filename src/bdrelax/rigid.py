@@ -13,7 +13,7 @@ import numpy as np
 
 from .bdmodel import BoundaryChargedBox, StructuredBD, total_variation
 from .geometry import Box, box_plane_segment, box_quadrature, gauss_rule, segment_panels
-from .tensor import frob, sym
+from .tensor import frob
 
 
 class KornError(ValueError):
@@ -40,24 +40,16 @@ class RigidMotion:
         return (X - self.anchor) @ self.L.T + self.v
 
 
-def b_K(u, K: Box, cells: int = 32) -> np.ndarray:
-    """Mean of u over K; exact for StructuredBD, quadrature otherwise."""
-    if isinstance(u, StructuredBD):
-        return u.mean(K)
-    pts, w = box_quadrature(K, cells=cells, npts=2)
-    return (w[:, None] * u.value(pts)).sum(axis=0) / K.volume
+def b_K(u: StructuredBD, K: Box) -> np.ndarray:
+    """Exact mean of u over K."""
+    return u.mean(K)
 
 
-def _face_breaks(u, p, q) -> list[float]:
+def _face_breaks(u: StructuredBD, p, q) -> list[float]:
     """Relative positions where atom planes of u cross the face p->q."""
-    if not isinstance(u, StructuredBD):
-        return []
-    planes = [(j.nu, j.c) for j in u.jumps]
-    if u.profile is not None:
-        planes += [(u.profile.eta, float(t)) for t, _ in u.profile.staircase.atoms()]
     d = q - p
     out = []
-    for nu, c in planes:
+    for nu, c in u.planes():
         dn = float(d @ nu)
         if abs(dn) < 1e-14:
             if abs(float(p @ nu) - c) < 1e-12:
@@ -69,7 +61,7 @@ def _face_breaks(u, p, q) -> list[float]:
     return out
 
 
-def M_K_boundary(u, K: Box, panels: int = 32) -> np.ndarray:
+def M_K_boundary(u: StructuredBD, K: Box, panels: int = 32) -> np.ndarray:
     """Skew moment (1/2|K|) * boundary integral of (u x nu - nu x u).
 
     Faces are split analytically where jump or profile planes cross them and
@@ -89,33 +81,28 @@ def M_K_boundary(u, K: Box, panels: int = 32) -> np.ndarray:
     return acc / (2.0 * K.volume)
 
 
-def M_K_volume(u, K: Box, cells: int = 32) -> np.ndarray:
+def M_K_volume(u: StructuredBD, K: Box, cells: int = 32) -> np.ndarray:
     """(Du(K) - Du(K)^t) / (2|K|) from the full distributional gradient:
     quadrature of the absolutely continuous part plus exact atom terms."""
     du = np.zeros((2, 2))
-    if isinstance(u, StructuredBD):
-        pts, w = box_quadrature(K, cells=cells, npts=2)
-        du += np.einsum("m,mij->ij", w, u.grad_ac(pts))
-        for j in u.jumps:
-            seg = box_plane_segment(K, j.nu, j.c)
-            if seg > 0.0:
-                du += seg * np.outer(j.dv, j.nu)
-        if u.profile is not None:
-            p = u.profile
-            mass = 0.0
-            for t, q_ in p.staircase.atoms():
-                mass += float(q_) * box_plane_segment(K, p.eta, float(t))
-            du += mass * np.outer(p.xi, p.eta)
-    else:
-        pts, w = box_quadrature(K, cells=cells, npts=2)
-        du += np.einsum("m,mij->ij", w, u.grad(pts))
+    pts, w = box_quadrature(K, cells=cells, npts=2)
+    du += np.einsum("m,mij->ij", w, u.grad_ac(pts))
+    for j in u.jumps:
+        seg = box_plane_segment(K, j.nu, j.c)
+        if seg > 0.0:
+            du += seg * np.outer(j.dv, j.nu)
+    if u.profile is not None:
+        p = u.profile
+        mass = 0.0
+        for t, q_ in p.staircase.atoms():
+            mass += float(q_) * box_plane_segment(K, p.eta, float(t))
+        du += mass * np.outer(p.xi, p.eta)
     return (du - du.T) / (2.0 * K.volume)
 
 
-def rigid_projection(u, K: Box, panels: int = 32, cells: int = 32) -> RigidMotion:
+def rigid_projection(u: StructuredBD, K: Box, panels: int = 32) -> RigidMotion:
     """The rigid motion M_K (y - center) + b_K extracted from u on K."""
-    return RigidMotion(L=M_K_boundary(u, K, panels=panels), v=b_K(u, K, cells=cells),
-                       anchor=K.center)
+    return RigidMotion(L=M_K_boundary(u, K, panels=panels), v=b_K(u, K), anchor=K.center)
 
 
 def project_out_rigid(u: StructuredBD, K: Box, panels: int = 32) -> StructuredBD:
@@ -125,7 +112,7 @@ def project_out_rigid(u: StructuredBD, K: Box, panels: int = 32) -> StructuredBD
     return u.plus_rigid(-r.L, -shift)
 
 
-def korn_ratio(u, K: Box, eps_schedule, quad_cells: int = 256) -> list[dict]:
+def korn_ratio(u: StructuredBD, K: Box, eps_schedule, quad_cells: int = 256) -> list[dict]:
     """Scaled first-order rigidity ratios on the shrinking boxes eps * K.
 
     Each entry reports eps, the L1 distance of u to its rigid projection on
@@ -135,10 +122,7 @@ def korn_ratio(u, K: Box, eps_schedule, quad_cells: int = 256) -> list[dict]:
     rows = []
     for eps in eps_schedule:
         Ke = K.scaled_about_center(float(eps))
-        ev = total_variation(u, Ke) if isinstance(u, StructuredBD) else None
-        if ev is None:
-            pts, w = box_quadrature(Ke, cells=quad_cells, npts=1)
-            ev = float(np.sum(w * frob(sym(u.grad(pts)))))
+        ev = total_variation(u, Ke)
         if ev <= 0.0:
             raise KornError("rigid on εK")
         r = rigid_projection(u, Ke)

@@ -162,6 +162,7 @@ def test_trace_pair():
     a, b, nu = trace_pair(u, 0)
     assert np.allclose(a, vm, atol=0) and np.allclose(b, vp, atol=0)
     assert np.allclose(nu, E1, atol=0)
+    assert all(np.array_equal(x, y) for x, y in zip(trace_pair(u, -1), (a, b, nu)))
     # superposed affine part: traces differ by dv
     A = np.array([[0.3, 0.0], [0.1, 0.2]])
     u2 = StructuredBD(smooth=SmoothAffine(A, vm), jumps=u.jumps)
@@ -206,8 +207,18 @@ def test_json_round_trip():
     assert np.allclose(u3.value(pts), u4.value(pts), atol=1e-12)
 
 
-def test_tv_mass_exact_matches_float_path():
-    u = StructuredBD.staircase(depth=5, total_mass=1, support=(0, 1))
+STAIR5 = StructuredBD.staircase(depth=5, total_mass=1, support=(0, 1))
+
+
+@pytest.mark.parametrize("u", [
+    STAIR5,
+    StructuredBD(jumps=(JumpPlane(nu=E2, c=0.125, dv=np.array([0.3, -1.1])),),
+                 profile=STAIR5.profile),
+    StructuredBD(profile=Profile(eta=E1, xi=E2, staircase=ExplicitStaircase(
+        atom_list=((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3))),
+        offset=-0.4))),
+], ids=["cantor", "jump-and-cantor", "explicit"])
+def test_tv_mass_exact_matches_float_path(u):
     m = tv_mass_exact(u, (Fraction(-1, 4), Fraction(-1, 2)), (Fraction(5, 4), Fraction(1, 2)))
     box = Box(lo=(-0.25, -0.5), hi=(1.25, 0.5))
     assert m.value == pytest.approx(total_variation(u, box), abs=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bdrelax.bdmodel import BoundaryChargedBox, StructuredBD
+from bdrelax.bdmodel import BoundaryChargedBox, JumpPlane, StructuredBD
 from bdrelax.cellsolver import abs_sym
 from bdrelax.geometry import Box
 from bdrelax.represent import (MollifiedField, Representation, assemble,
@@ -68,6 +68,23 @@ def test_assemble_rigid_invariance():
     r1 = assemble(u, box, f, g, finf)
     r2 = assemble(u2, box, f, g, finf)
     assert r2.total == pytest.approx(r1.total, rel=1e-13)
+
+
+def test_assemble_pairs_each_jump_atom_with_its_own_plane():
+    # a zero-dv plane carries no atom; the traces of the e1 plane must be
+    # drawn from u without the e1 plane, not without the zero plane
+    def f(X, V, A):
+        return np.zeros(len(X))
+
+    def g(X, VM, VP, NU):
+        return np.linalg.norm(VM, axis=1) + 10.0 * np.linalg.norm(VP, axis=1)
+
+    f.vectorized = g.vectorized = True
+    plane = JumpPlane(nu=E1, c=0.25, dv=E2)
+    u = StructuredBD(jumps=(JumpPlane(nu=E2, c=0.2, dv=np.zeros(2)), plane))
+    rep = assemble(u, BOX, f, g, None)
+    assert rep.jump == assemble(StructuredBD(jumps=(plane,)), BOX, f, g, None).jump
+    assert rep.jump == pytest.approx(10.0, rel=1e-12)
 
 
 def test_assemble_boundary_charged():
