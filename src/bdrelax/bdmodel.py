@@ -17,6 +17,7 @@ zero tolerance.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def _as_fraction(x) -> Fraction:
 
 class Staircase:
     """offset + the sum of the atom jumps at or left of t. Subclasses give
-    the sorted exact (position, jump) list `atoms()` and the float `offset`."""
+    the sorted exact (position, jump) tuple `atoms()` and the float `offset`."""
 
     def value(self, t) -> np.ndarray:
         """Staircase value, right-continuous at the atoms."""
@@ -138,8 +139,13 @@ class CantorProfile(Staircase):
         return cls(depth=depth, total_mass=_as_fraction(total_mass),
                    support=(_as_fraction(a), _as_fraction(b)))
 
-    def atoms(self) -> list[tuple[Fraction, Fraction]]:
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Sorted (position, jump) pairs, all entries exact rationals."""
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        # built once per instance: every staircase value reads it
         a, b = self.support
         intervals = [(a, b)]
         for _ in range(self.depth):
@@ -150,7 +156,7 @@ class CantorProfile(Staircase):
                 nxt.append((hi - third, hi))
             intervals = nxt
         step = self.total_mass / len(intervals)
-        return [((lo + hi) / 2, step) for lo, hi in intervals]
+        return tuple(((lo + hi) / 2, step) for lo, hi in intervals)
 
     def refine(self) -> "CantorProfile":
         return CantorProfile(self.depth + 1, self.total_mass, self.support)
@@ -160,7 +166,7 @@ class CantorProfile(Staircase):
         a, b = self.support
         return sum((q * (b - p) for p, q in self.atoms()), Fraction(0)) / (b - a)
 
-    @property
+    @cached_property
     def offset(self) -> float:
         """The zero-average shift: the value left of every atom."""
         return -float(self.mean_raw())
@@ -183,8 +189,8 @@ class ExplicitStaircase(Staircase):
             raise ValueError("atom positions must be strictly increasing")
         object.__setattr__(self, "atom_list", atoms)
 
-    def atoms(self) -> list[tuple[Fraction, Fraction]]:
-        return list(self.atom_list)
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return self.atom_list
 
 
 # ---------------------------------------------------------------------------

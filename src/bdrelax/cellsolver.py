@@ -396,23 +396,38 @@ class GridDisplacement:
                 + n01 * (1 - tx) * ty + n11 * tx * ty)
 
 
-def _q1_quadrature(grid: Grid, Ue: np.ndarray, f: Integrand, freeze_x=None, raw: bool = False,
-                   exact_sum: bool = False):
+def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, freeze_x=None,
+                   raw: bool = False, exact_sum: bool = False):
     """The Q1 element kernel: quadrature energy sum_q w f(x_q, v_q, grad_q)
-    of element-gathered nodal values Ue (E, 4, 2).
+    of nodal values U (n, 2) on the elements `conn` (E, 4) of `grid`.
 
-    Returns (energy, per-element gradient (E, 4, 2)) for the smoothed
-    density, or (energy, None) for the raw one (raw=True), summed exactly
-    with math.fsum when exact_sum is set. Callers own the gather and the
-    scatter, so conforming, discontinuous and periodic fields share it.
+    Returns (energy, nodal gradient (n, 2)) for the smoothed density, or
+    (energy, None) for the raw one (raw=True), summed exactly with
+    math.fsum when exact_sum is set. The connectivity is the grid's own,
+    a periodic wrap-around or the identity for per-element fields.
+
+    Arrays keep the element axis last, so every numpy operation runs over
+    it. The sums over local nodes, over quadrature points and into the
+    nodes run in a fixed order (a = 0..3, q = 0..3, elements in `conn`
+    order) that the tests pin bit for bit: the solver trajectories depend
+    on the last bits of the gradient.
     """
-    V = np.einsum("qa,eak->eqk", grid.Nval, Ue)
-    G = np.einsum("qaj,eak->eqkj", grid.dN, Ue)
+    Nval, dN = grid.Nval, grid.dN
+    E, Q = len(conn), len(Nval)
+    Ua = U.T[:, conn.T]  # (k, a, E)
+    V = Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
+    G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
+    for a in range(1, 4):
+        V += Nval[:, a, None, None] * Ua[:, a]
+        G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
     X = grid.qp
     if freeze_x is not None:
         X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
-    E, Q = V.shape[0], V.shape[1]
-    Xf, Vf, Gf = X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2)
+    # the integrand takes points in (element, quadrature point) order
+    Xf = X.reshape(-1, 2)
+    Vf = np.ascontiguousarray(V.transpose(2, 0, 1)).reshape(-1, 2)
+    Gf = np.ascontiguousarray(G.transpose(3, 0, 1, 2)).reshape(-1, 2, 2)
+    del V, G  # freed before the integrand allocates its temporaries
     if raw:
         vals = f.raw(Xf, Vf, Gf)
         if exact_sum:
@@ -420,23 +435,32 @@ def _q1_quadrature(grid: Grid, Ue: np.ndarray, f: Integrand, freeze_x=None, raw:
         return grid.wq * float(np.sum(vals)), None
     energy = grid.wq * float(np.sum(f.value(Xf, Vf, Gf)))
     dV, dA = f.grad(Xf, Vf, Gf)
-    nodeG = grid.wq * (np.einsum("qa,eqk->eak", grid.Nval, dV.reshape(E, Q, 2))
-                       + np.einsum("qaj,eqkj->eak", grid.dN, dA.reshape(E, Q, 2, 2)))
-    return energy, nodeG
+    dV = np.ascontiguousarray(dV.reshape(E, Q * 2).T).reshape(Q, 2, E)  # (Q, k, E)
+    dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
+    # back-contraction (a, k, E): the v part and the strain part, each
+    # summed over q, then added
+    S1 = Nval[0, :, None, None] * dV[0]
+    S2 = dN[0, :, 0, None, None] * dA[0, 0] + dN[0, :, 1, None, None] * dA[0, 1]
+    for q in range(1, Q):
+        S1 += Nval[q, :, None, None] * dV[q]
+        S2 += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
+    S1 += S2
+    S1 *= grid.wq
+    gradU = np.empty((len(U), 2))
+    for k in range(2):
+        gradU[:, k] = np.bincount(conn.ravel(), weights=S1[:, k].T.ravel(), minlength=len(U))
+    return energy, gradU
 
 
 def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None):
     """Quadrature energy sum_q w f(x_q, v_q, grad_q) and its nodal gradient."""
-    energy, nodeG = _q1_quadrature(grid, U[grid.conn], f, freeze_x)
-    gradU = np.zeros_like(U)
-    np.add.at(gradU, grid.conn, nodeG)
-    return energy, gradU
+    return _q1_quadrature(grid, U, grid.conn, f, freeze_x)
 
 
 def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None,
                exact_sum: bool = False) -> float:
     """Quadrature energy with the unsmoothed integrand."""
-    return _q1_quadrature(grid, U[grid.conn], f, freeze_x, raw=True, exact_sum=exact_sum)[0]
+    return _q1_quadrature(grid, U, grid.conn, f, freeze_x, raw=True, exact_sum=exact_sum)[0]
 
 
 def prolong(w: GridDisplacement, factor: int = 2) -> GridDisplacement:
@@ -634,10 +658,12 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     xs_b = np.broadcast_to(spec.freeze_x, bmid.shape) if spec.freeze_x is not None else bmid
     em, a1, a2, ep, b1, b2 = interior[:, :6].T
     eb, c1, c2 = boundary[:, :3].T
+    own = np.arange(4 * E).reshape(E, 4)  # each element owns its four nodal values
 
     def split_fg(vals_flat):
         vals = vals_flat.reshape(E, 4, 2)
-        bulk, gradv = _q1_quadrature(grid, vals, f1, spec.freeze_x)
+        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(4 * E, 2), own, f1, spec.freeze_x)
+        gradv = gradv.reshape(E, 4, 2)
         # interior facets
         vm = 0.5 * (vals[em, a1] + vals[em, a2])
         vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
@@ -676,7 +702,7 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     res, diag = _multistart(lambda: fg, U0.ravel(), spec)
     vals = res["x"].reshape(E, 4, 2)
     bulk, surf, _ = split_fg(res["x"])
-    raw_bulk = _q1_quadrature(grid, vals, f1, spec.freeze_x, raw=True)[0]
+    raw_bulk = _q1_quadrature(grid, vals.reshape(4 * E, 2), own, f1, spec.freeze_x, raw=True)[0]
     return SBDSolution(value=raw_bulk + surf, value_smoothed=res["f"], bulk=bulk,
                        surface=surf, argmin=SBDField(grid=grid, values=vals),
                        diagnostics={**diag, "mu": f1.mu})

@@ -97,10 +97,7 @@ def fhom_periodic(spec: HomogSpec) -> float:
     f_A = reparametrize(spec.f0, v0=np.zeros(2), eps_v=0.0, A0=spec.A)  # f0(x, 0, A + e(w))
 
     def fg(xvec):
-        U = xvec.reshape(m * m, 2)
-        energy, nodeG = _q1_quadrature(grid, U[conn], f_A)
-        gradU = np.zeros((m * m, 2))
-        np.add.at(gradU, conn, nodeG)
+        energy, gradU = _q1_quadrature(grid, xvec.reshape(m * m, 2), conn, f_A)
         return energy, gradU.ravel()
 
     def project(xvec):
@@ -111,7 +108,7 @@ def fhom_periodic(spec: HomogSpec) -> float:
     res = minimize_lbfgs(fg, np.zeros(m * m * 2), max_iters=sp.max_iters,
                          grad_tol=sp.grad_tol, project=project)
     # report with the raw integrand
-    return _q1_quadrature(grid, res["x"].reshape(m * m, 2)[conn], f_A, raw=True)[0]
+    return _q1_quadrature(grid, res["x"].reshape(m * m, 2), conn, f_A, raw=True)[0]
 
 
 def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0,

@@ -24,9 +24,12 @@ def configure_logging(level: str | None = None) -> None:
 def pmap(fn, items, jobs: int | None = None) -> list:
     """Map fn over items, preserving input order in the result.
 
-    Workers are threads (the heavy kernels are numpy calls that release the
-    GIL); the reduction order is the input order, so results are
-    deterministic regardless of the worker count.
+    Workers are threads, which run in parallel only inside numpy calls that
+    release the GIL. The Q1 kernel makes many short numpy calls per energy
+    evaluation, so at small meshes the Python between them holds the GIL
+    and a second worker can make a multistart solve slower, not faster.
+    The reduction order is the input order, so results are deterministic
+    regardless of the worker count.
     """
     items = list(items)
     if jobs is None:

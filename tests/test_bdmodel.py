@@ -156,6 +156,14 @@ def test_cantor_refinement_preserves_mass():
         c = c2
 
 
+def test_cantor_atoms_built_once_and_immutable():
+    c = CantorProfile.make(4, Fraction(1), (0, 1))
+    assert isinstance(c.atoms(), tuple) and c.atoms() is c.atoms()
+    assert c.offset == -float(c.mean_raw())
+    # a fresh instance rebuilds the same exact atoms
+    assert CantorProfile.make(4, Fraction(1), (0, 1)).atoms() == c.atoms()
+
+
 def test_trace_pair():
     vm, vp = np.array([0.1, 0.2]), np.array([0.4, -0.2])
     u = StructuredBD.two_constant(vm, vp, E1)

@@ -1,15 +1,17 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
-                                Integrand, JumpData, SolverParams, abs_sym, energy_and_grad,
+                                Integrand, JumpData, SolverParams, _q1_quadrature, abs_sym,
+                                energy_and_grad,
                                 frame_for_normal, g_odot, g_penalty, m_continuity_check,
                                 prolong, raw_energy, reparametrize, scaled, solve_ld,
                                 solve_sbd, sqrt1plus_sym)
-from bdrelax.density import vmin_abs
+from bdrelax.density import laminate_a, mueller_h_integrand, vmin_abs
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
 from bdrelax.tensor import frob, odot
@@ -65,6 +67,86 @@ def test_gradient_consistency(f):
         e2, _ = energy_and_grad(grid, U2, f)
         fd = (e2 - e0) / h
         assert fd == pytest.approx(g0[idx], rel=1e-4, abs=1e-7)
+
+
+def _seed_q1(grid, U, conn, f, freeze_x=None, raw=False, exact_sum=False):
+    """The seed's Q1 kernel (einsum contractions, np.add.at scatter): the
+    reference the element-last kernel must reproduce bit for bit."""
+    Ue = U[conn]
+    V = np.einsum("qa,eak->eqk", grid.Nval, Ue)
+    G = np.einsum("qaj,eak->eqkj", grid.dN, Ue)
+    X = grid.qp
+    if freeze_x is not None:
+        X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
+    E, Q = V.shape[0], V.shape[1]
+    Xf, Vf, Gf = X.reshape(-1, 2), V.reshape(-1, 2), G.reshape(-1, 2, 2)
+    if raw:
+        vals = f.raw(Xf, Vf, Gf)
+        if exact_sum:
+            return math.fsum(float(grid.wq) * v for v in vals.tolist()), None
+        return grid.wq * float(np.sum(vals)), None
+    energy = grid.wq * float(np.sum(f.value(Xf, Vf, Gf)))
+    dV, dA = f.grad(Xf, Vf, Gf)
+    nodeG = grid.wq * (np.einsum("qa,eqk->eak", grid.Nval, dV.reshape(E, Q, 2))
+                       + np.einsum("qaj,eqkj->eak", grid.dN, dA.reshape(E, Q, 2, 2)))
+    gradU = np.zeros_like(U)
+    np.add.at(gradU, conn, nodeG)
+    return energy, gradU
+
+
+BIT_INTEGRANDS = {
+    "mueller-h": mueller_h_integrand(),
+    "laminate-a": laminate_a(),
+    "sqrt1plus-sym": sqrt1plus_sym(),
+    # the one path with a nonzero v-gradient
+    "vmin-abs": reparametrize(vmin_abs(mu=1e-2), c=0.5, v0=(0.3, -0.2), eps_v=0.5,
+                              A0=[[0.1, 0.2], [0.2, -0.1]], s_A=0.25),
+}
+
+
+def _assert_kernel_bits(grid, U, conn):
+    for f in BIT_INTEGRANDS.values():
+        for fx in (None, np.array([0.3, -0.1])):
+            e_ref, g_ref = _seed_q1(grid, U, conn, f, fx)
+            e_new, g_new = _q1_quadrature(grid, U, conn, f, fx)
+            assert e_new == e_ref
+            assert np.array_equal(g_new, g_ref)
+            for exact in (False, True):
+                r_ref = _seed_q1(grid, U, conn, f, fx, raw=True, exact_sum=exact)[0]
+                r_new = _q1_quadrature(grid, U, conn, f, fx, raw=True, exact_sum=exact)[0]
+                assert r_new == r_ref
+
+
+@pytest.mark.parametrize("mesh", [4, 8, 16, 64])
+@pytest.mark.parametrize("nu", [None, (1.0, 1.0), (0.6, 0.8)], ids=["axis", "diagonal", "0.6-0.8"])
+def test_q1_kernel_bit_identical_to_seed(mesh, nu):
+    grid = Grid(Box.cube((0.0, 0.0), 1.0), mesh, None if nu is None else frame_for_normal(nu))
+    U = np.random.default_rng(mesh).normal(size=(grid.n_nodes, 2))
+    _assert_kernel_bits(grid, U, grid.conn)
+    # the public wrappers run the kernel on the grid's own connectivity
+    f = BIT_INTEGRANDS["mueller-h"]
+    e_ref, g_ref = _seed_q1(grid, U, grid.conn, f)
+    e_new, g_new = energy_and_grad(grid, U, f)
+    assert e_new == e_ref and np.array_equal(g_new, g_ref)
+    assert raw_energy(grid, U, f, exact_sum=True) == _seed_q1(grid, U, grid.conn, f, raw=True,
+                                                              exact_sum=True)[0]
+
+
+@pytest.mark.parametrize("mesh", [4, 8, 16, 64])
+@pytest.mark.parametrize("layout", ["periodic", "per-element"])
+def test_q1_kernel_bit_identical_other_connectivities(mesh, layout):
+    # the wrap-around connectivity of the periodic cell formula and the
+    # identity connectivity of the per-element (SBD) fields
+    grid = Grid(Box.cube((0.0, 0.0), 1.0), mesh)
+    E = mesh * mesh
+    if layout == "periodic":
+        i = grid.conn // (mesh + 1) % mesh
+        j = grid.conn % (mesh + 1) % mesh
+        conn, n = i * mesh + j, mesh * mesh
+    else:
+        conn, n = np.arange(4 * E).reshape(E, 4), 4 * E
+    U = np.random.default_rng(mesh).normal(size=(n, 2))
+    _assert_kernel_bits(grid, U, conn)
 
 
 def brute_force_reduced(A, f, mesh=4, rounds=3, span=0.6, pts=7):
