@@ -88,12 +88,17 @@ class Staircase:
     def value(self, t) -> np.ndarray:
         """Staircase value, right-continuous at the atoms."""
         t = np.asarray(t, dtype=float)
-        atoms = self.atoms()
-        pos = np.array([float(p) for p, _ in atoms] or [0.0])
-        cum = np.cumsum([float(q) for _, q in atoms] or [0.0])
+        pos, cum = self._steps
         idx = np.searchsorted(pos, t, side="right")
         raw = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
         return raw + self.offset
+
+    @cached_property
+    def _steps(self) -> tuple[np.ndarray, np.ndarray]:
+        # float atom positions and cumulative jumps, built once per instance
+        atoms = self.atoms()
+        return (np.array([float(p) for p, _ in atoms] or [0.0]),
+                np.cumsum([float(q) for _, q in atoms] or [0.0]))
 
     def plateaus(self) -> list[tuple[float, float, float]]:
         """(t_lo, t_hi, value) pieces covering all of R."""

@@ -328,10 +328,10 @@ def fit_profile_form(resc: RescaledField, eta, xi, cell_area: float) -> dict:
 
 
 def blowup_sequence(u: StructuredBD, x, eps_schedule, rho: float = 1.0,
-                    grid_per_axis: int = 48, flag_threshold: float = 1e-6) -> list[dict]:
+                    grid_per_axis: int = 48) -> list[dict]:
     """Rescale u around x along the schedule and fit each window to the
     one-directional profile form; the fit residual is reported per eps and
-    flagged (not fatal) above the threshold."""
+    flagged (not fatal) above 1e-6."""
     if u.profile is None:
         raise BlowupError("blowup_sequence expects a field with a profile part")
     eta, xi = u.profile.eta, u.profile.xi
@@ -343,6 +343,6 @@ def blowup_sequence(u: StructuredBD, x, eps_schedule, rho: float = 1.0,
         resc = rescale(u, frame, grid_per_axis=grid_per_axis)
         fit = fit_profile_form(resc, eta, xi, cell_area=K.volume / len(resc.points))
         rows.append({"eps": float(eps), "emass": resc.emass, "residual": fit["residual_l1"],
-                     "beta": fit["beta"], "flagged": fit["residual_l1"] > flag_threshold,
+                     "beta": fit["beta"], "flagged": fit["residual_l1"] > 1e-6,
                      "fit": fit, "rescaled": resc})
     return rows

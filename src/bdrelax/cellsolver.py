@@ -49,7 +49,6 @@ class Integrand:
     raw: object
     convex: bool = False
     one_homogeneous: bool = False
-    x_periodic: bool = False
     v_independent: bool = True
     sym_only: bool = True
     mu: float = 0.0
@@ -260,7 +259,7 @@ class SolverParams:
     grad_tol: float | None = None
     multistarts: int = 1
     seed: int = 0
-    jobs: int | None = 1  # parallel multistart workers; None = host parallelism
+    jobs: int = 1  # parallel multistart workers
 
 
 @dataclass(frozen=True)
@@ -367,12 +366,9 @@ class GridDisplacement:
 
     grid: Grid
     values: np.ndarray  # (N, 2)
-    boundary_mask: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).reshape(self.grid.n_nodes, 2)
-        if self.boundary_mask is None:
-            self.boundary_mask = self.grid.boundary_mask.copy()
 
     def _locate(self, X):
         """Reference cell indices and local coordinates of physical points."""
@@ -533,8 +529,7 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = _interpolate_boundary(grid, spec.boundary)
-    mask = grid.boundary_mask
-    free = ~mask
+    free = ~grid.boundary_mask
     if not free.any():
         raise BadSpec("bad spec")
 
@@ -555,14 +550,16 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     res, diag = _multistart(make_fg, datum[free].ravel(), spec, extra)
     Ubest = datum.copy()
     Ubest[free] = res["x"].reshape(-1, 2)
-    argmin = GridDisplacement(grid=grid, values=Ubest, boundary_mask=mask)
+    argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)
     return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin,
                       diagnostics={**diag, "mu": f.mu})
 
 
-def boundary_l1_gap(spec: CellSpec, data1, data2, panels_per_edge: int = 256) -> float:
-    """Midpoint-rule integral of |data1 - data2| over the box boundary."""
+def boundary_l1_gap(spec: CellSpec, data1, data2) -> float:
+    """Midpoint-rule integral of |data1 - data2| over the box boundary,
+    256 panels per edge."""
+    panels_per_edge = 256
     grid = Grid(spec.box, 1, frame=spec.frame)
     total = 0.0
     for p, q, _ in Box(spec.box.lo, spec.box.hi).faces():
@@ -604,32 +601,61 @@ class SBDSolution:
     diagnostics: dict
 
 
-def _facet_tables(grid: Grid):
-    """Interior and boundary facet index tables.
+def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
+    """The SBD objective x -> (bulk, surface, gradient) of per-element
+    nodal values x (4E * 2,): Q1 bulk quadrature plus a midpoint rule on
+    every facet.
 
-    Each interior facet row holds (elem_minus, local pair, elem_plus, local
-    pair, normal axis); minus is the side with smaller x . nu. Boundary rows
-    hold the element, its local pair, the normal axis and the outward sign.
+    One facet table holds the interior vertical facets (nu = +e1 in
+    reference coordinates, minus side left), the interior horizontal ones
+    (nu = +e2, minus side below), then the boundary facets (left and right
+    per row, bottom and top per column, outward normals). Each row has two
+    minus-side slots 4 e + local, a normal, a length and a midpoint;
+    interior rows also have two plus-side slots, boundary rows take the
+    datum at the midpoint as their plus trace.
     """
     m = grid.mesh
-    eid = np.arange(m * m).reshape(m, m)  # [ex, ey]
-    interior = []
-    # vertical facets, nu = +e1 (reference): left elem locals (1, 3), right (0, 2)
-    for ex in range(m - 1):
-        for ey in range(m):
-            interior.append((eid[ex, ey], 1, 3, eid[ex + 1, ey], 0, 2, 0))
-    # horizontal facets, nu = +e2: lower locals (2, 3), upper (0, 1)
-    for ex in range(m):
-        for ey in range(m - 1):
-            interior.append((eid[ex, ey], 2, 3, eid[ex, ey + 1], 0, 1, 1))
-    boundary = []
-    for ey in range(m):
-        boundary.append((eid[0, ey], 0, 2, 0, -1))  # left, outward -e1
-        boundary.append((eid[m - 1, ey], 1, 3, 0, +1))
-    for ex in range(m):
-        boundary.append((eid[ex, 0], 0, 1, 1, -1))  # bottom, outward -e2
-        boundary.append((eid[ex, m - 1], 2, 3, 1, +1))
-    return np.array(interior, dtype=int), np.array(boundary, dtype=int)
+    E = m * m
+    eid = np.arange(E).reshape(m, m)  # [ex, ey]
+    vert, horz = eid[:-1].ravel(), eid[:, :-1].ravel()  # minus elements of interior facets
+    plus = np.concatenate([4 * (vert[:, None] + m) + [0, 2], 4 * (horz[:, None] + 1) + [0, 1]])
+    minus = np.concatenate([
+        4 * vert[:, None] + [1, 3], 4 * horz[:, None] + [2, 3],
+        np.stack([4 * eid[0, :, None] + [0, 2], 4 * eid[-1, :, None] + [1, 3]], 1).reshape(-1, 2),
+        np.stack([4 * eid[:, 0, None] + [0, 1], 4 * eid[:, -1, None] + [2, 3]], 1).reshape(-1, 2)])
+    ni, n = len(plus), len(minus)
+    axis = np.repeat([0, 1, 0, 1], [ni // 2, ni // 2, 2 * m, 2 * m])
+    sign = np.concatenate([np.ones(ni, dtype=int), np.tile([-1, 1], 2 * m)])
+    nu = sign[:, None] * grid.R[:, axis].T
+    length = grid.h[1 - axis]
+    node = grid.conn.ravel()  # node of slot 4 e + local
+    mid = 0.5 * (grid.nodes[node[minus[:, 0]]] + grid.nodes[node[minus[:, 1]]])
+    datum = spec.boundary.value(mid[ni:])
+    X = mid if spec.freeze_x is None else np.broadcast_to(spec.freeze_x, mid.shape)
+    # every slot lies on exactly two facets: a stable sort of the slots,
+    # listed interior minus, interior plus, then boundary, gives each slot
+    # its two gradient terms in a fixed order
+    slots = np.concatenate([minus[:ni].T.ravel(), plus.T.ravel(), minus[ni:].T.ravel()])
+    rows = np.concatenate([np.tile(np.arange(ni), 2), np.tile(np.arange(n, n + ni), 2),
+                           np.tile(np.arange(ni, n), 2)])
+    first, second = rows[np.argsort(slots, kind="stable")].reshape(-1, 2).T
+    own = np.arange(4 * E).reshape(E, 4)  # each element owns its four nodal values
+
+    def split_fg(x):
+        vals = x.reshape(4 * E, 2)
+        bulk, grad = _q1_quadrature(grid, vals, own, f1, spec.freeze_x)
+        vm = 0.5 * (vals[minus[:, 0]] + vals[minus[:, 1]])
+        vp = np.concatenate([0.5 * (vals[plus[:, 0]] + vals[plus[:, 1]]), datum])
+        w = g1.value(X, vm, vp, nu) * length
+        surf = float(np.sum(w[:ni])) + float(np.sum(w[ni:]))
+        dVM, dVP = g1.grad(X, vm, vp, nu)
+        terms = np.concatenate([0.5 * dVM * length[:, None],
+                                0.5 * dVP[:ni] * length[:ni, None]])
+        grad += terms[first]
+        grad += terms[second]
+        return bulk, surf, grad.ravel()
+
+    return split_fg
 
 
 def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolution:
@@ -637,54 +663,8 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     element-wise Q1 fields; the boundary datum enters through the surface
     term on boundary facets."""
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
-    m = grid.mesh
-    E = m * m
-    interior, boundary = _facet_tables(grid)
-    hx, hy = float(grid.h[0]), float(grid.h[1])
-    facet_len = {0: hy, 1: hx}
-
-    # physical facet midpoints and normals
-    def local_mid(e, a, b):
-        return 0.5 * (grid.nodes[grid.conn[e, a]] + grid.nodes[grid.conn[e, b]])
-
-    imid = np.array([local_mid(r[0], r[1], r[2]) for r in interior])
-    inu = np.array([grid.R[:, r[6]] for r in interior])
-    ilen = np.array([facet_len[r[6]] for r in interior])
-    bmid = np.array([local_mid(r[0], r[1], r[2]) for r in boundary])
-    bnu = np.array([r[4] * grid.R[:, r[3]] for r in boundary])
-    blen = np.array([facet_len[r[3]] for r in boundary])
-    datum_b = spec.boundary.value(bmid)
-    xs_i = np.broadcast_to(spec.freeze_x, imid.shape) if spec.freeze_x is not None else imid
-    xs_b = np.broadcast_to(spec.freeze_x, bmid.shape) if spec.freeze_x is not None else bmid
-    em, a1, a2, ep, b1, b2 = interior[:, :6].T
-    eb, c1, c2 = boundary[:, :3].T
-    own = np.arange(4 * E).reshape(E, 4)  # each element owns its four nodal values
-
-    def split_fg(vals_flat):
-        vals = vals_flat.reshape(E, 4, 2)
-        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(4 * E, 2), own, f1, spec.freeze_x)
-        gradv = gradv.reshape(E, 4, 2)
-        # interior facets
-        vm = 0.5 * (vals[em, a1] + vals[em, a2])
-        vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
-        gv = g1.value(xs_i, vm, vp, inu)
-        surf = float(np.sum(gv * ilen))
-        dVM, dVP = g1.grad(xs_i, vm, vp, inu)
-        dVM = 0.5 * dVM * ilen[:, None]
-        dVP = 0.5 * dVP * ilen[:, None]
-        np.add.at(gradv, (em, a1), dVM)
-        np.add.at(gradv, (em, a2), dVM)
-        np.add.at(gradv, (ep, b1), dVP)
-        np.add.at(gradv, (ep, b2), dVP)
-        # boundary facets: inside trace against the datum, outward normal
-        vin = 0.5 * (vals[eb, c1] + vals[eb, c2])
-        gv = g1.value(xs_b, vin, datum_b, bnu)
-        surf += float(np.sum(gv * blen))
-        dVM, _ = g1.grad(xs_b, vin, datum_b, bnu)
-        dVM = 0.5 * dVM * blen[:, None]
-        np.add.at(gradv, (eb, c1), dVM)
-        np.add.at(gradv, (eb, c2), dVM)
-        return bulk, surf, gradv.ravel()
+    E = grid.mesh ** 2
+    split_fg = _sbd_objective(grid, spec, f1, g1)
 
     def fg(x):
         bulk, surf, grad = split_fg(x)
@@ -702,7 +682,8 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     res, diag = _multistart(lambda: fg, U0.ravel(), spec)
     vals = res["x"].reshape(E, 4, 2)
     bulk, surf, _ = split_fg(res["x"])
-    raw_bulk = _q1_quadrature(grid, vals.reshape(4 * E, 2), own, f1, spec.freeze_x, raw=True)[0]
+    raw_bulk = _q1_quadrature(grid, vals.reshape(4 * E, 2), np.arange(4 * E).reshape(E, 4), f1,
+                              spec.freeze_x, raw=True)[0]
     return SBDSolution(value=raw_bulk + surf, value_smoothed=res["f"], bulk=bulk,
                        surface=surf, argmin=SBDField(grid=grid, values=vals),
                        diagnostics={**diag, "mu": f1.mu})

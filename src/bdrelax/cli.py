@@ -231,8 +231,6 @@ def cmd_represent(args) -> None:
 
         def finf(X, V, P, _c=float(tab["finf"])):
             return np.full(len(np.atleast_2d(X)), _c)
-
-        f.vectorized = g.vectorized = finf.vectorized = True
     rep = assemble(u, box, f, g, finf, quad=args.quad)
     _emit(args, "represent",
           {"bulk": rep.bulk, "jump": rep.jump, "cantor": rep.cantor, "total": rep.total})
@@ -275,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file of default argument values")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=None, help="worker cap for sweeps")
+    ap.add_argument("--jobs", type=int, default=1, help="multistart worker threads")
     ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
     ap.add_argument("--log", default=None, help="log level (or env BDRELAX_LOG)")
     ap.add_argument("--multistarts", type=int, default=1)

@@ -172,7 +172,7 @@ def laminate_a(mu_reg: float = 1e-2) -> Integrand:
         return np.zeros_like(np.asarray(V, dtype=float)), dA
 
     return Integrand(name=f"laminate-a({mu_reg:g})", dim=2, value=value, grad=grad, raw=value,
-                     convex=True, x_periodic=True, sym_only=True)
+                     convex=True, sym_only=True)
 
 
 def truncated_neg_sym_sq() -> Integrand:
@@ -303,7 +303,7 @@ def bulk_density(f0: Integrand, x0, v, A, eps_schedule=DEFAULT_EPS_SCHEDULE,
 
 
 def sq_envelope(f0: Integrand, A, mesh_schedule=DEFAULT_MESH_SCHEDULE, x0=(0.0, 0.0),
-                solver: SolverParams | None = None, warm_start: bool = True) -> DensityEstimate:
+                solver: SolverParams | None = None) -> DensityEstimate:
     """Discrete quasiconvex-envelope values at A across a mesh schedule.
 
     Competitors are constrained through the full gradient; integrands with
@@ -323,7 +323,7 @@ def sq_envelope(f0: Integrand, A, mesh_schedule=DEFAULT_MESH_SCHEDULE, x0=(0.0, 
         spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=int(mesh),
                         solver=solver, freeze_x=np.asarray(x0, dtype=float))
         extra = []
-        if warm_start and prev is not None and mesh % prev.grid.mesh == 0:
+        if prev is not None and mesh % prev.grid.mesh == 0:
             factor = mesh // prev.grid.mesh
             if factor > 1:
                 extra.append(prolong(prev, factor).values)

@@ -86,14 +86,9 @@ def fhom_periodic(spec: HomogSpec) -> float:
     m = spec.mesh_per_period
     grid = Grid(Box((0.0, 0.0), (1.0, 1.0)), m)
 
-    # wrap-around connectivity onto the m*m interior node set
-    ex, ey = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    ex, ey = ex.ravel(), ey.ravel()
-
-    def nid(i, j):
-        return (i % m) * m + (j % m)
-
-    conn = np.stack([nid(ex, ey), nid(ex + 1, ey), nid(ex, ey + 1), nid(ex + 1, ey + 1)], axis=1)
+    # wrap-around connectivity: grid node (i, j) becomes (i % m) * m + j % m
+    i, j = np.divmod(np.arange(grid.n_nodes), m + 1)
+    conn = ((i % m) * m + j % m)[grid.conn]
     f_A = reparametrize(spec.f0, v0=np.zeros(2), eps_v=0.0, A0=spec.A)  # f0(x, 0, A + e(w))
 
     def fg(xvec):
@@ -111,8 +106,7 @@ def fhom_periodic(spec: HomogSpec) -> float:
     return _q1_quadrature(grid, res["x"].reshape(m * m, 2), conn, f_A, raw=True)[0]
 
 
-def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0,
-                             smooth_amp: float = 0.3) -> GridDisplacement:
+def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0) -> GridDisplacement:
     """A deterministic competitor on (0,1)^2 matching the folding trace
     convention: w(1, x2) - w(0, x2) = jump_vec / eps, periodic in x2."""
     rng = np.random.default_rng(seed)
@@ -121,7 +115,7 @@ def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0,
     x = grid.nodes_ref
     vals = np.outer(x[:, 0], v / eps)  # linear ramp carrying the trace offset
     for k1, k2 in ((1, 0), (0, 1), (1, 1), (2, 1)):
-        amp = smooth_amp * rng.normal(size=2)
+        amp = 0.3 * rng.normal(size=2)
         vals += np.outer(np.sin(2 * np.pi * (k1 * x[:, 0] + k2 * x[:, 1])), amp)
     return GridDisplacement(grid=grid, values=vals)
 

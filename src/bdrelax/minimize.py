@@ -8,6 +8,7 @@ is robust for the smoothed nonsmooth energies the cell solvers produce.
 import numpy as np
 
 ARMIJO_C1 = 1e-4
+MEMORY = 10  # curvature pairs kept
 BACKTRACK = 0.5
 MIN_STEP = 1e-16
 
@@ -17,7 +18,7 @@ class SolverError(RuntimeError):
 
 
 def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, grad_tol: float | None = None,
-                   memory: int = 10, project=None) -> dict:
+                   project=None) -> dict:
     """Minimize fun_grad, which maps x to (value, gradient).
 
     grad_tol defaults to 1e-8 * (initial gradient norm + 1). `project`, when
@@ -90,7 +91,7 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, grad_tol: float | None =
             s_hist.append(s)
             y_hist.append(y)
             rho.append(1.0 / sy)
-            if len(s_hist) > memory:
+            if len(s_hist) > MEMORY:
                 s_hist.pop(0), y_hist.pop(0), rho.pop(0)
         x, f, g = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(g))

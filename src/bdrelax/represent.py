@@ -24,16 +24,19 @@ class Representation:
         return self.bulk + self.jump + self.cantor
 
 
-def _line_quadrature(p, q, panels: int):
-    ts = (np.arange(panels) + 0.5) / panels
+LINE_PANELS = 256  # midpoint panels per atom chord
+
+
+def _line_quadrature(p, q):
+    ts = (np.arange(LINE_PANELS) + 0.5) / LINE_PANELS
     pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-    seg = float(np.linalg.norm(q - p)) / panels
+    seg = float(np.linalg.norm(q - p)) / LINE_PANELS
     return pts, seg
 
 
-def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64,
-             line_panels: int = 256) -> Representation:
-    """Pair the exact E-measure decomposition of u with the densities:
+def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64) -> Representation:
+    """Pair the exact E-measure decomposition of u with the batched
+    densities f(X, V, A), g(X, VM, VP, NU) and finf(X, V, P):
 
     bulk   = integral of f(x, u(x), e(u)(x)) over the box,
     jump   = integral of g(x, u-, u+, nu) over the jump planes in the box,
@@ -45,23 +48,16 @@ def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64,
     pts, w = box_quadrature(box, cells=quad, npts=2)
     vals = u.value(pts)
     eac = u.e_ac(pts)
-    if _vectorized(f):
-        fvals = f(pts, vals, eac)
-    else:
-        fvals = np.asarray([f(x, v, a) for x, v, a in zip(pts, vals, eac)])
-    bulk = float(np.sum(w * fvals))
+    bulk = float(np.sum(w * f(pts, vals, eac)))
     jump = 0.0
     for atom in em.jump_atoms:
         chord = box_plane_chord(box, atom.nu, atom.c)
         if chord is None:
             continue
-        qpts, seg = _line_quadrature(*chord, line_panels)
+        qpts, seg = _line_quadrature(*chord)
         base = u.without_jump(atom.plane).value(qpts)
         vm, vp = base, base + atom.dv[None, :]
-        if _vectorized(g):
-            jump += seg * float(np.sum(g(qpts, vm, vp, np.broadcast_to(atom.nu, qpts.shape))))
-        else:
-            jump += seg * float(np.sum([g(x, a, b, atom.nu) for x, a, b in zip(qpts, vm, vp)]))
+        jump += seg * float(np.sum(g(qpts, vm, vp, np.broadcast_to(atom.nu, qpts.shape))))
     cantor = 0.0
     if u.profile is not None:
         p = u.profile
@@ -70,19 +66,12 @@ def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64,
             chord = box_plane_chord(box, p.eta, plane_c)
             if chord is None:
                 continue
-            qpts, seg = _line_quadrature(*chord, line_panels)
+            qpts, seg = _line_quadrature(*chord)
             vals_atom = u.value(qpts) - 0.5 * float(atom.coeff) * p.xi[None, :]
             mass_per_len = float(atom.coeff) * atom.unit_norm
-            if _vectorized(finf):
-                dens = finf(qpts, vals_atom, np.broadcast_to(atom.polar, (len(qpts), 2, 2)))
-            else:
-                dens = np.array([finf(x, v, atom.polar) for x, v in zip(qpts, vals_atom)])
+            dens = finf(qpts, vals_atom, np.broadcast_to(atom.polar, (len(qpts), 2, 2)))
             cantor += seg * mass_per_len * float(np.sum(dens))
     return Representation(bulk=bulk, jump=jump, cantor=cantor)
-
-
-def _vectorized(fn) -> bool:
-    return getattr(fn, "vectorized", False)
 
 
 def densities_from_integrand(f0: Integrand):
@@ -98,19 +87,14 @@ def densities_from_integrand(f0: Integrand):
     def f(X, V, A):
         return f0.raw(np.atleast_2d(X), np.atleast_2d(V), A.reshape(-1, 2, 2))
 
-    f.vectorized = True
-
     def g(X, VM, VP, NU):
         M = np.array([odot(vp - vm, nu) for vm, vp, nu in
                       zip(np.atleast_2d(VM), np.atleast_2d(VP), np.atleast_2d(NU))])
         return rec.raw(np.atleast_2d(X), np.atleast_2d(VM), M)
 
-    g.vectorized = True
-
     def finf(X, V, P):
         return rec.raw(np.atleast_2d(X), np.atleast_2d(V), P.reshape(-1, 2, 2))
 
-    finf.vectorized = True
     return f, g, finf
 
 

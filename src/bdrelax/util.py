@@ -21,7 +21,7 @@ def configure_logging(level: str | None = None) -> None:
     log.setLevel(_LEVELS[name])
 
 
-def pmap(fn, items, jobs: int | None = None) -> list:
+def pmap(fn, items, jobs: int = 1) -> list:
     """Map fn over items, preserving input order in the result.
 
     Workers are threads, which run in parallel only inside numpy calls that
@@ -32,8 +32,6 @@ def pmap(fn, items, jobs: int | None = None) -> list:
     regardless of the worker count.
     """
     items = list(items)
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(items) or 1))
     if jobs == 1 or len(items) <= 1:
         return [fn(x) for x in items]

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
-                                Integrand, JumpData, SolverParams, _q1_quadrature, abs_sym,
-                                energy_and_grad,
+                                Integrand, JumpData, SolverParams, _q1_quadrature,
+                                _sbd_objective, abs_sym, energy_and_grad,
                                 frame_for_normal, g_odot, g_penalty, m_continuity_check,
                                 prolong, raw_energy, reparametrize, scaled, solve_ld,
                                 solve_sbd, sqrt1plus_sym)
@@ -266,6 +266,100 @@ def test_flag_checks():
 
 # ---------------------------------------------------------------------------
 # SBD solver
+
+
+def _seed_facet_tables(grid):
+    """The seed's facet tables: interior rows (elem_minus, local pair,
+    elem_plus, local pair, normal axis), boundary rows (element, local
+    pair, normal axis, outward sign)."""
+    m = grid.mesh
+    eid = np.arange(m * m).reshape(m, m)
+    interior = []
+    for ex in range(m - 1):
+        for ey in range(m):
+            interior.append((eid[ex, ey], 1, 3, eid[ex + 1, ey], 0, 2, 0))
+    for ex in range(m):
+        for ey in range(m - 1):
+            interior.append((eid[ex, ey], 2, 3, eid[ex, ey + 1], 0, 1, 1))
+    boundary = []
+    for ey in range(m):
+        boundary.append((eid[0, ey], 0, 2, 0, -1))
+        boundary.append((eid[m - 1, ey], 1, 3, 0, +1))
+    for ex in range(m):
+        boundary.append((eid[ex, 0], 0, 1, 1, -1))
+        boundary.append((eid[ex, m - 1], 2, 3, 1, +1))
+    return np.array(interior, dtype=int), np.array(boundary, dtype=int)
+
+
+def _seed_sbd_objective(grid, spec, f1, g1):
+    """The seed's SBD objective (row-by-row facet tables, two surface
+    integrand calls, np.add.at scatter): the reference the facet table
+    must reproduce bit for bit."""
+    E = grid.mesh ** 2
+    interior, boundary = _seed_facet_tables(grid)
+    facet_len = {0: float(grid.h[1]), 1: float(grid.h[0])}
+
+    def local_mid(e, a, b):
+        return 0.5 * (grid.nodes[grid.conn[e, a]] + grid.nodes[grid.conn[e, b]])
+
+    imid = np.array([local_mid(r[0], r[1], r[2]) for r in interior])
+    inu = np.array([grid.R[:, r[6]] for r in interior])
+    ilen = np.array([facet_len[r[6]] for r in interior])
+    bmid = np.array([local_mid(r[0], r[1], r[2]) for r in boundary])
+    bnu = np.array([r[4] * grid.R[:, r[3]] for r in boundary])
+    blen = np.array([facet_len[r[3]] for r in boundary])
+    datum_b = spec.boundary.value(bmid)
+    xs_i = np.broadcast_to(spec.freeze_x, imid.shape) if spec.freeze_x is not None else imid
+    xs_b = np.broadcast_to(spec.freeze_x, bmid.shape) if spec.freeze_x is not None else bmid
+    em, a1, a2, ep, b1, b2 = interior[:, :6].T
+    eb, c1, c2 = boundary[:, :3].T
+    own = np.arange(4 * E).reshape(E, 4)
+
+    def split_fg(vals_flat):
+        vals = vals_flat.reshape(E, 4, 2)
+        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(4 * E, 2), own, f1, spec.freeze_x)
+        gradv = gradv.reshape(E, 4, 2)
+        vm = 0.5 * (vals[em, a1] + vals[em, a2])
+        vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
+        gv = g1.value(xs_i, vm, vp, inu)
+        surf = float(np.sum(gv * ilen))
+        dVM, dVP = g1.grad(xs_i, vm, vp, inu)
+        dVM = 0.5 * dVM * ilen[:, None]
+        dVP = 0.5 * dVP * ilen[:, None]
+        np.add.at(gradv, (em, a1), dVM)
+        np.add.at(gradv, (em, a2), dVM)
+        np.add.at(gradv, (ep, b1), dVP)
+        np.add.at(gradv, (ep, b2), dVP)
+        vin = 0.5 * (vals[eb, c1] + vals[eb, c2])
+        gv = g1.value(xs_b, vin, datum_b, bnu)
+        surf += float(np.sum(gv * blen))
+        dVM, _ = g1.grad(xs_b, vin, datum_b, bnu)
+        dVM = 0.5 * dVM * blen[:, None]
+        np.add.at(gradv, (eb, c1), dVM)
+        np.add.at(gradv, (eb, c2), dVM)
+        return bulk, surf, gradv.ravel()
+
+    return split_fg
+
+
+@pytest.mark.parametrize("mesh", [4, 5, 8, 12])
+@pytest.mark.parametrize("nu", [None, (1.0, 1.0), (0.6, 0.8)], ids=["axis", "diagonal", "0.6-0.8"])
+def test_sbd_objective_bit_identical_to_seed(mesh, nu):
+    frame = None if nu is None else frame_for_normal(nu)
+    grid = Grid(Box.cube((0.0, 0.0), 1.0), mesh, frame)
+    normal = np.array([1.0, 0.0]) if nu is None else frame[:, 0]
+    x = np.random.default_rng(mesh).normal(size=8 * mesh * mesh)
+    f1 = abs_sym(mu=1e-6)
+    for data in (AffineData([[0.3, 0.1], [0.1, -0.5]], [0.2, 0.0]),
+                 JumpData(np.zeros(2), [0.3, 1.0], normal)):
+        for fx in (None, np.array([0.3, -0.1])):
+            spec = CellSpec(boundary=data, mesh=mesh, frame=frame, freeze_x=fx)
+            for g1 in (g_odot(), g_penalty(1e4)):
+                bulk_ref, surf_ref, grad_ref = _seed_sbd_objective(grid, spec, f1, g1)(x)
+                bulk, surf, grad = _sbd_objective(grid, spec, f1, g1)(x)
+                assert bulk == bulk_ref
+                assert surf == surf_ref
+                assert np.array_equal(grad, grad_ref)
 
 
 def test_sbd_penalty_limit_matches_ld():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import bdrelax
-from bdrelax.cli import main, parse_box, parse_matrix, parse_schedule, parse_vector
+from bdrelax.cli import (build_parser, main, parse_box, parse_matrix, parse_schedule,
+                         parse_vector)
 
 
 def run_cli(tmp_path, *argv):
@@ -24,6 +25,8 @@ def test_parsers():
     assert float(sched[1]) == pytest.approx(1 / 3)
     b = parse_box("-1,-2;3,4")
     assert b.lo == (-1.0, -2.0) and b.hi == (3.0, 4.0)
+    # multistarts run on one thread unless --jobs asks for more
+    assert build_parser().parse_args(["sq", "--A", "Id"]).jobs == 1
 
 
 def test_sq_abs_sym_identity(tmp_path, capsys):

@@ -78,8 +78,6 @@ def test_assemble_pairs_each_jump_atom_with_its_own_plane():
 
     def g(X, VM, VP, NU):
         return np.linalg.norm(VM, axis=1) + 10.0 * np.linalg.norm(VP, axis=1)
-
-    f.vectorized = g.vectorized = True
     plane = JumpPlane(nu=E1, c=0.25, dv=E2)
     u = StructuredBD(jumps=(JumpPlane(nu=E2, c=0.2, dv=np.zeros(2)), plane))
     rep = assemble(u, BOX, f, g, None)
