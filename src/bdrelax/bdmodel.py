@@ -424,11 +424,8 @@ class StructuredBD:
     smooth: object = field(default_factory=_zero_smooth)
     jumps: tuple[JumpPlane, ...] = ()
     profile: Profile | None = None
-    dim: int = 2
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise ValueError("StructuredBD is implemented for dim = 2")
         object.__setattr__(self, "jumps", tuple(self.jumps))
         seen = set()
         for j in self.jumps:
@@ -558,7 +555,7 @@ class StructuredBD:
                 "staircase": sc,
             }
         return {
-            "dim": self.dim,
+            "dim": 2,
             "smooth": self.smooth.to_json(),
             "jumps": [{"nu": j.nu.tolist(), "c": j.c, "dv": j.dv.tolist()} for j in self.jumps],
             "profile": prof,
@@ -629,7 +626,6 @@ class SingularAtom:
     coeff: Fraction  # psi-jump size; E-mass per unit cross-section = coeff * unit_norm
     polar: np.ndarray
     unit_norm: float  # |eta (.) xi|
-    kind: str = "singular-profile"
 
 
 @dataclass(frozen=True)

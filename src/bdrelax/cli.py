@@ -358,24 +358,49 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_defaults(ap: argparse.ArgumentParser, command: str, path: str) -> None:
+    """Make each entry of the JSON object in `path` the default of the
+    option it names ("eps-schedule" or "eps_schedule"), on the top-level or
+    the `command` parser. Values are parsed by the option's type and checked
+    against its choices; a flag takes true or false. Keys that name no
+    option, and "config", are ignored. A bad file or value exits 2.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("expected a JSON object")
+        subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        for parser in (ap, subparsers.choices[command]):
+            options = {a.dest: a for a in parser._actions
+                       if a.option_strings and a.dest not in ("config", "help")}
+            for key, val in cfg.items():
+                action = options.get(key.replace("-", "_"))
+                if action is None:
+                    continue
+                if action.nargs == 0 and not isinstance(val, bool):
+                    raise ValueError(f"{key}: expected true or false, got {val!r}")
+                if action.nargs != 0:
+                    val = action.type(str(val)) if action.type else str(val)
+                    if action.choices is not None and val not in action.choices:
+                        raise ValueError(f"{key}: {val!r} is not one of {list(action.choices)}")
+                parser.set_defaults(**{action.dest: val})
+    except (OSError, ValueError) as exc:
+        ap.error(f"bad config {path}: {exc}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args, _unknown = ap.parse_known_args(argv)
-        if _unknown:
-            ap.error(f"unknown arguments: {_unknown}")
+        args = ap.parse_args(argv)
+        if args.config:
+            # the config's entries become parser defaults, so a second parse
+            # lets every explicit flag win, abbreviated or not
+            _config_defaults(ap, args.command, args.config)
+            args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.config:
-            with open(args.config, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-            argv = sys.argv[1:] if argv is None else argv
-            given = {tok.split("=", 1)[0] for tok in argv}  # "--x0=-1,-1" names --x0
-            for key, val in cfg.items():
-                attr = key.replace("-", "_")
-                if hasattr(args, attr) and f"--{key}" not in given:
-                    setattr(args, attr, val)
         configure_logging(args.log)
         args.fn(args)
         return 0

@@ -99,9 +99,8 @@ def fhom_periodic(spec: HomogSpec) -> float:
         U = xvec.reshape(m * m, 2)
         return (U - U.mean(axis=0)).ravel()
 
-    sp = spec.solver
-    res = minimize_lbfgs(fg, np.zeros(m * m * 2), max_iters=sp.max_iters,
-                         grad_tol=sp.grad_tol, project=project)
+    res = minimize_lbfgs(fg, np.zeros(m * m * 2), max_iters=spec.solver.max_iters,
+                         project=project)
     # report with the raw integrand
     return _q1_quadrature(grid, res["x"].reshape(m * m, 2), conn, f_A, raw=True)[0]
 

@@ -17,14 +17,15 @@ class SolverError(RuntimeError):
     pass
 
 
-def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, grad_tol: float | None = None,
-                   project=None) -> dict:
-    """Minimize fun_grad, which maps x to (value, gradient).
+def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, project=None) -> dict:
+    """Minimize fun_grad, which maps x to (value, gradient), until the
+    gradient norm falls to grad_tol = 1e-8 * (initial gradient norm + 1).
 
-    grad_tol defaults to 1e-8 * (initial gradient norm + 1). `project`, when
-    given, is applied to every iterate (used to pin null directions such as
-    the mean of a periodic field). Returns a dict with x, f, grad_norm,
-    iters, converged, and nfev.
+    A non-finite value or gradient at x0 raises SolverError("integrand
+    overflow"); a non-finite value at a trial point shortens the step.
+    `project`, when given, is applied to every iterate (used to pin null
+    directions such as the mean of a periodic field). Returns a dict with
+    x, f, grad_norm, grad_tol, iters, converged, and nfev.
     """
     x = np.asarray(x0, dtype=float).copy()
     if project is not None:
@@ -33,14 +34,12 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, grad_tol: float | None =
     nfev = 1
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise SolverError("integrand overflow")
-    gnorm0 = float(np.linalg.norm(g))
-    if grad_tol is None:
-        grad_tol = 1e-8 * (gnorm0 + 1.0)
+    gnorm = float(np.linalg.norm(g))
+    grad_tol = 1e-8 * (gnorm + 1.0)
 
     s_hist: list[np.ndarray] = []
     y_hist: list[np.ndarray] = []
     rho: list[float] = []
-    gnorm = gnorm0
     iters = 0
 
     while gnorm > grad_tol and iters < max_iters:
@@ -97,6 +96,6 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, grad_tol: float | None =
         gnorm = float(np.linalg.norm(g))
         iters += 1
 
-    return {"x": x, "f": f, "grad_norm": gnorm, "grad_norm0": gnorm0,
+    return {"x": x, "f": f, "grad_norm": gnorm,
             "iters": iters, "converged": gnorm <= grad_tol, "nfev": nfev,
             "grad_tol": grad_tol}

@@ -169,8 +169,7 @@ def mollified_energy(u: StructuredBD, f0: Integrand, width: float, box: Box,
     return float(np.sum(w * vals))
 
 
-def relaxation_upper_check(u: StructuredBD, f0: Integrand, levels, box: Box,
-                           quad: int = 512) -> dict:
+def relaxation_upper_check(u: StructuredBD, f0: Integrand, levels, box: Box) -> dict:
     """Energies of hat-mollified regularizations of u at dyadic widths
     2^-level, reported against the assembled representation.
 
@@ -186,5 +185,5 @@ def relaxation_upper_check(u: StructuredBD, f0: Integrand, levels, box: Box,
     seq = []
     for level in levels:
         h = 2.0 ** (-int(level))
-        seq.append((int(level), mollified_energy(u, f0, h, box, quad=quad)))
+        seq.append((int(level), mollified_energy(u, f0, h, box)))
     return {"levels": seq, "representation": rep}

@@ -100,14 +100,14 @@ def M_K_volume(u: StructuredBD, K: Box, cells: int = 32) -> np.ndarray:
     return (du - du.T) / (2.0 * K.volume)
 
 
-def rigid_projection(u: StructuredBD, K: Box, panels: int = 32) -> RigidMotion:
+def rigid_projection(u: StructuredBD, K: Box) -> RigidMotion:
     """The rigid motion M_K (y - center) + b_K extracted from u on K."""
-    return RigidMotion(L=M_K_boundary(u, K, panels=panels), v=b_K(u, K), anchor=K.center)
+    return RigidMotion(L=M_K_boundary(u, K), v=b_K(u, K), anchor=K.center)
 
 
-def project_out_rigid(u: StructuredBD, K: Box, panels: int = 32) -> StructuredBD:
+def project_out_rigid(u: StructuredBD, K: Box) -> StructuredBD:
     """u minus its rigid projection on K; b_K and M_K of the result vanish."""
-    r = rigid_projection(u, K, panels=panels)
+    r = rigid_projection(u, K)
     shift = r.v - r.L @ r.anchor
     return u.plus_rigid(-r.L, -shift)
 

@@ -14,7 +14,7 @@ from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplac
 from bdrelax.density import laminate_a, mueller_h_integrand, vmin_abs
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
-from bdrelax.tensor import frob, odot
+from bdrelax.tensor import frob, odot, sym
 
 RNG = np.random.default_rng(0)
 
@@ -243,10 +243,27 @@ def test_integrand_overflow():
     def bad(X, V, A):
         return np.full(len(np.atleast_2d(V)), np.inf)
 
-    f = Integrand(name="bad", dim=2, value=bad, grad=lambda X, V, A: (np.zeros_like(V), np.zeros_like(A)),
+    f = Integrand(name="bad", value=bad, grad=lambda X, V, A: (np.zeros_like(V), np.zeros_like(A)),
                   raw=bad)
     with pytest.raises(SolverError, match="integrand overflow"):
         solve_ld(CellSpec(boundary=AffineData(np.eye(2), np.zeros(2)), mesh=4), f)
+
+
+def test_energy_wall_shortens_the_step():
+    # 3 - |sym A|^2 below |sym A| = 1.5 and +inf above: a trial point past
+    # the wall shortens the step instead of failing the solve
+    def wall(X, V, A):
+        q = (sym(A) ** 2).sum(axis=(-2, -1))
+        return np.where(q < 2.25, 3.0 - q, np.inf)
+
+    f = Integrand(name="wall", value=wall, grad=lambda X, V, A: (np.zeros_like(V), -2.0 * sym(A)),
+                  raw=wall)
+    spec = CellSpec(boundary=AffineData(np.zeros((2, 2)), np.zeros(2)), mesh=4)
+    nudged = 1e-3 * np.random.default_rng(0).normal(size=(Grid(spec.box, 4).n_nodes, 2))
+    sol = solve_ld(spec, f, extra_starts=[nudged])
+    assert sol.diagnostics["start_values"][0] == 3.0  # the clean start is a critical point
+    assert sol.diagnostics["seed"] == 1  # the nudged start wins
+    assert np.isfinite(sol.value) and sol.value < 3.0
 
 
 def test_bad_spec():
@@ -257,7 +274,7 @@ def test_bad_spec():
 def test_flag_checks():
     abs_sym().check_flags()
     sqrt1plus_sym().check_flags()
-    bad = Integrand(name="claims-hom", dim=2, value=sqrt1plus_sym().value,
+    bad = Integrand(name="claims-hom", value=sqrt1plus_sym().value,
                     grad=sqrt1plus_sym().grad, raw=sqrt1plus_sym().raw,
                     one_homogeneous=True)
     with pytest.raises(ValueError, match="oneHomogeneous"):

@@ -141,14 +141,73 @@ def test_density_solver_failure_exits_3(tmp_path):
 
 def test_json_identical_across_processes(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(bdrelax.__file__).parents[1])}
-    argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), "recession",
-            "--A", "0.5,0;0,0.25"]
-    outs = []
-    for _ in range(2):
-        proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
-        outs.append((proc.stdout, (tmp_path / "recession.json").read_bytes()))
-    assert outs[0] == outs[1]
-    assert b'"config-hash"' in outs[0][0]
+    for command, files in (
+            (["recession", "--A", "0.5,0;0,0.25"], ["recession.json"]),
+            (["jump", "--v-plus", "0,1", "--nu", "1,0", "--mesh", "8", "--eps-schedule", "1"],
+             ["jump.json", "jump.csv"])):
+        argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), *command]
+        outs = []
+        for _ in range(2):
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+            outs.append([proc.stdout] + [(tmp_path / name).read_bytes() for name in files])
+        assert outs[0] == outs[1]
+        assert b'"config-hash"' in outs[0][0] and b'"config-hash"' in outs[0][1]
+
+
+def test_abbreviated_flag_beats_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps-schedule": "1,0.5"}))
+    code, _ = run_cli(tmp_path, "--config", str(cfg), "density", "--A", "1,0;0,0",
+                      "--mesh", "8", "--eps", "1")
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["samples"]) == 1
+
+
+def _payload_without_hash(capsys):
+    payload = json.loads(capsys.readouterr().out)
+    del payload["config-hash"]
+    return payload
+
+
+def test_config_value_parsed_like_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"multistarts": "2"}))
+    argv = ["density", "--A", "1,0;0,0", "--mesh", "8", "--eps-schedule", "1"]
+    code, _ = run_cli(tmp_path / "a", "--config", str(cfg), *argv)
+    assert code == 0
+    from_config = _payload_without_hash(capsys)
+    code, _ = run_cli(tmp_path / "b", "--multistarts", "2", *argv)
+    assert code == 0
+    assert from_config == _payload_without_hash(capsys)
+
+
+def test_config_cannot_set_what_is_no_option(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fn": 1, "command": "sq", "config": "elsewhere.json"}))
+    code, _ = run_cli(tmp_path, "--config", str(cfg), "recession", "--A", "0.5,0;0,0.25")
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "recession"
+
+
+@pytest.mark.parametrize("content", [{"format": "xml"}, {"sbd": "yes"}, [1], None],
+                         ids=["bad-choice", "flag-not-bool", "not-an-object", "missing-file"])
+def test_bad_config_exits_2(tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(json.dumps(content))
+    code, out = run_cli(tmp_path, "--config", str(cfg), "jump", "--v-plus", "0,1", "--nu", "1,0",
+                        "--mesh", "4", "--eps-schedule", "1")
+    assert code == 2
+    assert not out.exists()
+
+
+def test_config_flag_takes_json_bool(tmp_path):
+    # --g1 is read only on the SBD path, so an unknown one fails only there
+    argv = ["jump", "--v-plus", "0,1", "--nu", "1,0", "--mesh", "4", "--eps-schedule", "1"]
+    for sbd, expected in ((True, 2), (False, 0)):
+        cfg = tmp_path / f"{sbd}.json"
+        cfg.write_text(json.dumps({"sbd": sbd, "g1": "nope"}))
+        assert run_cli(tmp_path, "--config", str(cfg), *argv)[0] == expected
 
 
 def test_density_command(tmp_path, capsys):
