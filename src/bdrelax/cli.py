@@ -15,18 +15,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .bdmodel import BoundaryChargedBox, StructuredBD
-from .blowup import BlowupError, blowup_sequence
-from .cellsolver import BadSpec, SolverParams
+from .bdmodel import StructuredBD
+from .blowup import blowup_sequence
+from .cellsolver import SolverParams
 from .density import (bulk_density, get_integrand, get_surface_integrand, jump_density,
                       mueller_h, mueller_h_integrand, convex_envelope_witness_A0, recession,
                       sq_envelope, integrand_evaluator, A0)
 from .geometry import Box
-from .homog import HomogError, HomogSpec, fhom_dirichlet, fhom_periodic
+from .homog import HomogSpec, fhom_dirichlet, fhom_periodic
 from .minimize import SolverError
 from .represent import assemble, densities_from_integrand
-from .rigid import KornError, korn_ratio
-from .util import configure_logging, log
+from .rigid import korn_ratio
+from .util import configure_logging
 
 
 class ValidationError(ValueError):
@@ -135,12 +135,26 @@ def _solver_params(args) -> SolverParams:
     return SolverParams(multistarts=args.multistarts, seed=args.seed, jobs=args.jobs)
 
 
-def _load_bd_spec(path: str) -> StructuredBD:
+def _load_json(path: str, what: str, parse):
+    """parse(the JSON value in path); a missing, unreadable or malformed file,
+    or a value that parse rejects, is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return StructuredBD.from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
-        raise ValidationError(f"bad BD spec {path}: {exc}") from exc
+            return parse(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what} {path}: {exc}") from exc
+
+
+def _load_bd_spec(path: str) -> StructuredBD:
+    return _load_json(path, "BD spec", StructuredBD.from_json)
+
+
+def _table_constants(tab) -> list:
+    """[f, g, finf] of a density table, a JSON object of three numbers."""
+    keys = ("f", "g", "finf")
+    if not isinstance(tab, dict) or not set(keys) <= tab.keys():
+        raise ValueError(f"expected a JSON object with keys {list(keys)}")
+    return [float(tab[k]) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +234,10 @@ def cmd_represent(args) -> None:
     if args.density_source == "analytic":
         f, g, finf = densities_from_integrand(get_integrand(args.integrand))
     else:
-        with open(args.table, encoding="utf-8") as fh:
-            tab = json.load(fh)
-
-        def f(X, V, A, _c=float(tab["f"])):
-            return np.full(len(np.atleast_2d(X)), _c)
-
-        def g(X, VM, VP, NU, _c=float(tab["g"])):
-            return np.full(len(np.atleast_2d(X)), _c)
-
-        def finf(X, V, P, _c=float(tab["finf"])):
-            return np.full(len(np.atleast_2d(X)), _c)
+        if args.table is None:
+            raise ValidationError("--density-source table needs --table")
+        consts = _load_json(args.table, "density table", _table_constants)
+        f, g, finf = (lambda X, *rest, _c=c: np.full(len(np.atleast_2d(X)), _c) for c in consts)
     rep = assemble(u, box, f, g, finf, quad=args.quad)
     _emit(args, "represent",
           {"bulk": rep.bulk, "jump": rep.jump, "cantor": rep.cantor, "total": rep.total})
@@ -404,13 +411,10 @@ def main(argv=None) -> int:
         configure_logging(args.log)
         args.fn(args)
         return 0
-    except (ValidationError, BadSpec, HomogError, KornError, BoundaryChargedBox,
-            BlowupError, KeyError, ValueError) as exc:
-        log.error("validation error: %s", exc)
+    except (KeyError, ValueError) as exc:  # every validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
-        log.error("solver failure: %s", exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -8,11 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellsolver import (AffineData, CellSpec, Grid, GridDisplacement, Integrand,
-                         SolverParams, _q1_quadrature, abs_sym, raw_energy, reparametrize,
-                         solve_ld)
+                         SolverParams, abs_sym, raw_energy, solve_ld, solve_periodic)
 from .density import DensityEstimate
 from .geometry import Box
-from .minimize import minimize_lbfgs
 from .tensor import frob
 
 MAX_GRID_PER_AXIS = 64  # memory cap: T * mesh_per_period
@@ -80,29 +78,14 @@ def fhom_dirichlet(spec: HomogSpec) -> DensityEstimate:
 
 def fhom_periodic(spec: HomogSpec) -> float:
     """Periodic cell formula: minimize the mean of f0(x, A + e(w)) over
-    zero-mean unit-periodic w. Stated for convex integrands only."""
+    zero-mean unit-periodic w (`cellsolver.solve_periodic` on the unit
+    cell, with the multistarts of spec.solver). Stated for convex
+    integrands only."""
     if not spec.f0.convex:
         raise HomogError("periodic formula requires convex integrand")
-    m = spec.mesh_per_period
-    grid = Grid(Box((0.0, 0.0), (1.0, 1.0)), m)
-
-    # wrap-around connectivity: grid node (i, j) becomes (i % m) * m + j % m
-    i, j = np.divmod(np.arange(grid.n_nodes), m + 1)
-    conn = ((i % m) * m + j % m)[grid.conn]
-    f_A = reparametrize(spec.f0, v0=np.zeros(2), eps_v=0.0, A0=spec.A)  # f0(x, 0, A + e(w))
-
-    def fg(xvec):
-        energy, gradU = _q1_quadrature(grid, xvec.reshape(m * m, 2), conn, f_A)
-        return energy, gradU.ravel()
-
-    def project(xvec):
-        U = xvec.reshape(m * m, 2)
-        return (U - U.mean(axis=0)).ravel()
-
-    res = minimize_lbfgs(fg, np.zeros(m * m * 2), max_iters=spec.solver.max_iters,
-                         project=project)
-    # report with the raw integrand
-    return _q1_quadrature(grid, res["x"].reshape(m * m, 2), conn, f_A, raw=True)[0]
+    cell = CellSpec(boundary=AffineData(spec.A, np.zeros(2)), mesh=spec.mesh_per_period,
+                    box=Box((0.0, 0.0), (1.0, 1.0)), solver=spec.solver)
+    return solve_periodic(cell, spec.f0).value
 
 
 def make_periodic_competitor(mesh: int, jump_vec, eps: float, seed: int = 0) -> GridDisplacement:

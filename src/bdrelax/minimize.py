@@ -17,19 +17,16 @@ class SolverError(RuntimeError):
     pass
 
 
-def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, project=None) -> dict:
+def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
     """Minimize fun_grad, which maps x to (value, gradient), until the
     gradient norm falls to grad_tol = 1e-8 * (initial gradient norm + 1).
 
     A non-finite value or gradient at x0 raises SolverError("integrand
     overflow"); a non-finite value at a trial point shortens the step.
-    `project`, when given, is applied to every iterate (used to pin null
-    directions such as the mean of a periodic field). Returns a dict with
-    x, f, grad_norm, grad_tol, iters, converged, and nfev.
+    Returns a dict with x, f, grad_norm, grad_tol, iters, converged, and
+    nfev.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if project is not None:
-        x = project(x)
     f, g = fun_grad(x)
     nfev = 1
     if not np.isfinite(f) or not np.isfinite(g).all():
@@ -69,8 +66,6 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000, project=None) -> dict:
         x_new, g_new = x, g
         while step >= MIN_STEP:
             x_try = x + step * d
-            if project is not None:
-                x_try = project(x_try)
             f_try, g_try = fun_grad(x_try)
             nfev += 1
             if not np.isfinite(f_try):

@@ -10,7 +10,7 @@ from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplac
                                 _sbd_objective, abs_sym, energy_and_grad,
                                 frame_for_normal, g_odot, g_penalty, m_continuity_check,
                                 prolong, raw_energy, reparametrize, scaled, solve_ld,
-                                solve_sbd, sqrt1plus_sym)
+                                solve_periodic, solve_sbd, sqrt1plus_sym)
 from bdrelax.density import laminate_a, mueller_h_integrand, vmin_abs
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
@@ -214,8 +214,9 @@ def _solve_sbd_odot(spec, f):
     return solve_sbd(spec, f, g_odot())
 
 
-@pytest.mark.parametrize("solve, max_iters", [(solve_ld, 2000), (_solve_sbd_odot, 200)],
-                         ids=["solve_ld", "solve_sbd"])
+@pytest.mark.parametrize("solve, max_iters",
+                         [(solve_ld, 2000), (_solve_sbd_odot, 200), (solve_periodic, 300)],
+                         ids=["solve_ld", "solve_sbd", "solve_periodic"])
 def test_multistart_determinism(solve, max_iters):
     f = abs_sym(mu=1e-6)
     A = rand_sym()
@@ -228,6 +229,22 @@ def test_multistart_determinism(solve, max_iters):
     v3 = solve(replace(spec, solver=replace(spec.solver, jobs=3)), f)
     assert v3.value == v1.value
     assert v3.diagnostics["start_values"] == v1.diagnostics["start_values"]
+
+
+def test_periodic_corrector():
+    # the laminate's corrector is periodic with zero mean; every start is
+    # solved and the value matches the single-start one
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8, box=Box((0.0, 0.0), (1.0, 1.0)),
+                    solver=SolverParams(multistarts=3, seed=2))
+    sol = solve_periodic(spec, laminate_a())
+    assert len(sol.diagnostics["start_values"]) == 3
+    W = sol.argmin.values.reshape(9, 9, 2)
+    assert np.array_equal(W[0], W[8]) and np.array_equal(W[:, 0], W[:, 8])
+    assert np.max(np.abs(W[:8, :8].mean(axis=(0, 1)))) < 1e-12
+    assert np.max(np.abs(W)) > 1e-3  # a laminate needs a non-zero corrector
+    single = solve_periodic(replace(spec, solver=SolverParams()), laminate_a())
+    assert sol.value == pytest.approx(single.value, rel=1e-7)
 
 
 def test_rotated_frame_affine_exact():

@@ -55,6 +55,9 @@ def test_csv_determinism(tmp_path):
 def test_validation_errors(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "sq", "--A", "garbage")
     assert code == 2
+    # one stderr line per failure
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot parse matrix 'garbage' (expect 'a,b;c,d')"]
     code, _ = run_cli(tmp_path, "sq", "--integrand", "nope", "--A", "1,0;0,1")
     assert code == 2
     code = main(["not-a-command"])
@@ -112,6 +115,39 @@ def test_represent_command(tmp_path, capsys):
     assert float(payload["bulk"]) == pytest.approx(0.0, abs=1e-12)
 
 
+def _jump_bd_spec(tmp_path):
+    path = tmp_path / "jump.json"
+    path.write_text(json.dumps({"dim": 2, "smooth": {"type": "zero"}, "profile": None,
+                                "jumps": [{"nu": [1.0, 0.0], "c": 0.0, "dv": [0.0, 1.0]}]}))
+    return path
+
+
+def test_represent_table_source(tmp_path, capsys):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"f": 1.0, "g": 2.0, "finf": 0.0}))
+    code, _ = run_cli(tmp_path, "represent", "--bd-spec", str(_jump_bd_spec(tmp_path)),
+                      "--density-source", "table", "--table", str(table))
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["bulk"], payload["jump"]) == (pytest.approx(1.0), pytest.approx(2.0))
+
+
+@pytest.mark.parametrize("content", [None, "absent", "{not json", "[1, 2, 0]",
+                                     '{"f": 1, "finf": 0}', '{"f": 1, "g": "x", "finf": 0}'],
+                         ids=["no-table-flag", "missing-file", "malformed", "not-an-object",
+                              "missing-key", "not-a-number"])
+def test_bad_density_table_exits_2(tmp_path, capsys, content):
+    table = tmp_path / "table.json"
+    if content not in (None, "absent"):
+        table.write_text(content)
+    argv = ["represent", "--bd-spec", str(_jump_bd_spec(tmp_path)), "--density-source", "table"]
+    code, out = run_cli(tmp_path, *argv, *([] if content is None else ["--table", str(table)]))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mesh": "8"}))
@@ -144,7 +180,10 @@ def test_json_identical_across_processes(tmp_path):
     for command, files in (
             (["recession", "--A", "0.5,0;0,0.25"], ["recession.json"]),
             (["jump", "--v-plus", "0,1", "--nu", "1,0", "--mesh", "8", "--eps-schedule", "1"],
-             ["jump.json", "jump.csv"])):
+             ["jump.json", "jump.csv"]),
+            (["--multistarts", "2", "homogenize", "--integrand", "laminate-a", "--A", "1,0;0,0",
+              "--T-schedule", "1", "--mesh", "8", "--formula", "periodic"],
+             ["homogenize.json"])):
         argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), *command]
         outs = []
         for _ in range(2):

@@ -22,3 +22,17 @@ def test_no_unused_imports(path):
             used.add(n.value)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_solver_internals_stay_in_cellsolver():
+    """Only cellsolver.py imports the L-BFGS minimizer and the Q1 element
+    kernel: every cell problem is solved through its multistart driver."""
+    private = {"minimize_lbfgs", "_q1_quadrature"}
+    offenders = []
+    for path in SRC:
+        if path.name == "cellsolver.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in private]
+    assert not offenders, f"solver internals imported outside cellsolver.py: {offenders}"
