@@ -21,9 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import Box, gauss_rule
-from .minimize import minimize_lbfgs
+from .minimize import lbfgs_steps
 from .tensor import frob, sym
-from .util import pmap
 
 _SQRT3 = math.sqrt(3.0)
 
@@ -259,7 +258,7 @@ class SolverParams:
     max_iters: int = 2000
     multistarts: int = 1
     seed: int = 0
-    jobs: int = 1  # parallel multistart workers
+    jobs: int = 1  # no effect: the multistarts run in lockstep on one thread
 
 
 @dataclass(frozen=True)
@@ -388,44 +387,51 @@ class GridDisplacement:
                 + n01 * (1 - tx) * ty + n11 * tx * ty)
 
 
+def _stack_conn(conn: np.ndarray, n: int, K: int) -> np.ndarray:
+    """Connectivity (K, E, 4) of K stacked n-node fields: copy k's is conn + k n."""
+    return conn[None] + n * np.arange(K)[:, None, None]
+
+
 def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, freeze_x=None,
                    raw: bool = False, exact_sum: bool = False):
-    """The Q1 element kernel: quadrature energy sum_q w f(x_q, v_q, grad_q)
-    of nodal values U (n, 2) on the elements `conn` (E, 4) of `grid`.
+    """The Q1 element kernel: quadrature energies sum_q w f(x_q, v_q, grad_q)
+    of a stack U (K, n, 2) of nodal fields on the first K copies of the
+    stacked connectivity `conn` (_stack_conn) of the grid's own, a periodic
+    wrap-around or the identity for per-element fields.
 
-    Returns (energy, nodal gradient (n, 2)) for the smoothed density, or
-    (energy, None) for the raw one (raw=True), summed exactly with
-    math.fsum when exact_sum is set. The connectivity is the grid's own,
-    a periodic wrap-around or the identity for per-element fields.
-
-    Arrays keep the element axis last, so every numpy operation runs over
-    it. The sums over local nodes, over quadrature points and into the
-    nodes run in a fixed order (a = 0..3, q = 0..3, elements in `conn`
-    order) that the tests pin bit for bit: the solver trajectories depend
-    on the last bits of the gradient.
+    Returns (energies (K,), nodal gradients (K, n, 2)) for the smoothed
+    density, or (energies (K,), None) for the raw one (raw=True), summed
+    exactly with math.fsum when exact_sum is set. Arrays keep the element
+    axis last, so every numpy operation runs over the K E elements. The
+    sums over local nodes, over quadrature points and into the nodes run in
+    a fixed order (a = 0..3, q = 0..3, elements in `conn` order) and each
+    energy is a row sum, so each copy's result is bit for bit that of a
+    stack of one: the solver trajectories depend on the gradient's last bits.
     """
     Nval, dN = grid.Nval, grid.dN
+    K, n = U.shape[:2]
+    conn = conn[:K].reshape(-1, 4)
     E, Q = len(conn), len(Nval)
-    Ua = U.T[:, conn.T]  # (k, a, E)
+    Ua = U.reshape(K * n, 2).T[:, conn.T]  # (k, a, E)
     V = Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
     G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
     for a in range(1, 4):
         V += Nval[:, a, None, None] * Ua[:, a]
         G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
-    X = grid.qp
+    X = grid.qp.reshape(-1, 2)
     if freeze_x is not None:
         X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
-    # the integrand takes points in (element, quadrature point) order
-    Xf = X.reshape(-1, 2)
+    # the integrand takes points in (copy, element, quadrature point) order
+    Xf = X if K == 1 else np.concatenate([X] * K)
     Vf = np.ascontiguousarray(V.transpose(2, 0, 1)).reshape(-1, 2)
     Gf = np.ascontiguousarray(G.transpose(3, 0, 1, 2)).reshape(-1, 2, 2)
     del V, G  # freed before the integrand allocates its temporaries
     if raw:
-        vals = f.raw(Xf, Vf, Gf)
+        vals = f.raw(Xf, Vf, Gf).reshape(K, -1)
         if exact_sum:
-            return math.fsum(float(grid.wq) * v for v in vals.tolist()), None
-        return grid.wq * float(np.sum(vals)), None
-    energy = grid.wq * float(np.sum(f.value(Xf, Vf, Gf)))
+            return np.array([math.fsum(grid.wq * v for v in row.tolist()) for row in vals]), None
+        return grid.wq * vals.sum(axis=1), None
+    energy = grid.wq * f.value(Xf, Vf, Gf).reshape(K, -1).sum(axis=1)
     dV, dA = f.grad(Xf, Vf, Gf)
     dV = np.ascontiguousarray(dV.reshape(E, Q * 2).T).reshape(Q, 2, E)  # (Q, k, E)
     dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
@@ -438,21 +444,27 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
         S2 += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
     S1 += S2
     S1 *= grid.wq
-    gradU = np.empty((len(U), 2))
+    gradU = np.empty((K * n, 2))
     for k in range(2):
-        gradU[:, k] = np.bincount(conn.ravel(), weights=S1[:, k].T.ravel(), minlength=len(U))
-    return energy, gradU
+        gradU[:, k] = np.bincount(conn.ravel(), weights=S1[:, k].T.ravel(), minlength=K * n)
+    return energy, gradU.reshape(K, n, 2)
 
 
-def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None):
-    """Quadrature energy sum_q w f(x_q, v_q, grad_q) and its nodal gradient."""
-    return _q1_quadrature(grid, U, grid.conn, f, freeze_x)
+def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None, conn=None):
+    """Quadrature energy sum_q w f(x_q, v_q, grad_q) of the nodal field U
+    (n, 2) and its nodal gradient or, given `conn`, the grid's connectivity
+    stacked by _stack_conn, those of a stack U (K, n, 2)."""
+    if conn is None:
+        e, gradU = _q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x)
+        return float(e[0]), gradU[0]
+    return _q1_quadrature(grid, U, conn, f, freeze_x)
 
 
 def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None,
                exact_sum: bool = False) -> float:
     """Quadrature energy with the unsmoothed integrand."""
-    return _q1_quadrature(grid, U, grid.conn, f, freeze_x, raw=True, exact_sum=exact_sum)[0]
+    return float(_q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x, raw=True,
+                                exact_sum=exact_sum)[0][0])
 
 
 def prolong(w: GridDisplacement, factor: int = 2) -> GridDisplacement:
@@ -475,26 +487,41 @@ class LDSolution:
     diagnostics: dict
 
 
-def _multistart(fg, x0: np.ndarray, spec: CellSpec, extra_starts=()):
-    """Minimize the objective fg from x0, from multistarts - 1 seeded
-    Gaussian perturbations of it (sized by the datum's scale) and from
-    `extra_starts`, on `jobs` workers, with the solver parameters of `spec`.
-
-    fg keeps no state between calls, so the workers share it. The
-    reduction runs in start order, so the lowest smoothed energy wins with
-    ties going to the lowest seed, whatever the worker count. Returns the
-    winning L-BFGS result and the diagnostics shared by the cell solvers.
-    """
+def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
+    """x0, multistarts - 1 Gaussian perturbations of it sized by the datum's
+    scale, then `extra_starts`; start k has seed spec.solver.seed + k."""
     sp, scale = spec.solver, spec.boundary.scale
-    # start k, extra starts included, reports seed sp.seed + k
-    starts = [x0] + [x0 + 0.5 * scale * np.random.default_rng(sp.seed + k).normal(size=x0.shape)
-                     for k in range(1, sp.multistarts)] + list(extra_starts)
-    results = pmap(lambda x: minimize_lbfgs(fg, x, max_iters=sp.max_iters), starts, jobs=sp.jobs)
+    return [x0] + [x0 + 0.5 * scale * np.random.default_rng(sp.seed + k).normal(size=x0.shape)
+                   for k in range(1, sp.multistarts)] + list(extra_starts)
+
+
+def _multistart(fg, starts: list, spec: CellSpec):
+    """Minimize fg, which maps stacked points X (K, d) to values (K,) and
+    gradients (K, d), from each of `starts` in lockstep on one thread
+    (spec.solver.jobs has no effect): each round stacks the pending point of
+    every L-BFGS run not yet ended, makes one fg call and sends each row
+    back to its run. Rows do not interact, so each start follows its serial
+    trajectory. The lowest smoothed energy wins, ties going to the lowest
+    seed. Returns the winning L-BFGS result and the cell diagnostics.
+    """
+    runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
+    points, results = [next(run) for run in runs], [None] * len(runs)
+    active = list(range(len(runs)))
+    while active:
+        F, G = fg(np.array([points[k] for k in active]))
+        for k, f, g in zip(active, F, G):
+            try:
+                points[k] = runs[k].send((float(f), g))
+            except StopIteration as stop:
+                results[k] = stop.value
+        active = [k for k in active if results[k] is None]
     k_best = min(range(len(results)), key=lambda k: results[k]["f"])
     res = results[k_best]
-    diag = {"iters": res["iters"], "converged": res["converged"],
-            "grad_norm": res["grad_norm"], "grad_tol": res["grad_tol"],
-            "seed": sp.seed + k_best, "start_values": [r["f"] for r in results]}
+    diag = {"iters": res["iters"], "nfev": res["nfev"], "reason": res["reason"],
+            "converged": res["converged"], "grad_norm": res["grad_norm"],
+            "grad_tol": res["grad_tol"], "seed": spec.solver.seed + k_best,
+            "start_values": [r["f"] for r in results],
+            "starts": [(r["iters"], r["nfev"], r["reason"]) for r in results]}
     return res, diag
 
 
@@ -513,16 +540,19 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     free = ~grid.boundary_mask
     if not free.any():
         raise BadSpec("bad spec")
-
-    def fg(xvec):
-        U = datum.copy()
-        U[free] = xvec.reshape(-1, 2)
-        e, gradU = energy_and_grad(grid, U, f, freeze_x=spec.freeze_x)
-        return e, gradU[free].ravel()
-
     extra = [np.asarray(Ux, dtype=float).reshape(grid.n_nodes, 2)[free].ravel()
              for Ux in extra_starts]
-    res, diag = _multistart(fg, datum[free].ravel(), spec, extra)
+    starts = _starts(datum[free].ravel(), spec, extra)
+    conn = _stack_conn(grid.conn, grid.n_nodes, len(starts))
+    dofs = np.flatnonzero(np.repeat(free, 2))  # the free entries of a flattened field
+
+    def fg(X):
+        U = datum.reshape(1, -1).repeat(len(X), axis=0)
+        U[:, dofs] = X
+        e, gradU = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, conn)
+        return e, gradU.reshape(len(X), -1).take(dofs, axis=1)
+
+    res, diag = _multistart(fg, starts, spec)
     Ubest = datum.copy()
     Ubest[free] = res["x"].reshape(-1, 2)
     argmin = GridDisplacement(grid=grid, values=Ubest)
@@ -537,19 +567,21 @@ def solve_periodic(spec: CellSpec, f: Integrand) -> LDSolution:
     affine datum. Adding a constant to w changes no energy, so every start
     keeps its mean; the argmin is the zero-mean corrector w.
     """
-    grid = Grid(spec.box, spec.mesh, frame=spec.frame)
-    n, conn = spec.mesh ** 2, grid.periodic_node[grid.conn]
+    grid, n = Grid(spec.box, spec.mesh, frame=spec.frame), spec.mesh ** 2
     f_A = reparametrize(f, v0=np.zeros(2), eps_v=0.0, A0=spec.boundary.A)
+    starts = _starts(np.zeros(2 * n), spec)
+    conn = _stack_conn(grid.periodic_node[grid.conn], n, len(starts))
 
-    def fg(xvec):
-        energy, gradU = _q1_quadrature(grid, xvec.reshape(n, 2), conn, f_A, spec.freeze_x)
-        return energy, gradU.ravel()
+    def fg(X):
+        energy, gradW = _q1_quadrature(grid, X.reshape(len(X), n, 2), conn, f_A, spec.freeze_x)
+        return energy, gradW.reshape(len(X), -1)
 
-    res, diag = _multistart(fg, np.zeros(2 * n), spec)
+    res, diag = _multistart(fg, starts, spec)
     W = res["x"].reshape(n, 2)
     argmin = GridDisplacement(grid=grid, values=(W - W.mean(axis=0))[grid.periodic_node])
-    return LDSolution(value=_q1_quadrature(grid, W, conn, f_A, spec.freeze_x, raw=True)[0],
-                      value_smoothed=res["f"], argmin=argmin, diagnostics={**diag, "mu": f.mu})
+    value = float(_q1_quadrature(grid, W[None], conn, f_A, spec.freeze_x, raw=True)[0][0])
+    return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin,
+                      diagnostics={**diag, "mu": f.mu})
 
 
 def boundary_l1_gap(spec: CellSpec, data1, data2) -> float:
@@ -635,11 +667,11 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     rows = np.concatenate([np.tile(np.arange(ni), 2), np.tile(np.arange(n, n + ni), 2),
                            np.tile(np.arange(ni, n), 2)])
     first, second = rows[np.argsort(slots, kind="stable")].reshape(-1, 2).T
-    own = np.arange(4 * E).reshape(E, 4)  # each element owns its four nodal values
+    own = np.arange(4 * E).reshape(1, E, 4)  # each element owns its four nodal values
 
     def split_fg(x):
         vals = x.reshape(4 * E, 2)
-        bulk, grad = _q1_quadrature(grid, vals, own, f1, spec.freeze_x)
+        (bulk,), (grad,) = _q1_quadrature(grid, vals[None], own, f1, spec.freeze_x)
         vm = 0.5 * (vals[minus[:, 0]] + vals[minus[:, 1]])
         vp = np.concatenate([0.5 * (vals[plus[:, 0]] + vals[plus[:, 1]]), datum])
         w = g1.value(X, vm, vp, nu) * length
@@ -668,9 +700,9 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     E = grid.mesh ** 2
     split_fg = _sbd_objective(grid, spec, f1, g1)
 
-    def fg(x):
-        bulk, surf, grad = split_fg(x)
-        return bulk + surf, grad
+    def fg(X):
+        rows = [split_fg(x) for x in X]
+        return [bulk + surf for bulk, surf, _ in rows], [grad for _, _, grad in rows]
 
     # side-aware datum interpolant: evaluate at nodes nudged toward the
     # element center, so discontinuous data land on facets, not inside cells
@@ -678,11 +710,12 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     centers = corner_pts.mean(axis=1, keepdims=True)
     nudged = corner_pts + 1e-9 * (centers - corner_pts)
     U0 = spec.boundary.value(nudged.reshape(-1, 2)).reshape(E, 4, 2)
-    res, diag = _multistart(fg, U0.ravel(), spec)
+    res, diag = _multistart(fg, _starts(U0.ravel(), spec), spec)
     vals = res["x"].reshape(E, 4, 2)
     bulk, surf, _ = split_fg(res["x"])
-    raw_bulk = _q1_quadrature(grid, vals.reshape(4 * E, 2), np.arange(4 * E).reshape(E, 4), f1,
-                              spec.freeze_x, raw=True)[0]
+    raw_bulk = float(_q1_quadrature(grid, vals.reshape(1, 4 * E, 2),
+                                    np.arange(4 * E).reshape(1, E, 4), f1, spec.freeze_x,
+                                    raw=True)[0][0])
     return SBDSolution(value=raw_bulk + surf, value_smoothed=res["f"], bulk=bulk,
                        surface=surf, argmin=SBDField(grid=grid, values=vals),
                        diagnostics={**diag, "mu": f1.mu})

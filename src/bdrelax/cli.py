@@ -280,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file of default argument values")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1, help="multistart worker threads")
+    ap.add_argument("--jobs", type=int, default=1,
+                    help="accepted, no effect; multistarts run in lockstep on one thread")
     ap.add_argument("--format", choices=("csv", "json", "both"), default="both")
     ap.add_argument("--log", default=None, help="log level (or env BDRELAX_LOG)")
     ap.add_argument("--multistarts", type=int, default=1)

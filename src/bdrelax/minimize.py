@@ -17,17 +17,18 @@ class SolverError(RuntimeError):
     pass
 
 
-def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
-    """Minimize fun_grad, which maps x to (value, gradient), until the
-    gradient norm falls to grad_tol = 1e-8 * (initial gradient norm + 1).
+def lbfgs_steps(x0, max_iters: int = 2000):
+    """L-BFGS by reverse communication: yields each point to evaluate,
+    receives its (value, gradient) by send, and returns the result dict
+    once the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1).
 
     A non-finite value or gradient at x0 raises SolverError("integrand
     overflow"); a non-finite value at a trial point shortens the step.
-    Returns a dict with x, f, grad_norm, grad_tol, iters, converged, and
-    nfev.
+    The result holds x, f, grad_norm, grad_tol, iters, converged, nfev and
+    reason: "gtol", "max_iters" or "line_search_stall".
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun_grad(x)
+    f, g = yield x
     nfev = 1
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise SolverError("integrand overflow")
@@ -66,7 +67,7 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
         x_new, g_new = x, g
         while step >= MIN_STEP:
             x_try = x + step * d
-            f_try, g_try = fun_grad(x_try)
+            f_try, g_try = yield x_try
             nfev += 1
             if not np.isfinite(f_try):
                 step *= BACKTRACK
@@ -91,6 +92,19 @@ def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
         gnorm = float(np.linalg.norm(g))
         iters += 1
 
+    reason = ("gtol" if gnorm <= grad_tol else "max_iters" if iters >= max_iters
+              else "line_search_stall")
     return {"x": x, "f": f, "grad_norm": gnorm,
             "iters": iters, "converged": gnorm <= grad_tol, "nfev": nfev,
-            "grad_tol": grad_tol}
+            "grad_tol": grad_tol, "reason": reason}
+
+
+def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
+    """lbfgs_steps from x0, evaluating fun_grad: x -> (value, gradient)."""
+    steps = lbfgs_steps(x0, max_iters)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(fun_grad(x))
+    except StopIteration as stop:
+        return stop.value

@@ -7,11 +7,12 @@ import pytest
 
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
                                 Integrand, JumpData, SolverParams, _q1_quadrature,
+                                _stack_conn,
                                 _sbd_objective, abs_sym, energy_and_grad,
                                 frame_for_normal, g_odot, g_penalty, m_continuity_check,
                                 prolong, raw_energy, reparametrize, scaled, solve_ld,
                                 solve_periodic, solve_sbd, sqrt1plus_sym)
-from bdrelax.density import laminate_a, mueller_h_integrand, vmin_abs
+from bdrelax.density import A0, laminate_a, mueller_h_integrand, vmin_abs
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
@@ -31,8 +32,15 @@ def test_minimizer_on_quadratic():
         return 0.5 * x @ H @ x, H @ x
 
     res = minimize_lbfgs(fg, np.array([3.0, -5.0]))
-    assert res["converged"]
+    assert res["converged"] and res["reason"] == "gtol"
     assert np.linalg.norm(res["x"]) < 1e-6
+    assert minimize_lbfgs(fg, np.array([3.0, -5.0]), max_iters=1)["reason"] == "max_iters"
+
+    def wrong_sign(x):  # the reported gradient points uphill: no step is accepted
+        return 0.5 * x @ H @ x, -(H @ x)
+
+    res = minimize_lbfgs(wrong_sign, np.array([3.0, -5.0]))
+    assert res["reason"] == "line_search_stall" and res["iters"] == 0
 
 
 def test_convex_affine_exactness():
@@ -105,31 +113,45 @@ BIT_INTEGRANDS = {
 
 
 def _assert_kernel_bits(grid, U, conn):
+    """Each row of the kernel on a stack of the first K fields of U (k, n, 2),
+    K = 1, 3 and k, equals the seed kernel on that field alone, bit for bit."""
+    n = U.shape[1]
+    stacked = _stack_conn(conn, n, len(U))
     for f in BIT_INTEGRANDS.values():
         for fx in (None, np.array([0.3, -0.1])):
-            e_ref, g_ref = _seed_q1(grid, U, conn, f, fx)
-            e_new, g_new = _q1_quadrature(grid, U, conn, f, fx)
-            assert e_new == e_ref
-            assert np.array_equal(g_new, g_ref)
-            for exact in (False, True):
-                r_ref = _seed_q1(grid, U, conn, f, fx, raw=True, exact_sum=exact)[0]
-                r_new = _q1_quadrature(grid, U, conn, f, fx, raw=True, exact_sum=exact)[0]
-                assert r_new == r_ref
+            refs = [_seed_q1(grid, Uk, conn, f, fx) for Uk in U]
+            raw_refs = {exact: [_seed_q1(grid, Uk, conn, f, fx, raw=True, exact_sum=exact)[0]
+                                for Uk in U] for exact in (False, True)}
+            for K in sorted({1, 3, len(U)}):
+                e_new, g_new = _q1_quadrature(grid, U[:K], stacked, f, fx)
+                assert e_new.shape == (K,) and g_new.shape == (K, n, 2)
+                for k in range(K):
+                    assert e_new[k] == refs[k][0]
+                    assert np.array_equal(g_new[k], refs[k][1])
+                for exact in (False, True):
+                    r_new = _q1_quadrature(grid, U[:K], stacked, f, fx, raw=True,
+                                           exact_sum=exact)[0]
+                    assert r_new.tolist() == raw_refs[exact][:K]
 
 
 @pytest.mark.parametrize("mesh", [4, 8, 16, 64])
 @pytest.mark.parametrize("nu", [None, (1.0, 1.0), (0.6, 0.8)], ids=["axis", "diagonal", "0.6-0.8"])
 def test_q1_kernel_bit_identical_to_seed(mesh, nu):
     grid = Grid(Box.cube((0.0, 0.0), 1.0), mesh, None if nu is None else frame_for_normal(nu))
-    U = np.random.default_rng(mesh).normal(size=(grid.n_nodes, 2))
+    # a stack of 8 copies at the small meshes, of 3 at mesh 64 (whose row
+    # sums run past numpy's 8192-element buffer)
+    U = np.random.default_rng(mesh).normal(size=(8 if mesh < 64 else 3, grid.n_nodes, 2))
     _assert_kernel_bits(grid, U, grid.conn)
-    # the public wrappers run the kernel on the grid's own connectivity
+    # the public wrappers run the kernel on the grid's own connectivity,
+    # on a single field or on a stack
     f = BIT_INTEGRANDS["mueller-h"]
-    e_ref, g_ref = _seed_q1(grid, U, grid.conn, f)
-    e_new, g_new = energy_and_grad(grid, U, f)
-    assert e_new == e_ref and np.array_equal(g_new, g_ref)
-    assert raw_energy(grid, U, f, exact_sum=True) == _seed_q1(grid, U, grid.conn, f, raw=True,
-                                                              exact_sum=True)[0]
+    e_ref, g_ref = _seed_q1(grid, U[0], grid.conn, f)
+    e_new, g_new = energy_and_grad(grid, U[0], f)
+    assert type(e_new) is float and e_new == e_ref and np.array_equal(g_new, g_ref)
+    e_new, g_new = energy_and_grad(grid, U[:2], f, conn=_stack_conn(grid.conn, grid.n_nodes, 2))
+    assert e_new[0] == e_ref and np.array_equal(g_new[0], g_ref)
+    assert raw_energy(grid, U[0], f, exact_sum=True) == _seed_q1(grid, U[0], grid.conn, f,
+                                                                 raw=True, exact_sum=True)[0]
 
 
 @pytest.mark.parametrize("mesh", [4, 8, 16, 64])
@@ -145,7 +167,7 @@ def test_q1_kernel_bit_identical_other_connectivities(mesh, layout):
         conn, n = i * mesh + j, mesh * mesh
     else:
         conn, n = np.arange(4 * E).reshape(E, 4), 4 * E
-    U = np.random.default_rng(mesh).normal(size=(n, 2))
+    U = np.random.default_rng(mesh).normal(size=(8 if mesh < 64 else 3, n, 2))
     _assert_kernel_bits(grid, U, conn)
 
 
@@ -226,9 +248,148 @@ def test_multistart_determinism(solve, max_iters):
     v2 = solve(spec, f)
     assert v1.value == v2.value
     assert v1.diagnostics["start_values"] == v2.diagnostics["start_values"]
+    # jobs is accepted and has no effect: the starts run in lockstep on one thread
     v3 = solve(replace(spec, solver=replace(spec.solver, jobs=3)), f)
     assert v3.value == v1.value
     assert v3.diagnostics["start_values"] == v1.diagnostics["start_values"]
+
+
+def _serial_starts(x0, sp, scale, extra=()):
+    """The seed rule: the clean start, multistarts - 1 Gaussian
+    perturbations of it seeded seed + k and sized by the datum's scale,
+    then the extra starts."""
+    return [x0] + [x0 + 0.5 * scale * np.random.default_rng(sp.seed + k).normal(size=x0.shape)
+                   for k in range(1, sp.multistarts)] + list(extra)
+
+
+def _assert_lockstep_matches_serial(sol, fg_row, starts, max_iters):
+    """The serial reference of the lockstep driver: one minimize_lbfgs run
+    per start on the single-row objective; returns the winning run."""
+    runs = [minimize_lbfgs(fg_row, x, max_iters=max_iters) for x in starts]
+    k_best = min(range(len(runs)), key=lambda k: runs[k]["f"])
+    assert sol.diagnostics["start_values"] == [r["f"] for r in runs]
+    assert sol.diagnostics["starts"] == [(r["iters"], r["nfev"], r["reason"]) for r in runs]
+    assert sol.diagnostics["seed"] == k_best
+    assert sol.diagnostics["reason"] == runs[k_best]["reason"]
+    assert sol.diagnostics["nfev"] == runs[k_best]["nfev"]
+    assert sol.value_smoothed == runs[k_best]["f"]
+    return runs[k_best]
+
+
+def test_lockstep_matches_serial_ld():
+    f = mueller_h_integrand()
+    sp = SolverParams(multistarts=8, seed=0, max_iters=200)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=8, solver=sp,
+                    freeze_x=np.zeros(2))
+    grid = Grid(spec.box, spec.mesh)
+    datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
+    extra = np.random.default_rng(7).normal(size=(grid.n_nodes, 2))
+    sol = solve_ld(spec, f, extra_starts=[extra])
+
+    def fg_row(x):
+        U = datum.copy()
+        U[free] = x.reshape(-1, 2)
+        e, gradU = energy_and_grad(grid, U, f, freeze_x=spec.freeze_x)
+        return e, gradU[free].ravel()
+
+    starts = _serial_starts(datum[free].ravel(), sp, frob(A0), [extra[free].ravel()])
+    best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
+    U = datum.copy()
+    U[free] = best["x"].reshape(-1, 2)
+    assert np.array_equal(sol.argmin.values, U)
+    assert sol.value == raw_energy(grid, U, f, freeze_x=spec.freeze_x)
+    assert {r for _, _, r in sol.diagnostics["starts"]} == {"gtol", "max_iters"}
+
+
+def test_lockstep_matches_serial_periodic():
+    f = laminate_a()
+    sp = SolverParams(multistarts=3, seed=0, max_iters=300)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=8,
+                    box=Box((0.0, 0.0), (1.0, 1.0)), solver=sp)
+    sol = solve_periodic(spec, f)
+    grid = Grid(spec.box, spec.mesh)
+    n, conn = spec.mesh ** 2, grid.periodic_node[grid.conn]
+    f_A = reparametrize(f, v0=np.zeros(2), eps_v=0.0, A0=A0)
+
+    def fg_row(x):
+        e, gradW = _q1_quadrature(grid, x.reshape(1, n, 2), conn[None], f_A)
+        return float(e[0]), gradW.ravel()
+
+    starts = _serial_starts(np.zeros(2 * n), sp, frob(A0))
+    best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
+    W = best["x"].reshape(n, 2)
+    assert np.array_equal(sol.argmin.values, (W - W.mean(axis=0))[grid.periodic_node])
+    assert sol.value == _q1_quadrature(grid, W[None], conn[None], f_A, raw=True)[0][0]
+
+
+def test_lockstep_matches_serial_sbd():
+    f1, g1 = abs_sym(mu=1e-6), g_odot()
+    sp = SolverParams(multistarts=3, seed=0, max_iters=150)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
+    sol = solve_sbd(spec, f1, g1)
+    grid = Grid(spec.box, spec.mesh)
+    split_fg = _sbd_objective(grid, spec, f1, g1)
+
+    def fg_row(x):
+        bulk, surf, grad = split_fg(x)
+        return bulk + surf, grad
+
+    corners = grid.nodes[grid.conn]
+    nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
+    x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
+    starts = _serial_starts(x0, sp, frob(A0))
+    best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
+    assert np.array_equal(sol.argmin.values.ravel(), best["x"])
+
+
+def test_lockstep_overflow_at_a_later_start():
+    # the third start is far out, where the density overflows: the solve
+    # fails as a serial run of that start would
+    def capped(X, V, A):
+        q = (A ** 2).sum(axis=(-2, -1))
+        return np.where(q < 1e6, np.sqrt(q), np.inf)
+
+    f = Integrand(name="capped", value=capped, raw=capped, sym_only=False,
+                  grad=lambda X, V, A: (np.zeros_like(V), np.zeros_like(A)))
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=4,
+                    solver=SolverParams(multistarts=2))
+    far = np.full((Grid(spec.box, 4).n_nodes, 2), 1e4)
+    with pytest.raises(SolverError, match="integrand overflow"):
+        solve_ld(spec, f, extra_starts=[far])
+
+
+def test_lockstep_nonfinite_row_leaves_other_rows_alone():
+    # 3 - |sym A|^2 below |sym A| = 1.5 and +inf above: two nudged starts
+    # run into the wall at different rounds, so some kernel calls hold
+    # infinite rows next to finite ones
+    mixed = []
+
+    def wall(X, V, A):
+        q = (sym(A) ** 2).sum(axis=(-2, -1))
+        out = np.where(q < 2.25, 3.0 - q, np.inf)
+        rows = np.isinf(out).reshape(-1, 16 * 4).any(axis=1)  # per start: E Q points
+        mixed.append(rows.any() and not rows.all())
+        return out
+
+    f = Integrand(name="wall", value=wall, grad=lambda X, V, A: (np.zeros_like(V), -2.0 * sym(A)),
+                  raw=wall)
+    sp = SolverParams(multistarts=1, max_iters=100)
+    spec = CellSpec(boundary=AffineData(np.zeros((2, 2)), np.zeros(2)), mesh=4, solver=sp)
+    grid = Grid(spec.box, spec.mesh)
+    free = ~grid.boundary_mask
+    nudged = [t * np.random.default_rng(0).normal(size=(grid.n_nodes, 2)) for t in (1e-3, 1e-1)]
+    sol = solve_ld(spec, f, extra_starts=nudged)
+    assert any(mixed)
+
+    def fg_row(x):
+        U = np.zeros((grid.n_nodes, 2))
+        U[free] = x.reshape(-1, 2)
+        e, gradU = energy_and_grad(grid, U, f)
+        return e, gradU[free].ravel()
+
+    x0 = np.zeros(2 * int(free.sum()))
+    starts = _serial_starts(x0, sp, 0.0, [U[free].ravel() for U in nudged])
+    _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
 
 
 def test_periodic_corrector():
@@ -351,8 +512,9 @@ def _seed_sbd_objective(grid, spec, f1, g1):
 
     def split_fg(vals_flat):
         vals = vals_flat.reshape(E, 4, 2)
-        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(4 * E, 2), own, f1, spec.freeze_x)
-        gradv = gradv.reshape(E, 4, 2)
+        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(1, 4 * E, 2), own[None], f1,
+                                     spec.freeze_x)
+        bulk, gradv = bulk[0], gradv.reshape(E, 4, 2)
         vm = 0.5 * (vals[em, a1] + vals[em, a2])
         vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
         gv = g1.value(xs_i, vm, vp, inu)

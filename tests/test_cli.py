@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 import bdrelax
 from bdrelax.cli import (build_parser, main, parse_box, parse_matrix, parse_schedule,
                          parse_vector)
+from bdrelax.util import configure_logging, log
 
 
 def run_cli(tmp_path, *argv):
@@ -25,8 +28,22 @@ def test_parsers():
     assert float(sched[1]) == pytest.approx(1 / 3)
     b = parse_box("-1,-2;3,4")
     assert b.lo == (-1.0, -2.0) and b.hi == (3.0, 4.0)
-    # multistarts run on one thread unless --jobs asks for more
+    # --jobs is accepted and has no effect: multistarts run in lockstep on one thread
     assert build_parser().parse_args(["sq", "--A", "Id"]).jobs == 1
+
+
+def test_logging_follows_the_current_stderr():
+    # a stderr replaced and closed since the last call (as pytest's capsys
+    # does) must not keep the package's log records
+    first, second = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stderr(first):
+        configure_logging("error")
+    first.close()
+    with contextlib.redirect_stderr(second):
+        configure_logging("error")
+        log.error("to the second stream")
+    configure_logging("error")
+    assert second.getvalue() == "ERROR bdrelax: to the second stream\n"
 
 
 def test_sq_abs_sym_identity(tmp_path, capsys):

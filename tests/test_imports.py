@@ -27,7 +27,7 @@ def test_no_unused_imports(path):
 def test_solver_internals_stay_in_cellsolver():
     """Only cellsolver.py imports the L-BFGS minimizer and the Q1 element
     kernel: every cell problem is solved through its multistart driver."""
-    private = {"minimize_lbfgs", "_q1_quadrature"}
+    private = {"minimize_lbfgs", "lbfgs_steps", "_q1_quadrature"}
     offenders = []
     for path in SRC:
         if path.name == "cellsolver.py":
@@ -36,3 +36,25 @@ def test_solver_internals_stay_in_cellsolver():
             if isinstance(node, ast.ImportFrom):
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name in private]
     assert not offenders, f"solver internals imported outside cellsolver.py: {offenders}"
+
+
+def test_no_threads_outside_util():
+    """The multistarts run in lockstep on one thread: no module but util.py
+    (which keeps pmap for the benchmark's tracer) names a thread pool."""
+    banned = {"pmap", "ThreadPoolExecutor", "threading"}
+    offenders = []
+    for path in SRC:
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = set()
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.update(node.module.split("."))
+            offenders += [f"{path.name}:{node.lineno}: {n}" for n in sorted(names & banned)]
+    assert not offenders, f"thread pools named outside util.py: {offenders}"
