@@ -12,7 +12,7 @@ Reported values use the raw (unsmoothed) bulk integrand at the minimizer
 of the smoothed energy, whose smoothing mu is in the diagnostics. Surface
 integrands have no raw form: the SBD surface term is the smoothed one, at
 most mu times the total facet length (2m + 2 on the unit cell at mesh m)
-below the raw one for g_odot, and exact for g_penalty.
+below the raw one for density.g_odot, and exact for density.g_penalty.
 """
 
 import math
@@ -24,15 +24,13 @@ from .geometry import Box, gauss_rule
 from .minimize import lbfgs_steps
 from .tensor import frob, sym
 
-_SQRT3 = math.sqrt(3.0)
-
 
 class BadSpec(ValueError):
     pass
 
 
 # ---------------------------------------------------------------------------
-# integrands
+# integrand types (the corpus lives in density)
 
 
 @dataclass(frozen=True)
@@ -70,32 +68,6 @@ class Integrand:
             for t in (2.0, 10.0):
                 if np.max(np.abs(self.raw(X, V, t * A) - t * base)) > tol * t * (1 + np.max(np.abs(base))):
                     raise ValueError(f"integrand {self.name}: oneHomogeneous flag violated")
-
-
-def _smooth_norm(q, mu):
-    """sqrt(q + mu^2) - mu for q = |M|^2 >= 0."""
-    return np.sqrt(q + mu * mu) - mu
-
-
-def abs_sym(mu: float = 1e-6) -> Integrand:
-    """f(A) = |sym A| (Frobenius), smoothed by mu for minimization."""
-
-    def raw(X, V, A):
-        return frob(sym(A))
-
-    def value(X, V, A):
-        S = sym(A)
-        return _smooth_norm((S * S).sum(axis=(-2, -1)), mu)
-
-    def grad(X, V, A):
-        S = sym(A)
-        root = np.sqrt((S * S).sum(axis=(-2, -1)) + mu * mu)
-        dA = S / root[:, None, None]
-        return np.zeros_like(V), dA
-
-    f = Integrand(name="abs-sym", value=value, grad=grad, raw=raw,
-                  convex=True, one_homogeneous=True, sym_only=True, mu=mu)
-    return replace(f, recession_exact=f)
 
 
 def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
@@ -140,30 +112,6 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
     return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec)
 
 
-def scaled(f0: Integrand, c: float) -> Integrand:
-    """c * f0 for c > 0, named f0.name*c (flags unchanged)."""
-    return replace(reparametrize(f0, c=c), name=f"{f0.name}*{c:g}")
-
-
-def sqrt1plus_sym() -> Integrand:
-    """f(A) = sqrt(1 + |sym A|^2); already smooth, exact recession |sym A|."""
-
-    def value(X, V, A):
-        S = sym(A)
-        return np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
-
-    def grad(X, V, A):
-        S = sym(A)
-        root = np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
-        return np.zeros_like(V), S / root[:, None, None]
-
-    return Integrand(name="sqrt1plus-sym", value=value, grad=grad, raw=value,
-                     convex=True, sym_only=True, recession_exact=abs_sym(mu=1e-6))
-
-
-# surface integrands ---------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SurfaceIntegrand:
     """Facet energy g(x, v-, v+, nu) with derivatives in the traces."""
@@ -171,39 +119,6 @@ class SurfaceIntegrand:
     name: str
     value: object  # (X, VM, VP, NU) -> (m,)
     grad: object  # -> (dVM, dVP)
-
-
-def g_odot(mu: float = 1e-6) -> SurfaceIntegrand:
-    """g = |(v+ - v-) (.) nu| for unit nu, smoothed by mu."""
-
-    def _q(D, NU):
-        return 0.5 * ((D * D).sum(axis=-1) + ((D * NU).sum(axis=-1)) ** 2)
-
-    def value(X, VM, VP, NU):
-        return _smooth_norm(_q(VP - VM, NU), mu)
-
-    def grad(X, VM, VP, NU):
-        D = VP - VM
-        dn = (D * NU).sum(axis=-1)
-        root = np.sqrt(_q(D, NU) + mu * mu)
-        dD = 0.5 * (D + dn[:, None] * NU) / root[:, None]
-        return -dD, dD
-
-    return SurfaceIntegrand(name="odot-norm", value=value, grad=grad)
-
-
-def g_penalty(c: float = 1e4) -> SurfaceIntegrand:
-    """Quadratic jump penalty c |v+ - v-|^2 (suppresses facet jumps)."""
-
-    def value(X, VM, VP, NU):
-        D = VP - VM
-        return c * (D * D).sum(axis=-1)
-
-    def grad(X, VM, VP, NU):
-        D = VP - VM
-        return -2.0 * c * D, 2.0 * c * D
-
-    return SurfaceIntegrand(name=f"penalty({c:g})", value=value, grad=grad)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +174,10 @@ class SolverParams:
     multistarts: int = 1
     seed: int = 0
     jobs: int = 1  # no effect: the multistarts run in lockstep on one thread
+
+    def __post_init__(self):
+        if self.multistarts < 1:
+            raise BadSpec("multistarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -470,7 +389,7 @@ def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None,
 def prolong(w: GridDisplacement, factor: int = 2) -> GridDisplacement:
     """Exact Q1 embedding of w into the factor-refined grid."""
     g = w.grid
-    fine = Grid(g.box, g.mesh * factor, frame=None if np.allclose(g.R, np.eye(2)) else g.R)
+    fine = Grid(g.box, g.mesh * factor, frame=g.R)
     vals = w.value(fine.nodes)
     return GridDisplacement(grid=fine, values=vals)
 

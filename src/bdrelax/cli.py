@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,12 @@ def _estimate_payload(est) -> dict:
             "samples": [[k, v] for k, v in est.samples]}
 
 
+def _emit_estimate(args, command: str, est) -> None:
+    """Write an estimate: its payload as JSON, its (key, value) samples as CSV."""
+    _emit(args, command, _estimate_payload(est), ["key", "value"],
+          [[k, v] for k, v in est.samples])
+
+
 def _solver_params(args) -> SolverParams:
     return SolverParams(multistarts=args.multistarts, seed=args.seed, jobs=args.jobs)
 
@@ -166,8 +173,7 @@ def cmd_density(args) -> None:
     est = bulk_density(f0, parse_vector(args.x0), parse_vector(args.v),
                        parse_matrix(args.A), eps_schedule=parse_schedule(args.eps_schedule),
                        mesh=args.mesh, solver=_solver_params(args))
-    _emit(args, "density", _estimate_payload(est), ["key", "value"],
-          [[float(k), v] for k, v in est.samples])
+    _emit_estimate(args, "density", est)
 
 
 def cmd_sq(args) -> None:
@@ -175,7 +181,7 @@ def cmd_sq(args) -> None:
     meshes = tuple(int(m) for m in args.mesh.split(","))
     est = sq_envelope(f0, parse_matrix(args.A), mesh_schedule=meshes,
                       x0=parse_vector(args.x0), solver=_solver_params(args))
-    _emit(args, "sq", _estimate_payload(est), ["key", "value"], [[k, v] for k, v in est.samples])
+    _emit_estimate(args, "sq", est)
 
 
 def cmd_jump(args) -> None:
@@ -189,16 +195,14 @@ def cmd_jump(args) -> None:
                        parse_vector(args.v_plus), parse_vector(args.nu),
                        eps_schedule=parse_schedule(args.eps_schedule), mesh=args.mesh,
                        solver=_solver_params(args), variant=args.variant)
-    _emit(args, "jump", _estimate_payload(est), ["key", "value"],
-          [[float(k), v] for k, v in est.samples])
+    _emit_estimate(args, "jump", est)
 
 
 def cmd_recession(args) -> None:
     f0 = get_integrand(args.integrand)
     est = recession(integrand_evaluator(f0), parse_vector(args.x0), parse_vector(args.v),
                     parse_matrix(args.A), t_schedule=parse_schedule(args.t_schedule))
-    _emit(args, "recession", _estimate_payload(est), ["key", "value"],
-          [[float(k), v] for k, v in est.samples])
+    _emit_estimate(args, "recession", est)
 
 
 def cmd_homogenize(args) -> None:
@@ -246,9 +250,9 @@ def cmd_represent(args) -> None:
 def cmd_mueller(args) -> None:
     A = parse_matrix(args.matrix)
     meshes = tuple(int(m) for m in args.mesh.split(","))
+    solver = _solver_params(args)
     est = sq_envelope(mueller_h_integrand(), A, mesh_schedule=meshes,
-                      solver=SolverParams(multistarts=max(args.multistarts, 8),
-                                          seed=args.seed, jobs=args.jobs))
+                      solver=replace(solver, multistarts=max(solver.multistarts, 8)))
     wit = convex_envelope_witness_A0()
     payload = {"h": mueller_h(A), "envelope": _estimate_payload(est),
                "witness": {"h_values": wit["h_values"], "mean_is_A0": wit["mean_is_A0"]}}

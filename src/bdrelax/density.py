@@ -1,7 +1,7 @@
-"""Relaxed density estimators built on the cell solvers: bulk density,
-discrete (symmetric) quasiconvex envelope, jump density, recession slopes,
-a randomized quasiconvexity deficit test, and the skew-sensitive
-one-homogeneous integrand corpus.
+"""The integrand corpus (bulk and surface densities, their id registry)
+and the relaxed density estimators built on the cell solvers: bulk density,
+discrete (symmetric) quasiconvex envelope, jump density, recession slopes
+and a randomized quasiconvexity deficit test.
 
 All limsup-type quantities are reported as DensityEstimate records: the
 sample sequence along the requested schedule, the last value as the
@@ -9,14 +9,13 @@ working extrapolation, and the spread of the last two samples. No claim
 about the true limit is encoded beyond that.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cellsolver import (AffineData, CellSpec, GridDisplacement, Integrand, JumpData,
-                         SolverParams, SurfaceIntegrand, abs_sym, frame_for_normal, g_odot,
-                         g_penalty, prolong, reparametrize, scaled, solve_ld, solve_sbd,
-                         sqrt1plus_sym, _smooth_norm)
+                         SolverParams, SurfaceIntegrand, frame_for_normal, prolong,
+                         reparametrize, solve_ld, solve_sbd)
 from .tensor import frob, sym
 
 DEFAULT_EPS_SCHEDULE = (1.0, 0.5, 0.25)
@@ -27,29 +26,81 @@ DEFAULT_MESH_SCHEDULE = (8, 16, 32)
 @dataclass
 class DensityEstimate:
     """(key, value) samples along a refinement schedule plus the working
-    extrapolation (= last sample) and the spread of the last two."""
+    extrapolation (= last sample), the spread of the last two and the
+    cell diagnostics of each solved sample, keyed like the samples."""
 
     samples: list
     extrapolated: float
     spread: float
     converged: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @classmethod
-    def from_samples(cls, samples, diagnostics=None) -> "DensityEstimate":
-        samples = list(samples)
-        if not samples:
+    def from_samples(cls, rows) -> "DensityEstimate":
+        """From (key, value) or, for a solved cell, (key, value, diagnostics)
+        rows in schedule order."""
+        rows = list(rows)
+        if not rows:
             raise ValueError("no samples")
+        samples = [(row[0], row[1]) for row in rows]
         vals = [v for _, v in samples]
         extrapolated = vals[-1]
         spread = abs(vals[-1] - vals[-2]) if len(vals) > 1 else 0.0
         converged = spread <= max(1e-8, 0.02 * abs(extrapolated))
         return cls(samples=samples, extrapolated=extrapolated, spread=spread,
-                   converged=converged, diagnostics=diagnostics or {})
+                   converged=converged,
+                   diagnostics={row[0]: row[2] for row in rows if len(row) > 2})
 
 
 # ---------------------------------------------------------------------------
 # integrand corpus
+
+
+def _smooth_norm(q, mu):
+    """sqrt(q + mu^2) - mu for q = |M|^2 >= 0."""
+    return np.sqrt(q + mu * mu) - mu
+
+
+def abs_sym(mu: float = 1e-6) -> Integrand:
+    """f(A) = |sym A| (Frobenius), smoothed by mu for minimization."""
+
+    def raw(X, V, A):
+        return frob(sym(A))
+
+    def value(X, V, A):
+        S = sym(A)
+        return _smooth_norm((S * S).sum(axis=(-2, -1)), mu)
+
+    def grad(X, V, A):
+        S = sym(A)
+        root = np.sqrt((S * S).sum(axis=(-2, -1)) + mu * mu)
+        dA = S / root[:, None, None]
+        return np.zeros_like(V), dA
+
+    f = Integrand(name="abs-sym", value=value, grad=grad, raw=raw,
+                  convex=True, one_homogeneous=True, sym_only=True, mu=mu)
+    return replace(f, recession_exact=f)
+
+
+def scaled(f0: Integrand, c: float) -> Integrand:
+    """c * f0 for c > 0, named f0.name*c (flags unchanged)."""
+    return replace(reparametrize(f0, c=c), name=f"{f0.name}*{c:g}")
+
+
+def sqrt1plus_sym() -> Integrand:
+    """f(A) = sqrt(1 + |sym A|^2); already smooth, exact recession |sym A|."""
+
+    def value(X, V, A):
+        S = sym(A)
+        return np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
+
+    def grad(X, V, A):
+        S = sym(A)
+        root = np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
+        return np.zeros_like(V), S / root[:, None, None]
+
+    return Integrand(name="sqrt1plus-sym", value=value, grad=grad, raw=value,
+                     convex=True, sym_only=True, recession_exact=abs_sym(mu=1e-6))
 
 
 def mueller_h(A) -> float:
@@ -224,6 +275,39 @@ def vmin_abs(mu: float = 1e-6) -> Integrand:
                      convex=False, v_independent=False, sym_only=True, mu=mu)
 
 
+def g_odot(mu: float = 1e-6) -> SurfaceIntegrand:
+    """g = |(v+ - v-) (.) nu| for unit nu, smoothed by mu."""
+
+    def _q(D, NU):
+        return 0.5 * ((D * D).sum(axis=-1) + ((D * NU).sum(axis=-1)) ** 2)
+
+    def value(X, VM, VP, NU):
+        return _smooth_norm(_q(VP - VM, NU), mu)
+
+    def grad(X, VM, VP, NU):
+        D = VP - VM
+        dn = (D * NU).sum(axis=-1)
+        root = np.sqrt(_q(D, NU) + mu * mu)
+        dD = 0.5 * (D + dn[:, None] * NU) / root[:, None]
+        return -dD, dD
+
+    return SurfaceIntegrand(name="odot-norm", value=value, grad=grad)
+
+
+def g_penalty(c: float = 1e4) -> SurfaceIntegrand:
+    """Quadratic jump penalty c |v+ - v-|^2 (suppresses facet jumps)."""
+
+    def value(X, VM, VP, NU):
+        D = VP - VM
+        return c * (D * D).sum(axis=-1)
+
+    def grad(X, VM, VP, NU):
+        D = VP - VM
+        return -2.0 * c * D, 2.0 * c * D
+
+    return SurfaceIntegrand(name=f"penalty({c:g})", value=value, grad=grad)
+
+
 _REGISTRY = {
     "abs-sym": lambda arg: abs_sym() if arg is None else abs_sym(mu=float(arg)),
     "sqrt1plus-sym": lambda arg: sqrt1plus_sym(),
@@ -282,24 +366,22 @@ def _require_symmetric(A) -> np.ndarray:
     return A
 
 
+def _sample(key, sol) -> tuple:
+    """The (key, value, diagnostics) row of a solved cell."""
+    return key, sol.value, sol.diagnostics
+
+
 def bulk_density(f0: Integrand, x0, v, A, eps_schedule=DEFAULT_EPS_SCHEDULE,
                  mesh: int = 16, solver: SolverParams | None = None) -> DensityEstimate:
     """Unit-cube Dirichlet values of the frozen-base-point bulk formula:
     for each eps, minimize f0(x0, v + eps w, e(w)) over w matching A y on
     the boundary."""
-    A = _require_symmetric(A)
-    x0 = np.asarray(x0, dtype=float).reshape(2)
-    solver = solver or SolverParams()
-    samples = []
-    diags = {}
-    for eps in eps_schedule:
-        f_eps = reparametrize(f0, v0=v, eps_v=float(eps))
-        spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=mesh,
-                        solver=solver, freeze_x=x0)
-        sol = solve_ld(spec, f_eps)
-        samples.append((float(eps), sol.value))
-        diags[float(eps)] = sol.diagnostics
-    return DensityEstimate.from_samples(samples, diagnostics=diags)
+    spec = CellSpec(boundary=AffineData(_require_symmetric(A), np.zeros(2)), mesh=mesh,
+                    solver=solver or SolverParams(),
+                    freeze_x=np.asarray(x0, dtype=float).reshape(2))
+    return DensityEstimate.from_samples(
+        _sample(eps, solve_ld(spec, reparametrize(f0, v0=v, eps_v=eps)))
+        for eps in map(float, eps_schedule))
 
 
 def sq_envelope(f0: Integrand, A, mesh_schedule=DEFAULT_MESH_SCHEDULE, x0=(0.0, 0.0),
@@ -316,8 +398,7 @@ def sq_envelope(f0: Integrand, A, mesh_schedule=DEFAULT_MESH_SCHEDULE, x0=(0.0, 
         raise ValueError("sq_envelope requires a v-independent integrand")
     A = np.asarray(A, dtype=float).reshape(2, 2)
     solver = solver or SolverParams(multistarts=8)
-    samples = []
-    diags = {}
+    rows = []
     prev: GridDisplacement | None = None
     for mesh in mesh_schedule:
         spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=int(mesh),
@@ -325,15 +406,11 @@ def sq_envelope(f0: Integrand, A, mesh_schedule=DEFAULT_MESH_SCHEDULE, x0=(0.0, 
         extra = []
         if prev is not None and mesh % prev.grid.mesh == 0:
             factor = mesh // prev.grid.mesh
-            if factor > 1:
-                extra.append(prolong(prev, factor).values)
-            elif factor == 1:
-                extra.append(prev.values)
+            extra.append(prev.values if factor == 1 else prolong(prev, factor).values)
         sol = solve_ld(spec, f0, extra_starts=extra)
-        samples.append((int(mesh), sol.value))
-        diags[int(mesh)] = sol.diagnostics
+        rows.append(_sample(int(mesh), sol))
         prev = sol.argmin
-    return DensityEstimate.from_samples(samples, diagnostics=diags)
+    return DensityEstimate.from_samples(rows)
 
 
 def jump_density(f0, x0, v_minus, v_plus, nu, eps_schedule=DEFAULT_EPS_SCHEDULE,
@@ -351,35 +428,27 @@ def jump_density(f0, x0, v_minus, v_plus, nu, eps_schedule=DEFAULT_EPS_SCHEDULE,
     v_plus = np.asarray(v_plus, dtype=float).reshape(2)
     if np.allclose(v_minus, v_plus):
         raise ValueError("v_plus must differ from v_minus")
-    x0 = np.asarray(x0, dtype=float).reshape(2)
-    solver = solver or SolverParams()
-    data = JumpData(v_minus=v_minus, v_plus=v_plus, nu=nu)
-    frame = frame_for_normal(nu)
+    spec = CellSpec(boundary=JumpData(v_minus=v_minus, v_plus=v_plus, nu=nu), mesh=mesh,
+                    solver=solver or SolverParams(), frame=frame_for_normal(nu),
+                    freeze_x=np.asarray(x0, dtype=float).reshape(2))
     sbd_pair = isinstance(f0, tuple)
     if variant == "bis":
         if sbd_pair:
             raise ValueError("bis variant applies to the bulk-only form")
         if f0.recession_exact is None:
             raise ValueError(f"integrand {f0.name} exposes no exact recession")
-        spec = CellSpec(boundary=data, mesh=mesh, solver=solver, frame=frame, freeze_x=x0)
-        sol = solve_ld(spec, f0.recession_exact)
-        return DensityEstimate.from_samples([(0.0, sol.value)],
-                                            diagnostics={"bis": sol.diagnostics})
-    samples = []
-    diags = {}
-    for eps in eps_schedule:
-        spec = CellSpec(boundary=data, mesh=mesh, solver=solver, frame=frame, freeze_x=x0)
-        eps = float(eps)
+        return DensityEstimate.from_samples([_sample(0.0, solve_ld(spec, f0.recession_exact))])
+
+    def solve(eps):
         if sbd_pair:
             f1, g1 = f0
             # eps f1(x0, eps w, e(w)/eps): the v-offset, then the jump rescaling
             f_eps = reparametrize(reparametrize(f1, v0=np.zeros(2), eps_v=eps), c=eps, s_A=eps)
-            sol = solve_sbd(spec, f_eps, g1)
-        else:
-            sol = solve_ld(spec, reparametrize(f0, c=eps, s_A=eps))
-        samples.append((eps, sol.value))
-        diags[eps] = sol.diagnostics
-    return DensityEstimate.from_samples(samples, diagnostics=diags)
+            return solve_sbd(spec, f_eps, g1)
+        return solve_ld(spec, reparametrize(f0, c=eps, s_A=eps))
+
+    return DensityEstimate.from_samples(_sample(eps, solve(eps))
+                                        for eps in map(float, eps_schedule))
 
 
 def recession(f_eval, x0, v, A, t_schedule=DEFAULT_T_SCHEDULE) -> DensityEstimate:

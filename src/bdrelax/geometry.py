@@ -163,8 +163,8 @@ def segment_panels(p, q, breaks_t: list[float], panels: int):
     """Split the segment p->q at relative positions breaks_t (in (0,1)) and
     subdivide each piece into roughly `panels` equal panels overall.
 
-    Returns a list of (midpoints (k,2), half-length vectors) suitable for
-    Gauss quadrature along the segment.
+    Returns the arrays (mid, half): panel midpoints (k, 2) and half-length
+    vectors (k, 2), suitable for Gauss quadrature along the segment.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

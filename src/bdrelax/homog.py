@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cellsolver import (AffineData, CellSpec, Grid, GridDisplacement, Integrand,
-                         SolverParams, abs_sym, raw_energy, solve_ld, solve_periodic)
-from .density import DensityEstimate
+                         SolverParams, raw_energy, solve_ld, solve_periodic)
+from .density import DensityEstimate, abs_sym
 from .geometry import Box
 from .tensor import frob
 
@@ -58,18 +58,16 @@ def fhom_dirichlet(spec: HomogSpec) -> DensityEstimate:
     extrapolation removes it with a two-point fit linear in 1/T (it
     degenerates to the last sample for a single-entry schedule).
     """
-    samples = []
-    diags = {}
-    for T in spec.T_schedule:
-        box = Box.cube((0.0, 0.0), float(T))
-        cell = CellSpec(boundary=AffineData(spec.A, np.zeros(2)),
-                        mesh=T * spec.mesh_per_period, box=box, solver=spec.solver)
+
+    def sample(T):
+        cell = CellSpec(boundary=AffineData(spec.A, np.zeros(2)), mesh=T * spec.mesh_per_period,
+                        box=Box.cube((0.0, 0.0), float(T)), solver=spec.solver)
         sol = solve_ld(cell, spec.f0)
-        samples.append((T, sol.value / float(T) ** 2))
-        diags[T] = sol.diagnostics
-    est = DensityEstimate.from_samples(samples, diagnostics=diags)
-    if len(samples) >= 2:
-        (t1, f1), (t2, f2) = samples[-2], samples[-1]
+        return T, sol.value / float(T) ** 2, sol.diagnostics
+
+    est = DensityEstimate.from_samples(map(sample, spec.T_schedule))
+    if len(est.samples) >= 2:
+        (t1, f1), (t2, f2) = est.samples[-2:]
         s1, s2 = 1.0 / t1, 1.0 / t2
         est.extrapolated = f2 + s2 * (f2 - f1) / (s1 - s2)
         est.converged = abs(f2 - f1) <= max(1e-8, 0.1 * abs(est.extrapolated))

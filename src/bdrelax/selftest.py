@@ -10,9 +10,10 @@ import numpy as np
 
 from .bdmodel import SmoothSinusoid, StructuredBD
 from .blowup import BlowupFrame, ProfilePair, normalize_profile, rescale
-from .cellsolver import AffineData, CellSpec, SolverParams, abs_sym, solve_ld, sqrt1plus_sym
-from .density import (A0, convex_envelope_witness_A0, integrand_evaluator, jump_density,
-                      laminate_a, mueller_h, mueller_h_integrand, recession, sq_envelope)
+from .cellsolver import AffineData, CellSpec, SolverParams, solve_ld
+from .density import (A0, abs_sym, convex_envelope_witness_A0, integrand_evaluator,
+                      jump_density, laminate_a, mueller_h, mueller_h_integrand, recession,
+                      sq_envelope, sqrt1plus_sym)
 from .geometry import Box
 from .homog import (HomogSpec, fhom_dirichlet, fhom_periodic, fold, fold_emass, fold_energy,
                     make_periodic_competitor)

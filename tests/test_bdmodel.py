@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bdrelax.bdmodel import (BoundaryChargedBox, CantorProfile, ExplicitStaircase, JumpPlane,
-                             Profile, SmoothAffine, SmoothSinusoid, StructuredBD, combine,
-                             emeasure, total_variation, trace_pair, tv_mass_exact)
+                             Profile, SmoothAffine, SmoothPolynomial, SmoothSinusoid,
+                             StructuredBD, combine, emeasure, total_variation, trace_pair,
+                             tv_mass_exact)
 from bdrelax.geometry import Box
 from bdrelax.tensor import frob, odot, sym
 
@@ -195,6 +196,19 @@ def test_mean_exactness():
     uj = StructuredBD.two_constant((0.0, 0.0), E2, E1)
     K = Box(lo=(-0.5, 0.0), hi=(1.5, 1.0))
     assert np.allclose(uj.mean(K), E2 * (1.5 / 2.0), atol=1e-14)
+    # sinusoid mean in its four frequency cases, against the mean of
+    # Im exp(i (p x + q y + phase)) as a product of two 1-d integrals
+    (x0, y0), (x1, y1) = box.lo, box.hi
+
+    def mean_1d(p, a, b):
+        return 1.0 if p == 0.0 else (np.exp(1j * p * b) - np.exp(1j * p * a)) / (1j * p * (b - a))
+
+    for f in ((1.0, 2.0), (0.0, 1.5), (0.75, 0.0), (0.0, 0.0)):
+        a, ph = np.array([0.4, -1.3]), 0.7
+        u = StructuredBD(smooth=SmoothSinusoid([(a, f, ph)]))
+        p, q = 2.0 * np.pi * f[0], 2.0 * np.pi * f[1]
+        expected = a * (np.exp(1j * ph) * mean_1d(p, x0, x1) * mean_1d(q, y0, y1)).imag
+        assert np.allclose(u.mean(box), expected, atol=1e-14), f
 
 
 def test_json_round_trip():
@@ -213,6 +227,17 @@ def test_json_round_trip():
         offset=-0.4)))
     u4 = StructuredBD.from_json(u3.to_json())
     assert np.allclose(u3.value(pts), u4.value(pts), atol=1e-12)
+    # the polynomial and sinusoid smooth parts of a BD spec
+    coeffs = np.arange(18, dtype=float).reshape(2, 3, 3) / 10.0 - 0.8
+    for smooth in (SmoothPolynomial(coeffs),
+                   SmoothSinusoid([((0.5, -0.2), (1.0, 2.0), 0.4), ((0.1, 0.3), (0.0, 1.0), 0.0)])):
+        u5 = StructuredBD(smooth=smooth, jumps=u.jumps)
+        d = json.loads(json.dumps(u5.to_json()))
+        assert d["smooth"]["type"] == smooth.kind
+        u6 = StructuredBD.from_json(d)
+        assert type(u6.smooth) is type(smooth)
+        assert np.array_equal(u5.value(pts), u6.value(pts))
+        assert np.array_equal(u5.smooth.grad(pts), u6.smooth.grad(pts))
 
 
 STAIR5 = StructuredBD.staircase(depth=5, total_mass=1, support=(0, 1))

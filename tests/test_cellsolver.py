@@ -7,12 +7,12 @@ import pytest
 
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
                                 Integrand, JumpData, SolverParams, _q1_quadrature,
-                                _stack_conn,
-                                _sbd_objective, abs_sym, energy_and_grad,
-                                frame_for_normal, g_odot, g_penalty, m_continuity_check,
-                                prolong, raw_energy, reparametrize, scaled, solve_ld,
-                                solve_periodic, solve_sbd, sqrt1plus_sym)
-from bdrelax.density import A0, laminate_a, mueller_h_integrand, vmin_abs
+                                _sbd_objective, _stack_conn, energy_and_grad,
+                                frame_for_normal, m_continuity_check, prolong, raw_energy,
+                                reparametrize, solve_ld, solve_periodic, solve_sbd)
+from bdrelax.density import (A0, abs_sym, g_odot, g_penalty, laminate_a, mueller_f_eps,
+                             mueller_h_integrand, scaled, sqrt1plus_sym,
+                             truncated_neg_sym_sq, vmin_abs)
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
@@ -57,19 +57,27 @@ def test_sqrt1plus_zero_data():
     assert sol.value == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("f", [
-    sqrt1plus_sym(),
+@pytest.mark.parametrize("f, scale", [
+    (sqrt1plus_sym(), 1.0),
     # v-dependent: the chained v- and A-derivatives of the reparametrization
-    reparametrize(vmin_abs(mu=1e-2), c=0.5, v0=(0.3, -0.2), eps_v=0.5,
-                  A0=[[0.1, 0.2], [0.2, -0.1]], s_A=0.25),
-], ids=["sqrt1plus-sym", "vmin-abs-reparametrized"])
-def test_gradient_consistency(f):
+    (reparametrize(vmin_abs(mu=1e-2), c=0.5, v0=(0.3, -0.2), eps_v=0.5,
+                   A0=[[0.1, 0.2], [0.2, -0.1]], s_A=0.25), 1.0),
+    # the hand-written sum of the mueller-h and eps |sym A| gradients
+    (mueller_f_eps(0.1, mu=1e-2), 1.0),
+    # a small field keeps every strain inside |sym A| < 1, where the gradient is nonzero
+    (truncated_neg_sym_sq(), 0.02),
+], ids=["sqrt1plus-sym", "vmin-abs-reparametrized", "mueller-f-eps", "truncated-neg-sym-sq"])
+def test_gradient_consistency(f, scale):
     # finite differences against the assembled gradient
     grid = Grid(Box.cube((0.0, 0.0), 1.0), 4)
-    U = RNG.normal(size=(grid.n_nodes, 2))
+    U = scale * RNG.normal(size=(grid.n_nodes, 2))
+    if scale < 1.0:  # every quadrature-point strain lies inside the unit ball
+        strain = sym(np.einsum("qaj,eak->eqkj", grid.dN, U[grid.conn]))
+        assert frob(strain).max() < 1.0
     e0, g0 = energy_and_grad(grid, U, f)
     h = 1e-7
     for idx in [(0, 0), (7, 1), (12, 0)]:
+        assert g0[idx] != 0.0
         U2 = U.copy()
         U2[idx] += h
         e2, _ = energy_and_grad(grid, U2, f)
@@ -447,6 +455,9 @@ def test_energy_wall_shortens_the_step():
 def test_bad_spec():
     with pytest.raises(BadSpec):
         CellSpec(boundary=AffineData(np.eye(2), np.zeros(2)), mesh=3)
+    for starts in (0, -3):
+        with pytest.raises(BadSpec, match="multistarts"):
+            SolverParams(multistarts=starts)
 
 
 def test_flag_checks():
@@ -627,11 +638,17 @@ def test_m_continuity_lipschitz_slope():
 
 
 def test_prolong_is_exact_embedding():
-    grid = Grid(Box.cube((0.0, 0.0), 1.0), 4)
-    w = GridDisplacement(grid=grid, values=RNG.normal(size=(grid.n_nodes, 2)))
-    w2 = prolong(w, 2)
-    pts = RNG.uniform(-0.5, 0.5, size=(40, 2))
-    assert np.allclose(w.value(pts), w2.value(pts), atol=1e-13)
+    # the axis frame, then a frame rotated by 1e-9 rad, within allclose of I
+    for frame in (None, frame_for_normal((math.cos(1e-9), math.sin(1e-9)))):
+        grid = Grid(Box.cube((0.0, 0.0), 1.0), 4, frame=frame)
+        w = GridDisplacement(grid=grid, values=RNG.normal(size=(grid.n_nodes, 2)))
+        w2 = prolong(w, 2)
+        pts = RNG.uniform(-0.5, 0.5, size=(40, 2))
+        assert np.allclose(w.value(pts), w2.value(pts), atol=1e-13)
+        # the fine grid keeps the coarse grid's frame, and the coarse nodes
+        assert np.array_equal(w2.grid.R, grid.R)
+        assert np.array_equal(w2.grid.nodes.reshape(9, 9, 2)[::2, ::2].reshape(-1, 2),
+                              grid.nodes)
 
 
 def test_scaled_integrand():

@@ -79,6 +79,15 @@ def test_validation_errors(tmp_path, capsys):
     assert code == 2
     code = main(["not-a-command"])
     assert code == 2
+    capsys.readouterr()
+    # a nonpositive start count is an error, also where mueller raises it to 8
+    for starts in ("-3", "0"):
+        for argv in (["sq", "--integrand", "abs-sym", "--A", "1,0;0,1", "--mesh", "4"],
+                     ["mueller", "--matrix", "Id", "--mesh", "4"]):
+            code, out = run_cli(tmp_path, "--multistarts", starts, *argv)
+            assert code == 2
+            assert capsys.readouterr().err.splitlines() == ["error: multistarts must be >= 1"]
+            assert not out.exists()
 
 
 def test_mueller_command(tmp_path, capsys):

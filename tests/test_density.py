@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from bdrelax.cellsolver import SolverParams, abs_sym, scaled, sqrt1plus_sym
-from bdrelax.density import (A0, DensityEstimate, bulk_density,
+from bdrelax.cellsolver import SolverParams
+from bdrelax.density import (A0, DensityEstimate, abs_sym, bulk_density,
                              check_symmetric_quasiconvexity, convex_envelope_witness_A0,
                              get_integrand, get_surface_integrand, integrand_evaluator,
                              jump_density, laminate_a, mueller_f_eps, mueller_h,
-                             mueller_h_integrand, recession, sq_envelope,
-                             truncated_neg_sym_sq, vmin_abs)
+                             mueller_h_integrand, recession, scaled, sq_envelope,
+                             sqrt1plus_sym, truncated_neg_sym_sq, vmin_abs)
 from bdrelax.tensor import frob, odot, sym
 
 X0 = (0.0, 0.0)
@@ -94,6 +94,7 @@ def test_bulk_density_convex_v_independent():
     for _, v in est.samples:
         assert v == pytest.approx(frob(A), abs=1e-5)
     assert est.converged
+    assert list(est.diagnostics) == [k for k, _ in est.samples] == [1.0, 0.5]
 
 
 def test_bulk_density_zero_matrix():
@@ -175,6 +176,7 @@ def test_jump_density_bis_variant():
     bis = jump_density(f, X0, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), variant="bis", mesh=16)
     target = frob(odot(np.array([0.0, 1.0]), np.array([1.0, 0.0])))
     assert bis.extrapolated == pytest.approx(target, rel=0.05)
+    assert list(bis.diagnostics) == [k for k, _ in bis.samples] == [0.0]
     with pytest.raises(ValueError, match="recession"):
         jump_density(laminate_a(), X0, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), variant="bis")
 
@@ -263,5 +265,10 @@ def test_density_estimate_invariants():
     assert est.extrapolated == 2.0 and est.spread == 0.0
     est2 = DensityEstimate.from_samples([(1.0, 2.0), (0.5, 1.5)])
     assert est2.extrapolated == 1.5 and est2.spread == 0.5
+    assert est.diagnostics == est2.diagnostics == {}
+    # a solved cell's row carries its diagnostics, keyed by the sample key
+    est3 = DensityEstimate.from_samples([(8, 2.0, {"iters": 3}), (16, 1.5, {"iters": 5})])
+    assert est3.samples == [(8, 2.0), (16, 1.5)] and est3.spread == 0.5
+    assert est3.diagnostics == {8: {"iters": 3}, 16: {"iters": 5}}
     with pytest.raises(ValueError):
         DensityEstimate.from_samples([])

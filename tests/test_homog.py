@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bdrelax.cellsolver import abs_sym, sqrt1plus_sym
-from bdrelax.density import laminate_a, mueller_h_integrand
+from bdrelax.density import abs_sym, laminate_a, mueller_h_integrand, sqrt1plus_sym
 from bdrelax.homog import (FoldError, HomogError, HomogSpec, fhom_dirichlet, fhom_periodic,
                            fold, fold_emass, fold_energy, make_periodic_competitor)
 from bdrelax.tensor import frob, sym

@@ -58,3 +58,20 @@ def test_no_threads_outside_util():
                 names.update(node.module.split("."))
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in sorted(names & banned)]
     assert not offenders, f"thread pools named outside util.py: {offenders}"
+
+
+def test_integrand_corpus_stays_in_density():
+    """Only density.py builds Integrand and SurfaceIntegrand values, and no
+    module imports the corpus helper _smooth_norm: the corpus has one home
+    and the cell solver defines only the types it reads."""
+    constructors = {"Integrand", "SurfaceIntegrand"}
+    offenders = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (path.name != "density.py" and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id in constructors):
+                offenders.append(f"{path.name}:{node.lineno}: {node.func.id}(...)")
+            if isinstance(node, ast.ImportFrom):
+                offenders += [f"{path.name}:{node.lineno}: imports {a.name}"
+                              for a in node.names if a.name == "_smooth_norm"]
+    assert not offenders, f"integrand corpus outside density.py: {offenders}"

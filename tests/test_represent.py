@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdrelax.bdmodel import BoundaryChargedBox, JumpPlane, StructuredBD
-from bdrelax.cellsolver import abs_sym
+from bdrelax.density import abs_sym
 from bdrelax.geometry import Box
 from bdrelax.represent import (MollifiedField, Representation, assemble,
                                densities_from_integrand, mollified_energy,
@@ -133,7 +133,7 @@ def test_relaxation_staircase_close_by_level_4():
 
 
 def test_relaxation_requires_structure():
-    from bdrelax.cellsolver import sqrt1plus_sym
+    from bdrelax.density import sqrt1plus_sym
 
     u = StructuredBD.affine(np.eye(2))
     with pytest.raises(ValueError, match="one-homogeneous"):

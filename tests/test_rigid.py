@@ -64,6 +64,24 @@ def test_mk_boundary_face_splitting_exact_for_jump_plus_affine():
     assert np.allclose(mb, mv, atol=1e-13)
 
 
+@pytest.mark.parametrize("eta, xi, box", [
+    (E1, E2, Box.cube((0.5, 0.0), 1.5)),  # holds the whole support
+    (E1, E2, Box((0.2, -0.3), (0.9, 0.4))),  # cuts the support
+    ((0.6, 0.8), (-0.8, 0.6), Box((0.1, -0.2), (0.7, 0.5))),  # oblique planes
+], ids=["whole", "cut", "oblique"])
+def test_mk_volume_profile_matches_boundary(eta, xi, box):
+    # the staircase atoms enter M_K_volume through the profile branch and
+    # M_K_boundary through the face breaks; both are exact here
+    u = StructuredBD.staircase(depth=4, total_mass=1, support=(0, 1), eta=eta, xi=xi, beta=0.3)
+    mv = M_K_volume(u, box, cells=4)
+    assert np.allclose(mv, M_K_boundary(u, box, panels=4), atol=1e-13)
+    assert frob(mv) > 0.1
+    if box.lo[0] < 0.0:
+        # Du(K) = (total mass x chord) xi (x) eta + beta |K| eta (x) xi
+        du = 1.5 * np.outer(E2, E1) + 0.3 * box.volume * np.outer(E1, E2)
+        assert np.allclose(mv, (du - du.T) / (2.0 * box.volume), atol=1e-15)
+
+
 def test_boundary_charged_face():
     u = StructuredBD.two_constant((0.0, 0.0), E2, E2)  # plane x2 = 0
     box = Box(lo=(-0.5, 0.0), hi=(0.5, 1.0))
