@@ -5,8 +5,9 @@ optional Cantor-staircase profile.
 The symmetrized distributional derivative of such a field splits into an
 absolutely continuous density, jump atoms carried by the planes, and
 "singular-profile" atoms carried by the staircase. The staircase lives at
-finite construction depth, so its derivative is technically atomic; the
-atoms are tagged separately so downstream consumers can pair them with a
+finite construction depth, so its derivative is technically atomic; both
+kinds of atom sit in the one list `StructuredBD.atoms()`, where a staircase
+atom has no jump-plane index, so downstream consumers can pair it with a
 recession density rather than a surface density.
 
 Masses are tracked with exact rational coefficients (one irrational unit
@@ -49,11 +50,6 @@ class Mass:
             self.terms[key][0] += coeff
         else:
             self.terms[key] = [coeff, float(unit)]
-
-    def __iadd__(self, other: "Mass") -> "Mass":
-        for k, (q, u) in other.terms.items():
-            self.add(k, q, u)
-        return self
 
     @property
     def value(self) -> float:
@@ -418,6 +414,30 @@ class Profile:
 
 
 @dataclass(frozen=True)
+class Atom:
+    """One plane of the singular part of Eu: the field gains q * a across
+    {x . n = c}. A jump plane has q = 1 and `plane` its index in u.jumps; a
+    staircase atom has n = eta, a = xi, its exact position c and jump q, and
+    plane = None. Its mass is q |a (.) n| per unit plane length."""
+
+    n: np.ndarray
+    c: float | Fraction
+    a: np.ndarray
+    q: Fraction
+    plane: int | None
+
+    @cached_property
+    def norm(self) -> float:
+        """|a (.) n|."""
+        return float(frob(odot(self.a, self.n)))
+
+    @cached_property
+    def polar(self) -> np.ndarray:
+        """(a (.) n) / |a (.) n|; read only where norm > 0."""
+        return odot(self.a, self.n) / self.norm
+
+
+@dataclass(frozen=True)
 class StructuredBD:
     """smooth closed-form part + finite jump-plane list + staircase profile."""
 
@@ -456,16 +476,14 @@ class StructuredBD:
                        staircase=CantorProfile.make(depth, total_mass, support))
         return StructuredBD(profile=prof)
 
-    def with_smooth(self, smooth) -> "StructuredBD":
-        return StructuredBD(smooth=smooth, jumps=self.jumps, profile=self.profile)
-
     def plus_rigid(self, L, v) -> "StructuredBD":
         """Add the rigid motion L x + v (exact on the affine part)."""
         L = np.asarray(L, dtype=float).reshape(2, 2)
         v = np.asarray(v, dtype=float).reshape(2)
         if not isinstance(self.smooth, SmoothAffine):
             raise NotImplementedError("plus_rigid needs an affine smooth part")
-        return self.with_smooth(SmoothAffine(self.smooth.A + L, self.smooth.v + v))
+        return StructuredBD(smooth=SmoothAffine(self.smooth.A + L, self.smooth.v + v),
+                            jumps=self.jumps, profile=self.profile)
 
     def without_jump(self, i: int) -> "StructuredBD":
         """The field with jump plane i removed: continuous across that plane."""
@@ -473,13 +491,20 @@ class StructuredBD:
         return StructuredBD(smooth=self.smooth, jumps=self.jumps[:i] + self.jumps[i + 1:],
                             profile=self.profile)
 
-    def planes(self) -> list[tuple[np.ndarray, float]]:
-        """(nu, c) of every atom plane {x . nu = c}: the jump planes, then
-        one plane x . eta = t per staircase atom."""
-        out = [(j.nu, j.c) for j in self.jumps]
+    def atoms(self) -> tuple["Atom", ...]:
+        """The singular part of Eu as one list of planes: the jump planes in
+        order, then one atom per staircase jump, in staircase order."""
+        return self._atoms
+
+    @cached_property
+    def _atoms(self) -> tuple["Atom", ...]:
+        # built once per field: every measure, moment and representation walk reads it
+        out = [Atom(n=j.nu, c=j.c, a=j.dv, q=Fraction(1), plane=i)
+               for i, j in enumerate(self.jumps)]
         if self.profile is not None:
-            out += [(self.profile.eta, float(t)) for t, _ in self.profile.staircase.atoms()]
-        return out
+            p = self.profile
+            out += [Atom(n=p.eta, c=t, a=p.xi, q=q, plane=None) for t, q in p.staircase.atoms()]
+        return tuple(out)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -493,9 +518,6 @@ class StructuredBD:
             out = out + p.staircase.value(X @ p.eta)[:, None] * p.xi[None, :]
             out = out + p.beta * (X @ p.xi)[:, None] * p.eta[None, :]
         return out
-
-    def __call__(self, X) -> np.ndarray:
-        return self.value(X)
 
     def grad_ac(self, X) -> np.ndarray:
         """Absolutely continuous part of the full gradient at X."""
@@ -603,67 +625,15 @@ def combine(u1: StructuredBD, u2: StructuredBD) -> StructuredBD:
 
 
 # ---------------------------------------------------------------------------
-# E-measure decomposition
-
-
-@dataclass(frozen=True)
-class JumpAtom:
-    plane: int  # index of the carrying plane in u.jumps
-    nu: np.ndarray
-    c: float
-    dv: np.ndarray
-    polar: np.ndarray
-    surface_density: float  # |dv (.) nu| per unit plane length
-
-
-@dataclass(frozen=True)
-class SingularAtom:
-    """One staircase jump, tagged singular-profile for recession pairing."""
-
-    eta: np.ndarray
-    xi: np.ndarray
-    t: Fraction
-    coeff: Fraction  # psi-jump size; E-mass per unit cross-section = coeff * unit_norm
-    polar: np.ndarray
-    unit_norm: float  # |eta (.) xi|
-
-
-@dataclass(frozen=True)
-class EMeasure:
-    ac_density: object  # X (m,2) -> (m,2,2) symmetric
-    jump_atoms: tuple[JumpAtom, ...]
-    singular_atoms: tuple[SingularAtom, ...]
-
-
-def emeasure(u: StructuredBD) -> EMeasure:
-    """Exact decomposition of Eu into ac / jump / singular-profile parts."""
-    jump_atoms = []
-    for i, j in enumerate(u.jumps):
-        m = odot(j.dv, j.nu)
-        dens = float(frob(m))
-        if dens == 0.0:
-            continue
-        jump_atoms.append(JumpAtom(plane=i, nu=j.nu, c=j.c, dv=j.dv, polar=m / dens,
-                                   surface_density=dens))
-    singular = []
-    if u.profile is not None:
-        p = u.profile
-        m = odot(p.eta, p.xi)
-        un = float(frob(m))
-        if un == 0.0:
-            raise ValueError("profile with eta (.) xi = 0")
-        polar = m / un
-        for t, q in p.staircase.atoms():
-            singular.append(SingularAtom(eta=p.eta, xi=p.xi, t=t, coeff=q, polar=polar, unit_norm=un))
-    return EMeasure(ac_density=u.e_ac, jump_atoms=tuple(jump_atoms), singular_atoms=tuple(singular))
+# measures over boxes
 
 
 def _check_boundary_charge(u: StructuredBD, box: Box, what: str) -> None:
     lo, hi = np.asarray(box.lo), np.asarray(box.hi)
-    for nu, c in u.planes():
+    for atom in u.atoms():
         for k in range(2):
-            if abs(abs(nu[k]) - 1.0) < 1e-12:
-                coord = c / nu[k]
+            if abs(abs(atom.n[k]) - 1.0) < 1e-12:
+                coord = float(atom.c) / atom.n[k]
                 if abs(coord - lo[k]) < 1e-12 or abs(coord - hi[k]) < 1e-12:
                     raise BoundaryChargedBox(what)
 
@@ -671,26 +641,20 @@ def _check_boundary_charge(u: StructuredBD, box: Box, what: str) -> None:
 def _mass(u: StructuredBD, center, area, chord) -> Mass:
     """|Eu| of a region as exact per-family terms: the constant ac density
     at `center` times `area` (skipped when area is None), every jump atom,
-    and the staircase atoms summed into one profile term. `chord(nu, c)`
-    is the exact length of {x . nu = c} inside the region, as a Fraction."""
+    and the staircase atoms summed into one profile term. `chord(n, c)`
+    is the exact length of {x . n = c} inside the region, as a Fraction."""
     out = Mass()
     if area is not None:
         e0 = u.e_ac(center[None, :])[0]
         dens = float(frob(e0))
         if dens > 0.0:
             out.add(("ac", e0.tobytes()), area, dens)
-    for j in u.jumps:
-        seg = chord(j.nu, j.c)
-        if seg > 0:
-            dens = float(frob(odot(j.dv, j.nu)))
-            if dens > 0.0:
-                out.add(("jump", j.nu.tobytes(), j.dv.tobytes()), seg, dens)
-    if u.profile is not None:
-        p = u.profile
-        un = float(frob(odot(p.eta, p.xi)))
-        coef = sum((q * chord(p.eta, t) for t, q in p.staircase.atoms()), Fraction(0))
-        if coef > 0 and un > 0.0:
-            out.add(("prof", p.eta.tobytes(), p.xi.tobytes()), coef, un)
+    for atom in u.atoms():
+        # chord raises on a charged or oblique plane, also for an atom of no mass
+        coef = atom.q * chord(atom.n, atom.c)
+        if atom.norm > 0.0:
+            family = "jump" if atom.plane is not None else "prof"
+            out.add((family, atom.n.tobytes(), atom.a.tobytes()), coef, atom.norm)
     return out
 
 

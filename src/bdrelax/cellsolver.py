@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Box, gauss_rule
+from .geometry import Box, gauss_rule, segment_midpoints
 from .minimize import lbfgs_steps
 from .tensor import frob, sym
 
@@ -506,14 +506,11 @@ def solve_periodic(spec: CellSpec, f: Integrand) -> LDSolution:
 def boundary_l1_gap(spec: CellSpec, data1, data2) -> float:
     """Midpoint-rule integral of |data1 - data2| over the box boundary,
     256 panels per edge."""
-    panels_per_edge = 256
     grid = Grid(spec.box, 1, frame=spec.frame)
     total = 0.0
     for p, q, _ in Box(spec.box.lo, spec.box.hi).faces():
-        ts = (np.arange(panels_per_edge) + 0.5) / panels_per_edge
-        pts_ref = p[None, :] + ts[:, None] * (q - p)[None, :]
+        pts_ref, seg = segment_midpoints(p, q, 256)
         pts = pts_ref @ grid.R.T
-        seg = np.linalg.norm((q - p) @ grid.R.T) / panels_per_edge
         d = data1.value(pts) - data2.value(pts)
         total += float(np.sum(np.sqrt((d * d).sum(axis=1)))) * seg
     return total

@@ -66,16 +66,11 @@ def parse_vector(s: str) -> np.ndarray:
 
 
 def parse_schedule(s: str):
-    out = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        if "/" in tok:
-            out.append(Fraction(tok))
-        else:
-            out.append(float(tok))
-    if not out:
-        raise ValidationError("empty schedule")
-    return out
+    try:
+        return [Fraction(tok) if "/" in tok else float(tok)
+                for tok in (t.strip() for t in s.split(","))]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse schedule {s!r} (expect 'a,b/c,...')") from exc
 
 
 def parse_box(s: str) -> Box:
@@ -110,10 +105,14 @@ def _json_default(o):
     return str(o)
 
 
+# options that cannot change a result stay out of config-hash; fn, the
+# dispatch function, would put a memory address into it
+_NOT_HASHED = ("fn", "out", "format", "log", "config", "jobs")
+
+
 def _emit(args, command: str, payload: dict, csv_header=None, csv_rows=None) -> None:
     os.makedirs(args.out, exist_ok=True)
-    # fn, the dispatch function, would put a memory address into the hash
-    cfg = {k: v for k, v in vars(args).items() if k != "fn"}
+    cfg = {k: v for k, v in vars(args).items() if k not in _NOT_HASHED}
     summary = {"command": command, "config-hash": _config_hash(cfg), "seed": args.seed,
                "version": __version__, **payload}
     text = json.dumps(summary, sort_keys=True, indent=2, default=_json_default)

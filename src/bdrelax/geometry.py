@@ -159,6 +159,14 @@ def box_quadrature(box: Box, cells: int, npts: int = 2):
     return pts, W
 
 
+def segment_midpoints(p, q, panels: int):
+    """Midpoint rule on the segment p->q with `panels` equal panels:
+    (midpoints (panels, 2), panel length)."""
+    ts = (np.arange(panels) + 0.5) / panels
+    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
+    return pts, float(np.linalg.norm(q - p)) / panels
+
+
 def segment_panels(p, q, breaks_t: list[float], panels: int):
     """Split the segment p->q at relative positions breaks_t (in (0,1)) and
     subdivide each piece into roughly `panels` equal panels overall.

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bdmodel import StructuredBD, _check_boundary_charge, emeasure
+from .bdmodel import StructuredBD, _check_boundary_charge
 from .cellsolver import Integrand
-from .geometry import Box, box_plane_chord, box_quadrature
+from .geometry import Box, box_plane_chord, box_quadrature, segment_midpoints
 from .tensor import odot
 
 
@@ -27,16 +27,9 @@ class Representation:
 LINE_PANELS = 256  # midpoint panels per atom chord
 
 
-def _line_quadrature(p, q):
-    ts = (np.arange(LINE_PANELS) + 0.5) / LINE_PANELS
-    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-    seg = float(np.linalg.norm(q - p)) / LINE_PANELS
-    return pts, seg
-
-
 def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64) -> Representation:
-    """Pair the exact E-measure decomposition of u with the batched
-    densities f(X, V, A), g(X, VM, VP, NU) and finf(X, V, P):
+    """Pair the parts of Eu (the ac density and the atoms of u.atoms())
+    with the batched densities f(X, V, A), g(X, VM, VP, NU) and finf(X, V, P):
 
     bulk   = integral of f(x, u(x), e(u)(x)) over the box,
     jump   = integral of g(x, u-, u+, nu) over the jump planes in the box,
@@ -44,33 +37,22 @@ def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64) -> Represent
              atoms, with u at an atom taken as the two-sided midpoint.
     """
     _check_boundary_charge(u, box, "boundary-charged box")
-    em = emeasure(u)
     pts, w = box_quadrature(box, cells=quad, npts=2)
-    vals = u.value(pts)
-    eac = u.e_ac(pts)
-    bulk = float(np.sum(w * f(pts, vals, eac)))
-    jump = 0.0
-    for atom in em.jump_atoms:
-        chord = box_plane_chord(box, atom.nu, atom.c)
+    bulk = float(np.sum(w * f(pts, u.value(pts), u.e_ac(pts))))
+    jump = cantor = 0.0
+    for atom in u.atoms():
+        chord = box_plane_chord(box, atom.n, float(atom.c)) if atom.norm > 0.0 else None
         if chord is None:
             continue
-        qpts, seg = _line_quadrature(*chord)
-        base = u.without_jump(atom.plane).value(qpts)
-        vm, vp = base, base + atom.dv[None, :]
-        jump += seg * float(np.sum(g(qpts, vm, vp, np.broadcast_to(atom.nu, qpts.shape))))
-    cantor = 0.0
-    if u.profile is not None:
-        p = u.profile
-        for atom in em.singular_atoms:
-            plane_c = float(atom.t)
-            chord = box_plane_chord(box, p.eta, plane_c)
-            if chord is None:
-                continue
-            qpts, seg = _line_quadrature(*chord)
-            vals_atom = u.value(qpts) - 0.5 * float(atom.coeff) * p.xi[None, :]
-            mass_per_len = float(atom.coeff) * atom.unit_norm
-            dens = finf(qpts, vals_atom, np.broadcast_to(atom.polar, (len(qpts), 2, 2)))
-            cantor += seg * mass_per_len * float(np.sum(dens))
+        qpts, seg = segment_midpoints(*chord, LINE_PANELS)
+        if atom.plane is not None:
+            base = u.without_jump(atom.plane).value(qpts)
+            nu = np.broadcast_to(atom.n, qpts.shape)
+            jump += seg * float(np.sum(g(qpts, base, base + atom.a[None, :], nu)))
+        else:
+            vals = u.value(qpts) - 0.5 * float(atom.q) * atom.a[None, :]
+            dens = finf(qpts, vals, np.broadcast_to(atom.polar, (len(qpts), 2, 2)))
+            cantor += seg * (float(atom.q) * atom.norm) * float(np.sum(dens))
     return Representation(bulk=bulk, jump=jump, cantor=cantor)
 
 
@@ -118,13 +100,9 @@ class MollifiedField:
     in the strain."""
 
     def __init__(self, u: StructuredBD, width: float):
-        for j in u.jumps:
-            if max(abs(j.nu[0]), abs(j.nu[1])) < 1.0 - 1e-12:
-                raise ValueError("mollifier requires axis-aligned jump planes")
-        if u.profile is not None:
-            e = u.profile.eta
-            if max(abs(e[0]), abs(e[1])) < 1.0 - 1e-12:
-                raise ValueError("mollifier requires an axis-aligned profile direction")
+        for atom in u.atoms():
+            if max(abs(atom.n[0]), abs(atom.n[1])) < 1.0 - 1e-12:
+                raise ValueError("mollifier requires axis-aligned atom planes")
         self.u = u
         self.h = float(width)
 
@@ -132,31 +110,21 @@ class MollifiedField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         u = self.u
         out = u.smooth.value(X)
-        for j in u.jumps:
-            out = out + _hat_cdf(X @ j.nu - j.c, self.h)[:, None] * j.dv[None, :]
+        for atom in u.atoms():
+            ramp = float(atom.q) * _hat_cdf(X @ atom.n - float(atom.c), self.h)
+            out = out + ramp[:, None] * atom.a[None, :]
         if u.profile is not None:
             p = u.profile
-            t = X @ p.eta
-            acc = np.full(len(X), p.staircase.offset)
-            for tp, q in p.staircase.atoms():
-                acc = acc + float(q) * _hat_cdf(t - float(tp), self.h)
-            out = out + acc[:, None] * p.xi[None, :]
+            out = out + p.staircase.offset * p.xi[None, :]
             out = out + p.beta * (X @ p.xi)[:, None] * p.eta[None, :]
         return out
 
     def e_field(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = self.u
-        E = u.e_ac(X)
-        for j in u.jumps:
-            E = E + _hat_pdf(X @ j.nu - j.c, self.h)[:, None, None] * odot(j.dv, j.nu)[None, :, :]
-        if u.profile is not None:
-            p = u.profile
-            t = X @ p.eta
-            dens = np.zeros(len(X))
-            for tp, q in p.staircase.atoms():
-                dens = dens + float(q) * _hat_pdf(t - float(tp), self.h)
-            E = E + dens[:, None, None] * odot(p.xi, p.eta)[None, :, :]
+        E = self.u.e_ac(X)
+        for atom in self.u.atoms():
+            bump = float(atom.q) * _hat_pdf(X @ atom.n - float(atom.c), self.h)
+            E = E + bump[:, None, None] * odot(atom.a, atom.n)[None, :, :]
         return E
 
 

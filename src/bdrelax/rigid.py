@@ -49,13 +49,13 @@ def _face_breaks(u: StructuredBD, p, q) -> list[float]:
     """Relative positions where atom planes of u cross the face p->q."""
     d = q - p
     out = []
-    for nu, c in u.planes():
-        dn = float(d @ nu)
+    for atom in u.atoms():
+        dn, c = float(d @ atom.n), float(atom.c)
         if abs(dn) < 1e-14:
-            if abs(float(p @ nu) - c) < 1e-12:
+            if abs(float(p @ atom.n) - c) < 1e-12:
                 raise BoundaryChargedBox("boundary-charged face")
             continue
-        t = (c - float(p @ nu)) / dn
+        t = (c - float(p @ atom.n)) / dn
         if 0.0 < t < 1.0:
             out.append(t)
     return out
@@ -87,16 +87,10 @@ def M_K_volume(u: StructuredBD, K: Box, cells: int = 32) -> np.ndarray:
     du = np.zeros((2, 2))
     pts, w = box_quadrature(K, cells=cells, npts=2)
     du += np.einsum("m,mij->ij", w, u.grad_ac(pts))
-    for j in u.jumps:
-        seg = box_plane_segment(K, j.nu, j.c)
+    for atom in u.atoms():
+        seg = box_plane_segment(K, atom.n, float(atom.c))
         if seg > 0.0:
-            du += seg * np.outer(j.dv, j.nu)
-    if u.profile is not None:
-        p = u.profile
-        mass = 0.0
-        for t, q_ in p.staircase.atoms():
-            mass += float(q_) * box_plane_segment(K, p.eta, float(t))
-        du += mass * np.outer(p.xi, p.eta)
+            du += float(atom.q) * seg * np.outer(atom.a, atom.n)
     return (du - du.T) / (2.0 * K.volume)
 
 

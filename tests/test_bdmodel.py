@@ -6,7 +6,7 @@ import pytest
 
 from bdrelax.bdmodel import (BoundaryChargedBox, CantorProfile, ExplicitStaircase, JumpPlane,
                              Profile, SmoothAffine, SmoothPolynomial, SmoothSinusoid,
-                             StructuredBD, combine, emeasure, total_variation, trace_pair,
+                             StructuredBD, combine, total_variation, trace_pair,
                              tv_mass_exact)
 from bdrelax.geometry import Box
 from bdrelax.tensor import frob, odot, sym
@@ -60,20 +60,19 @@ def brute_force_tv(u: StructuredBD, box: Box, n: int = 512) -> float:
 def test_emeasure_affine():
     A = np.array([[1.0, 2.0], [0.0, -1.0]])
     u = StructuredBD.affine(A, (0.3, 0.1))
-    em = emeasure(u)
-    assert not em.jump_atoms and not em.singular_atoms
+    assert u.atoms() == ()
     pts = np.random.default_rng(0).normal(size=(5, 2))
-    assert np.allclose(em.ac_density(pts), sym(A)[None, :, :], atol=0)
+    assert np.allclose(u.e_ac(pts), sym(A)[None, :, :], atol=0)
 
 
 def test_emeasure_two_constant():
     vm, vp = np.array([0.0, 0.0]), np.array([0.0, 1.0])
     u = StructuredBD.two_constant(vm, vp, E1)
-    em = emeasure(u)
-    assert len(em.jump_atoms) == 1
-    atom = em.jump_atoms[0]
+    (atom,) = u.atoms()
+    assert atom.plane == 0 and atom.q == 1 and atom.c == 0.0
+    assert np.array_equal(atom.n, E1) and np.array_equal(atom.a, vp - vm)
     m = odot(vp - vm, E1)
-    assert atom.surface_density == pytest.approx(frob(m), abs=0)
+    assert atom.norm == pytest.approx(frob(m), abs=0)
     assert np.allclose(atom.polar, m / frob(m), atol=0)
     # value convention: v+ on the x . nu >= 0 side
     assert np.allclose(u.value([[0.5, 0.0]])[0], vp)
@@ -141,8 +140,7 @@ def test_emeasure_linearity():
     K = Box.cube((0.0, 0.0), 1.0)
     assert total_variation(u, K) == pytest.approx(
         total_variation(u1, K) + total_variation(u2, K), abs=0)
-    em = emeasure(u)
-    assert len(em.jump_atoms) == 1
+    assert [atom.plane for atom in u.atoms()] == [0]
 
 
 def test_cantor_refinement_preserves_mass():
@@ -155,6 +153,25 @@ def test_cantor_refinement_preserves_mass():
         kids = c2.atoms()
         assert len(kids) == 2 * len(parents)
         c = c2
+
+
+def test_atoms_jumps_then_staircase():
+    # one atom list: every jump plane in order, then every staircase atom
+    # with its exact position and jump, built once per field
+    jumps = (JumpPlane(nu=E2, c=0.25, dv=(1.0, 0.5)), JumpPlane(nu=E1, c=-0.1, dv=(0.0, 0.0)))
+    stair = CantorProfile.make(2, Fraction(3, 2), (0, 1))
+    u = StructuredBD(jumps=jumps, profile=Profile(eta=E1, xi=E2, staircase=stair))
+    atoms = u.atoms()
+    assert atoms is u.atoms() and len(atoms) == 2 + 4
+    for i, (atom, j) in enumerate(zip(atoms, jumps)):
+        assert atom.plane == i and atom.q == 1 and atom.c == j.c
+        assert np.array_equal(atom.n, j.nu) and np.array_equal(atom.a, j.dv)
+    assert atoms[1].norm == 0.0
+    for atom, (t, q) in zip(atoms[2:], stair.atoms()):
+        assert atom.plane is None and type(atom.c) is Fraction and (atom.c, atom.q) == (t, q)
+        assert np.array_equal(atom.n, E1) and np.array_equal(atom.a, E2)
+        assert atom.norm == frob(odot(E1, E2))
+        assert np.array_equal(atom.polar, odot(E1, E2) / frob(odot(E1, E2)))
 
 
 def test_cantor_atoms_built_once_and_immutable():

@@ -67,6 +67,8 @@ def test_csv_determinism(tmp_path):
     assert b1 == b2
     assert b1.startswith(b"key,value\n")
     assert b"\r" not in b1
+    # the output directory is not part of the computation, nor of config-hash
+    assert (out1 / "recession.json").read_bytes() == (out2 / "recession.json").read_bytes()
 
 
 def test_validation_errors(tmp_path, capsys):
@@ -80,6 +82,14 @@ def test_validation_errors(tmp_path, capsys):
     code = main(["not-a-command"])
     assert code == 2
     capsys.readouterr()
+    # a zero denominator in a schedule is a validation error, not a traceback
+    for argv in (["jump", "--v-plus", "0,1", "--nu", "1,0", "--eps-schedule", "1/0"],
+                 ["recession", "--A", "1,0;0,1", "--t-schedule", "1/0"]):
+        code, out = run_cli(tmp_path, *argv)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot parse schedule '1/0' (expect 'a,b/c,...')"]
+        assert not out.exists()
     # a nonpositive start count is an error, also where mueller raises it to 8
     for starts in ("-3", "0"):
         for argv in (["sq", "--integrand", "abs-sym", "--A", "1,0;0,1", "--mesh", "4"],

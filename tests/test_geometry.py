@@ -3,7 +3,7 @@ import pytest
 
 from bdrelax.geometry import (Box, box_halfplane_area, box_plane_chord, box_plane_segment,
                               box_quadrature, box_slab_area, clip_halfplane, polygon_area,
-                              segment_panels)
+                              segment_midpoints, segment_panels)
 
 
 def test_box_basics():
@@ -63,6 +63,16 @@ def test_segment_panels_split():
     lo = mids[:, 0] - halves[:, 0]
     hi = mids[:, 0] + halves[:, 0]
     assert not np.any((lo < 0.3 - 1e-12) & (hi > 0.3 + 1e-12))
+
+
+def test_segment_midpoints():
+    p, q = np.array([0.5, -1.0]), np.array([-0.5, 2.0])
+    pts, seg = segment_midpoints(p, q, 4)
+    assert seg == np.sqrt(10.0) / 4
+    # the panel midpoints at relative positions 1/8, 3/8, 5/8, 7/8
+    assert np.allclose(pts, p + np.array([1, 3, 5, 7])[:, None] / 8 * (q - p), rtol=0, atol=1e-15)
+    # exact on an affine integrand: the integral of x . (1, 1) over p->q
+    assert seg * (pts @ np.ones(2)).sum() == pytest.approx(np.sqrt(10.0) * 0.5, rel=1e-14)
 
 
 def test_polygon_clip_degenerate():

@@ -75,3 +75,20 @@ def test_integrand_corpus_stays_in_density():
                 offenders += [f"{path.name}:{node.lineno}: imports {a.name}"
                               for a in node.names if a.name == "_smooth_norm"]
     assert not offenders, f"integrand corpus outside density.py: {offenders}"
+
+
+def test_atom_walks_read_the_atom_list():
+    """rigid.py and represent.py walk the jump planes and staircase atoms of
+    a field only through StructuredBD.atoms(): they read no `.jumps`
+    attribute and no `.staircase.atoms()` chain."""
+    offenders = []
+    for path in SRC:
+        if path.name not in ("rigid.py", "represent.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "jumps":
+                offenders.append(f"{path.name}:{node.lineno}: .jumps")
+            if (isinstance(node, ast.Attribute) and node.attr == "atoms"
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "staircase"):
+                offenders.append(f"{path.name}:{node.lineno}: .staircase.atoms")
+    assert not offenders, f"atom walks outside StructuredBD.atoms(): {offenders}"
