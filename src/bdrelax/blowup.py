@@ -115,6 +115,8 @@ def rescale(u: StructuredBD, frame: BlowupFrame, grid_per_axis: int = 48) -> Res
     through the exact rational path (the reported mass equals |K| to the
     bit); other smooth parts fall back to quadrature masses.
     """
+    if grid_per_axis < 1:
+        raise BlowupError(f"grid per axis must be >= 1, got {grid_per_axis}")
     Wlo, Whi = frame.window_fr()
     W = frame.window
     exact = True

@@ -1,7 +1,9 @@
 """Discrete cell problems on a box: a conforming Q1 solver for
 linear-growth bulk energies with Dirichlet or periodic conditions and a
 discontinuous per-element variant with facet jump energies, all minimized
-by one multistart driver.
+by one multistart driver. The minimizer asks for values first and for a
+gradient only at accepted points, so the Q1 kernel returns its gradient
+lazily, and it skips the field-value path of v-independent integrands.
 
 Fields are nodal, elements are multilinear quadrilaterals on a uniform
 grid with 2x2 Gauss quadrature, so affine competitors are reproduced
@@ -55,7 +57,8 @@ class Integrand:
 
     def check_flags(self) -> None:
         """Sampled validation of the declared structure flags at 16 seeded
-        Gaussian points, to a relative tolerance of 1e-9."""
+        Gaussian points, to a relative tolerance of 1e-9. The Q1 kernel
+        relies on v_independent: it hands such an integrand a zero V."""
         rng, tol = np.random.default_rng(0), 1e-9
         X, V, A = rng.normal(size=(16, 2)), rng.normal(size=(16, 2)), rng.normal(size=(16, 2, 2))
         base = self.raw(X, V, A)
@@ -64,6 +67,10 @@ class Integrand:
         if self.sym_only:
             if np.max(np.abs(self.raw(X, V, sym(A)) - base)) > tol * (1 + np.max(np.abs(base))):
                 raise ValueError(f"integrand {self.name}: symOnly flag violated")
+        if self.v_independent:
+            V2 = rng.normal(size=(16, 2))
+            if np.max(np.abs(self.raw(X, V2, A) - base)) > tol * (1 + np.max(np.abs(base))):
+                raise ValueError(f"integrand {self.name}: vIndependent flag violated")
         if self.one_homogeneous:
             for t in (2.0, 10.0):
                 if np.max(np.abs(self.raw(X, V, t * A) - t * base)) > tol * t * (1 + np.max(np.abs(base))):
@@ -318,31 +325,40 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
     stacked connectivity `conn` (_stack_conn) of the grid's own, a periodic
     wrap-around or the identity for per-element fields.
 
-    Returns (energies (K,), nodal gradients (K, n, 2)) for the smoothed
-    density, or (energies (K,), None) for the raw one (raw=True), summed
-    exactly with math.fsum when exact_sum is set. Arrays keep the element
-    axis last, so every numpy operation runs over the K E elements. The
-    sums over local nodes, over quadrature points and into the nodes run in
-    a fixed order (a = 0..3, q = 0..3, elements in `conn` order) and each
-    energy is a row sum, so each copy's result is bit for bit that of a
-    stack of one: the solver trajectories depend on the gradient's last bits.
+    Returns (energies (K,), grad) for the smoothed density, where grad(rows)
+    forms the nodal gradients (len(rows), n, 2) of the listed stack rows
+    (ascending) from the strains the value pass built, copying none when
+    every row asks; or (energies (K,), None) for the raw density (raw=True),
+    summed exactly with math.fsum when exact_sum is set. A v-independent
+    integrand gets a zero V: the kernel skips the nodal-value interpolation
+    and the v part of the back-contraction, which is +0 and leaves every
+    gradient bit unchanged, as the scatter accumulates from +0.0.
+
+    Arrays keep the element axis last, so every numpy operation runs over
+    the K E elements. The sums over local nodes, over quadrature points and
+    into the nodes run in a fixed order (a = 0..3, q = 0..3, elements in
+    `conn` order) and each energy is a row sum, so each copy's result is bit
+    for bit that of a stack of one: the solver trajectories depend on the
+    gradient's last bits.
     """
     Nval, dN = grid.Nval, grid.dN
     K, n = U.shape[:2]
-    conn = conn[:K].reshape(-1, 4)
-    E, Q = len(conn), len(Nval)
-    Ua = U.reshape(K * n, 2).T[:, conn.T]  # (k, a, E)
-    V = Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
+    flat = conn[:K].reshape(-1, 4)
+    Q = len(Nval)
+    Ua = U.reshape(K * n, 2).T[:, flat.T]  # (k, a, E)
+    V = None if f.v_independent else Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
     G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
     for a in range(1, 4):
-        V += Nval[:, a, None, None] * Ua[:, a]
+        if V is not None:
+            V += Nval[:, a, None, None] * Ua[:, a]
         G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
     X = grid.qp.reshape(-1, 2)
     if freeze_x is not None:
         X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
     # the integrand takes points in (copy, element, quadrature point) order
     Xf = X if K == 1 else np.concatenate([X] * K)
-    Vf = np.ascontiguousarray(V.transpose(2, 0, 1)).reshape(-1, 2)
+    Vf = (np.zeros((len(Xf), 2)) if V is None
+          else np.ascontiguousarray(V.transpose(2, 0, 1)).reshape(-1, 2))
     Gf = np.ascontiguousarray(G.transpose(3, 0, 1, 2)).reshape(-1, 2, 2)
     del V, G  # freed before the integrand allocates its temporaries
     if raw:
@@ -351,31 +367,46 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
             return np.array([math.fsum(grid.wq * v for v in row.tolist()) for row in vals]), None
         return grid.wq * vals.sum(axis=1), None
     energy = grid.wq * f.value(Xf, Vf, Gf).reshape(K, -1).sum(axis=1)
-    dV, dA = f.grad(Xf, Vf, Gf)
-    dV = np.ascontiguousarray(dV.reshape(E, Q * 2).T).reshape(Q, 2, E)  # (Q, k, E)
-    dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
-    # back-contraction (a, k, E): the v part and the strain part, each
-    # summed over q, then added
-    S1 = Nval[0, :, None, None] * dV[0]
-    S2 = dN[0, :, 0, None, None] * dA[0, 0] + dN[0, :, 1, None, None] * dA[0, 1]
-    for q in range(1, Q):
-        S1 += Nval[q, :, None, None] * dV[q]
-        S2 += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
-    S1 += S2
-    S1 *= grid.wq
-    gradU = np.empty((K * n, 2))
-    for k in range(2):
-        gradU[:, k] = np.bincount(conn.ravel(), weights=S1[:, k].T.ravel(), minlength=K * n)
-    return energy, gradU.reshape(K, n, 2)
+
+    def grad(rows):
+        R = len(rows)
+        sel = slice(None) if R == K else np.asarray(rows)  # a slice copies nothing
+        Gr = Gf.reshape(K, -1, 2, 2)[sel].reshape(-1, 2, 2)
+        # Xf and the zero Vf repeat per row, so their first R rows serve any R
+        Vr = Vf[:len(Gr)] if f.v_independent else Vf.reshape(K, -1, 2)[sel].reshape(-1, 2)
+        dV, dA = f.grad(Xf[:len(Gr)], Vr, Gr)
+        E = len(dA) // Q
+        dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
+        # back-contraction (a, k, E): the strain part and, for a
+        # v-dependent integrand, the v part, each summed over q, then added
+        S = dN[0, :, 0, None, None] * dA[0, 0] + dN[0, :, 1, None, None] * dA[0, 1]
+        for q in range(1, Q):
+            S += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
+        if not f.v_independent:
+            dV = np.ascontiguousarray(dV.reshape(E, Q * 2).T).reshape(Q, 2, E)  # (Q, k, E)
+            S1 = Nval[0, :, None, None] * dV[0]
+            for q in range(1, Q):
+                S1 += Nval[q, :, None, None] * dV[q]
+            S1 += S
+            S = S1
+        S *= grid.wq
+        gradU = np.empty((R * n, 2))
+        for k in range(2):
+            gradU[:, k] = np.bincount(conn[:R].ravel(), weights=S[:, k].T.ravel(),
+                                      minlength=R * n)
+        return gradU.reshape(R, n, 2)
+
+    return energy, grad
 
 
 def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None, conn=None):
     """Quadrature energy sum_q w f(x_q, v_q, grad_q) of the nodal field U
     (n, 2) and its nodal gradient or, given `conn`, the grid's connectivity
-    stacked by _stack_conn, those of a stack U (K, n, 2)."""
+    stacked by _stack_conn, the energies (K,) of a stack U (K, n, 2) and the
+    kernel's grad(rows), which forms gradients only for the rows asked."""
     if conn is None:
-        e, gradU = _q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x)
-        return float(e[0]), gradU[0]
+        e, grad = _q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x)
+        return float(e[0]), grad([0])[0]
     return _q1_quadrature(grid, U, conn, f, freeze_x)
 
 
@@ -415,24 +446,36 @@ def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
 
 
 def _multistart(fg, starts: list, spec: CellSpec):
-    """Minimize fg, which maps stacked points X (K, d) to values (K,) and
-    gradients (K, d), from each of `starts` in lockstep on one thread
-    (spec.solver.jobs has no effect): each round stacks the pending point of
-    every L-BFGS run not yet ended, makes one fg call and sends each row
-    back to its run. Rows do not interact, so each start follows its serial
-    trajectory. The lowest smoothed energy wins, ties going to the lowest
-    seed. Returns the winning L-BFGS result and the cell diagnostics.
+    """Minimize fg, which maps stacked points X (K, d) to values (K,) and a
+    grad(rows) giving the gradients (len(rows), d) of the listed rows, from
+    each of `starts` in lockstep on one thread (spec.solver.jobs has no
+    effect). Each round stacks the pending point of every L-BFGS run not
+    yet ended, makes one fg call and sends each value back to its run; the
+    runs that then ask for the gradient of that point (at their start and at
+    an accepted step) get it from one grad call. Rows do not interact, so
+    each start follows its serial trajectory. The lowest smoothed energy
+    wins, ties going to the lowest seed. Returns the winning L-BFGS result
+    and the cell diagnostics.
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
+
+    def send(k, msg):
+        try:
+            points[k] = runs[k].send(msg)
+        except StopIteration as stop:
+            results[k] = stop.value
+
     active = list(range(len(runs)))
     while active:
-        F, G = fg(np.array([points[k] for k in active]))
-        for k, f, g in zip(active, F, G):
-            try:
-                points[k] = runs[k].send((float(f), g))
-            except StopIteration as stop:
-                results[k] = stop.value
+        F, grad = fg(np.array([points[k] for k in active]))
+        for k, f in zip(active, F):
+            send(k, float(f))
+        asked = [i for i, k in enumerate(active) if points[k] is None]
+        if asked:
+            for i, g in zip(asked, grad(asked)):
+                send(active[i], g)
+        del grad  # the strains it holds go before the next round builds its own
         active = [k for k in active if results[k] is None]
     k_best = min(range(len(results)), key=lambda k: results[k]["f"])
     res = results[k_best]
@@ -468,8 +511,8 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     def fg(X):
         U = datum.reshape(1, -1).repeat(len(X), axis=0)
         U[:, dofs] = X
-        e, gradU = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, conn)
-        return e, gradU.reshape(len(X), -1).take(dofs, axis=1)
+        e, grad = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, conn)
+        return e, lambda rows: grad(rows).reshape(len(rows), -1).take(dofs, axis=1)
 
     res, diag = _multistart(fg, starts, spec)
     Ubest = datum.copy()
@@ -492,8 +535,8 @@ def solve_periodic(spec: CellSpec, f: Integrand) -> LDSolution:
     conn = _stack_conn(grid.periodic_node[grid.conn], n, len(starts))
 
     def fg(X):
-        energy, gradW = _q1_quadrature(grid, X.reshape(len(X), n, 2), conn, f_A, spec.freeze_x)
-        return energy, gradW.reshape(len(X), -1)
+        energy, grad = _q1_quadrature(grid, X.reshape(len(X), n, 2), conn, f_A, spec.freeze_x)
+        return energy, lambda rows: grad(rows).reshape(len(rows), -1)
 
     res, diag = _multistart(fg, starts, spec)
     W = res["x"].reshape(n, 2)
@@ -546,9 +589,9 @@ class SBDSolution:
 
 
 def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
-    """The SBD objective x -> (bulk, surface, gradient) of per-element
-    nodal values x (4E * 2,): Q1 bulk quadrature plus a midpoint rule on
-    every facet.
+    """The SBD objective x -> (bulk, surface, grad) of per-element nodal
+    values x (4E * 2,): Q1 bulk quadrature plus a midpoint rule on every
+    facet, where grad() forms the gradient (4E * 2,) on request.
 
     One facet table holds the interior vertical facets (nu = +e1 in
     reference coordinates, minus side left), the interior horizontal ones
@@ -587,17 +630,22 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
 
     def split_fg(x):
         vals = x.reshape(4 * E, 2)
-        (bulk,), (grad,) = _q1_quadrature(grid, vals[None], own, f1, spec.freeze_x)
+        (bulk,), bulk_grad = _q1_quadrature(grid, vals[None], own, f1, spec.freeze_x)
         vm = 0.5 * (vals[minus[:, 0]] + vals[minus[:, 1]])
         vp = np.concatenate([0.5 * (vals[plus[:, 0]] + vals[plus[:, 1]]), datum])
         w = g1.value(X, vm, vp, nu) * length
         surf = float(np.sum(w[:ni])) + float(np.sum(w[ni:]))
-        dVM, dVP = g1.grad(X, vm, vp, nu)
-        terms = np.concatenate([0.5 * dVM * length[:, None],
-                                0.5 * dVP[:ni] * length[:ni, None]])
-        grad += terms[first]
-        grad += terms[second]
-        return bulk, surf, grad.ravel()
+
+        def grad():
+            (g,) = bulk_grad([0])
+            dVM, dVP = g1.grad(X, vm, vp, nu)
+            terms = np.concatenate([0.5 * dVM * length[:, None],
+                                    0.5 * dVP[:ni] * length[:ni, None]])
+            g += terms[first]
+            g += terms[second]
+            return g.ravel()
+
+        return bulk, surf, grad
 
     return split_fg
 
@@ -618,7 +666,7 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
 
     def fg(X):
         rows = [split_fg(x) for x in X]
-        return [bulk + surf for bulk, surf, _ in rows], [grad for _, _, grad in rows]
+        return [bulk + surf for bulk, surf, _ in rows], lambda asked: [rows[i][2]() for i in asked]
 
     # side-aware datum interpolant: evaluate at nodes nudged toward the
     # element center, so discontinuous data land on facets, not inside cells

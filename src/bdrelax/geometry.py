@@ -145,6 +145,8 @@ def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
 
 def box_quadrature(box: Box, cells: int, npts: int = 2):
     """Tensor Gauss rule over the box: (points (m,2), weights (m,))."""
+    if cells < 1:
+        raise ValueError(f"quadrature cells per axis must be >= 1, got {cells}")
     g, w = gauss_rule(npts)
     lo, e = np.asarray(box.lo), box.extent
     h = e / cells

@@ -3,6 +3,8 @@
 Deterministic given the starting point: no randomized components, fixed
 memory of 10 curvature pairs, and a plain backtracking line search, which
 is robust for the smoothed nonsmooth energies the cell solvers produce.
+The search reads values only: a gradient is asked for at the start point
+and at each accepted step, never at a rejected trial point.
 """
 
 import numpy as np
@@ -18,18 +20,22 @@ class SolverError(RuntimeError):
 
 
 def lbfgs_steps(x0, max_iters: int = 2000):
-    """L-BFGS by reverse communication: yields each point to evaluate,
-    receives its (value, gradient) by send, and returns the result dict
-    once the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1).
+    """L-BFGS by reverse communication, value first: yields each point to
+    evaluate and receives its value by send; yields None when it needs the
+    gradient of the point it last valued and receives that gradient. It asks
+    for a gradient only at x0 and at each Armijo-accepted trial point, since
+    the backtracking search reads values alone. Returns the result dict once
+    the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1).
 
     A non-finite value or gradient at x0 raises SolverError("integrand
     overflow"); a non-finite value at a trial point shortens the step.
-    The result holds x, f, grad_norm, grad_tol, iters, converged, nfev and
-    reason: "gtol", "max_iters" or "line_search_stall".
+    The result holds x, f, grad_norm, grad_tol, iters, converged, nfev (the
+    count of values) and reason: "gtol", "max_iters" or "line_search_stall".
     """
     x = np.asarray(x0, dtype=float).copy()
-    f, g = yield x
+    f = yield x
     nfev = 1
+    g = yield None
     if not np.isfinite(f) or not np.isfinite(g).all():
         raise SolverError("integrand overflow")
     gnorm = float(np.linalg.norm(g))
@@ -67,13 +73,14 @@ def lbfgs_steps(x0, max_iters: int = 2000):
         x_new, g_new = x, g
         while step >= MIN_STEP:
             x_try = x + step * d
-            f_try, g_try = yield x_try
+            f_try = yield x_try
             nfev += 1
             if not np.isfinite(f_try):
                 step *= BACKTRACK
                 continue
             if f_try <= f + ARMIJO_C1 * step * slope:
-                x_new, f_new, g_new = x_try, f_try, g_try
+                x_new, f_new = x_try, f_try
+                g_new = yield None
                 break
             step *= BACKTRACK
         else:
@@ -100,11 +107,15 @@ def lbfgs_steps(x0, max_iters: int = 2000):
 
 
 def minimize_lbfgs(fun_grad, x0, max_iters: int = 2000) -> dict:
-    """lbfgs_steps from x0, evaluating fun_grad: x -> (value, gradient)."""
+    """lbfgs_steps from x0, evaluating fun_grad: x -> (value, gradient) at
+    every point and sending the gradient where lbfgs_steps asks for it."""
     steps = lbfgs_steps(x0, max_iters)
     x = next(steps)
     try:
         while True:
-            x = steps.send(fun_grad(x))
+            f, g = fun_grad(x)
+            x = steps.send(f)
+            if x is None:
+                x = steps.send(g)
     except StopIteration as stop:
         return stop.value

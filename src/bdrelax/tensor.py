@@ -1,36 +1,10 @@
-"""Dense n-by-n matrix algebra: symmetric/skew split, symmetrized tensor
-product, and change-of-base pushforward of polar atoms.
+"""Dense matrix algebra: the symmetric part, the Frobenius norm and the
+symmetrized tensor product.
 
 All matrix norms are Frobenius norms throughout the package.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-MAX_DIM = 4
-
-
-class SingularBaseChange(ValueError):
-    pass
-
-
-def as_mat(A, n: int | None = None) -> np.ndarray:
-    """Validate and return A as a dense square float matrix.
-
-    Enforces 2 <= dim <= 4 and finite entries; if n is given the matrix
-    must be n-by-n.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not (2 <= A.shape[0] <= MAX_DIM):
-        raise ValueError(f"dimension {A.shape[0]} outside supported range 2..{MAX_DIM}")
-    if n is not None and A.shape[0] != n:
-        raise ValueError(f"expected {n}x{n} matrix, got {A.shape[0]}x{A.shape[0]}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix entries must be finite")
-    return A
 
 
 def sym(A) -> np.ndarray:
@@ -38,27 +12,10 @@ def sym(A) -> np.ndarray:
     return 0.5 * (A + A.swapaxes(-1, -2))
 
 
-def skew(A) -> np.ndarray:
-    A = np.asarray(A, dtype=float)
-    return 0.5 * (A - A.swapaxes(-1, -2))
-
-
 def frob(A) -> float | np.ndarray:
     """Frobenius norm; batched over leading axes."""
     A = np.asarray(A, dtype=float)
     return np.sqrt((A * A).sum(axis=(-2, -1)))
-
-
-@dataclass(frozen=True)
-class SymDecomp:
-    sym: np.ndarray
-    skew: np.ndarray
-
-
-def split(A) -> SymDecomp:
-    """Exact symmetric/skew decomposition A = sym + skew."""
-    A = as_mat(A)
-    return SymDecomp(sym=sym(A), skew=skew(A))
 
 
 def odot(a, b) -> np.ndarray:
@@ -68,48 +25,3 @@ def odot(a, b) -> np.ndarray:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("odot expects two vectors of equal length")
     return 0.5 * (np.outer(a, b) + np.outer(b, a))
-
-
-@dataclass(frozen=True)
-class BaseChange:
-    """Invertible change of base y = B^{-t} x acting on fields w -> B w(B^t y)."""
-
-    B: np.ndarray
-    detAbs: float
-
-    @classmethod
-    def from_matrix(cls, B) -> "BaseChange":
-        B = as_mat(B)
-        det = float(np.linalg.det(B))
-        if abs(det) < 1e-12:
-            raise SingularBaseChange("singular base change")
-        bc = cls(B=B, detAbs=abs(det))
-        # construction-time sanity: B B^{-1} = Id within 1e-12
-        resid = frob(B @ np.linalg.inv(B) - np.eye(B.shape[0]))
-        if resid > 1e-12:
-            raise SingularBaseChange("singular base change")
-        return bc
-
-    def inverse(self) -> "BaseChange":
-        return BaseChange.from_matrix(np.linalg.inv(self.B))
-
-
-def pushforward_atom(bc: BaseChange, M, mass: float) -> tuple[np.ndarray, float]:
-    """Transform a polar atom (M, mass) of an E-measure under a base change.
-
-    The transformed matrix is |det B|^-1 B M B^t; the returned direction is
-    its unit-norm rescaling and the returned mass is
-    mass * |det B|^-1 * |B M B^t| / |M|, which transports total variation
-    (region measure included) consistently with E(B w(B^t .)).
-    """
-    if bc.detAbs < 1e-12:
-        raise SingularBaseChange("singular base change")
-    M = as_mat(M, n=bc.B.shape[0])
-    if mass < 0:
-        raise ValueError("atom mass must be nonnegative")
-    nM = frob(M)
-    if nM == 0.0:
-        raise ValueError("atom matrix must be nonzero")
-    T = bc.B @ M @ bc.B.T
-    nT = frob(T)
-    return T / nT, mass * nT / (bc.detAbs * nM)

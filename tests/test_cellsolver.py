@@ -10,8 +10,8 @@ from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplac
                                 _sbd_objective, _stack_conn, energy_and_grad,
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
-from bdrelax.density import (A0, abs_sym, g_odot, g_penalty, laminate_a, mueller_f_eps,
-                             mueller_h_integrand, scaled, sqrt1plus_sym,
+from bdrelax.density import (_REGISTRY, A0, abs_sym, g_odot, g_penalty, get_integrand,
+                             laminate_a, mueller_f_eps, mueller_h_integrand, scaled, sqrt1plus_sym,
                              truncated_neg_sym_sq, vmin_abs)
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, minimize_lbfgs
@@ -131,11 +131,16 @@ def _assert_kernel_bits(grid, U, conn):
             raw_refs = {exact: [_seed_q1(grid, Uk, conn, f, fx, raw=True, exact_sum=exact)[0]
                                 for Uk in U] for exact in (False, True)}
             for K in sorted({1, 3, len(U)}):
-                e_new, g_new = _q1_quadrature(grid, U[:K], stacked, f, fx)
+                e_new, grad = _q1_quadrature(grid, U[:K], stacked, f, fx)
+                g_new = grad(range(K))
                 assert e_new.shape == (K,) and g_new.shape == (K, n, 2)
                 for k in range(K):
                     assert e_new[k] == refs[k][0]
                     assert np.array_equal(g_new[k], refs[k][1])
+                # a subset of the rows gets the same gradients
+                rows = sorted({0, K - 1})
+                for k, g in zip(rows, grad(rows)):
+                    assert np.array_equal(g, refs[k][1])
                 for exact in (False, True):
                     r_new = _q1_quadrature(grid, U[:K], stacked, f, fx, raw=True,
                                            exact_sum=exact)[0]
@@ -156,8 +161,8 @@ def test_q1_kernel_bit_identical_to_seed(mesh, nu):
     e_ref, g_ref = _seed_q1(grid, U[0], grid.conn, f)
     e_new, g_new = energy_and_grad(grid, U[0], f)
     assert type(e_new) is float and e_new == e_ref and np.array_equal(g_new, g_ref)
-    e_new, g_new = energy_and_grad(grid, U[:2], f, conn=_stack_conn(grid.conn, grid.n_nodes, 2))
-    assert e_new[0] == e_ref and np.array_equal(g_new[0], g_ref)
+    e_new, grad = energy_and_grad(grid, U[:2], f, conn=_stack_conn(grid.conn, grid.n_nodes, 2))
+    assert e_new[0] == e_ref and np.array_equal(grad([0, 1])[0], g_ref)
     assert raw_energy(grid, U[0], f, exact_sum=True) == _seed_q1(grid, U[0], grid.conn, f,
                                                                  raw=True, exact_sum=True)[0]
 
@@ -320,8 +325,8 @@ def test_lockstep_matches_serial_periodic():
     f_A = reparametrize(f, v0=np.zeros(2), eps_v=0.0, A0=A0)
 
     def fg_row(x):
-        e, gradW = _q1_quadrature(grid, x.reshape(1, n, 2), conn[None], f_A)
-        return float(e[0]), gradW.ravel()
+        e, grad = _q1_quadrature(grid, x.reshape(1, n, 2), conn[None], f_A)
+        return float(e[0]), grad([0]).ravel()
 
     starts = _serial_starts(np.zeros(2 * n), sp, frob(A0))
     best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
@@ -340,7 +345,7 @@ def test_lockstep_matches_serial_sbd():
 
     def fg_row(x):
         bulk, surf, grad = split_fg(x)
-        return bulk + surf, grad
+        return bulk + surf, grad()
 
     corners = grid.nodes[grid.conn]
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
@@ -348,6 +353,26 @@ def test_lockstep_matches_serial_sbd():
     starts = _serial_starts(x0, sp, frob(A0))
     best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
     assert np.array_equal(sol.argmin.values.ravel(), best["x"])
+
+
+def test_gradient_only_at_start_and_accepted_points():
+    # the line search reads values only: on a cell that backtracks, the
+    # integrand's gradient runs once per iteration plus once at the start
+    calls = {"value": 0, "grad": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    f0 = abs_sym(mu=1e-6)
+    f = replace(f0, value=counted("value", f0.value), grad=counted("grad", f0.grad))
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    spec = CellSpec(boundary=JumpData(np.zeros(2), e2, e1), mesh=8, frame=frame_for_normal(e1))
+    diag = solve_ld(spec, f).diagnostics
+    assert diag["nfev"] > diag["iters"] + 1  # some trial points were rejected
+    assert calls == {"value": diag["nfev"], "grad": diag["iters"] + 1}
 
 
 def test_lockstep_overflow_at_a_later_start():
@@ -461,13 +486,22 @@ def test_bad_spec():
 
 
 def test_flag_checks():
-    abs_sym().check_flags()
-    sqrt1plus_sym().check_flags()
+    for name in _REGISTRY:
+        get_integrand(name).check_flags()
     bad = Integrand(name="claims-hom", value=sqrt1plus_sym().value,
                     grad=sqrt1plus_sym().grad, raw=sqrt1plus_sym().raw,
                     one_homogeneous=True)
     with pytest.raises(ValueError, match="oneHomogeneous"):
         bad.check_flags()
+
+    # the Q1 kernel hands a v-independent integrand a zero V
+    def reads_v(X, V, A):
+        return frob(sym(A)) * (1.0 + (V * V).sum(axis=-1))
+
+    liar = Integrand(name="reads-v", value=reads_v, grad=None, raw=reads_v)
+    with pytest.raises(ValueError, match="vIndependent"):
+        liar.check_flags()
+    replace(liar, v_independent=False).check_flags()
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +559,7 @@ def _seed_sbd_objective(grid, spec, f1, g1):
         vals = vals_flat.reshape(E, 4, 2)
         bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(1, 4 * E, 2), own[None], f1,
                                      spec.freeze_x)
-        bulk, gradv = bulk[0], gradv.reshape(E, 4, 2)
+        bulk, gradv = bulk[0], gradv([0]).reshape(E, 4, 2)
         vm = 0.5 * (vals[em, a1] + vals[em, a2])
         vp = 0.5 * (vals[ep, b1] + vals[ep, b2])
         gv = g1.value(xs_i, vm, vp, inu)
@@ -566,7 +600,7 @@ def test_sbd_objective_bit_identical_to_seed(mesh, nu):
                 bulk, surf, grad = _sbd_objective(grid, spec, f1, g1)(x)
                 assert bulk == bulk_ref
                 assert surf == surf_ref
-                assert np.array_equal(grad, grad_ref)
+                assert np.array_equal(grad(), grad_ref)
 
 
 def test_sbd_penalty_limit_matches_ld():

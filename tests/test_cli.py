@@ -20,6 +20,16 @@ def run_cli(tmp_path, *argv):
     return main(["--out", str(out), *argv]), out
 
 
+STAIR_SPEC = {
+    "dim": 2,
+    "smooth": {"type": "zero"},
+    "jumps": [],
+    "profile": {"eta": [1.0, 0.0], "xi": [0.0, 1.0], "beta": 0.0,
+                "staircase": {"kind": "cantor", "depth": 6, "totalMass": 1.0,
+                              "support": [0.0, 1.0]}},
+}
+
+
 def test_parsers():
     assert np.array_equal(parse_matrix("1,0;0,1"), np.eye(2))
     assert np.array_equal(parse_matrix("A0"), np.array([[1.0, -1.0], [1.0, 1.0]]))
@@ -98,6 +108,18 @@ def test_validation_errors(tmp_path, capsys):
             assert code == 2
             assert capsys.readouterr().err.splitlines() == ["error: multistarts must be >= 1"]
             assert not out.exists()
+    # a nonpositive quadrature count or sampling grid is an error, not an
+    # empty result or a traceback
+    path = tmp_path / "stair.json"
+    path.write_text(json.dumps(STAIR_SPEC))
+    for argv, err in ((["represent", "--quad", "0"], "quadrature cells per axis must be >= 1, got 0"),
+                      (["korn", "--quad", "0"], "quadrature cells per axis must be >= 1, got 0"),
+                      (["blowup", "--grid", "0"], "grid per axis must be >= 1, got 0"),
+                      (["blowup", "--grid", "-2"], "grid per axis must be >= 1, got -2")):
+        code, out = run_cli(tmp_path, *argv, "--bd-spec", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+        assert not out.exists()
 
 
 def test_mueller_command(tmp_path, capsys):
@@ -111,16 +133,8 @@ def test_mueller_command(tmp_path, capsys):
 
 
 def test_korn_and_blowup_with_bd_spec(tmp_path, capsys):
-    spec = {
-        "dim": 2,
-        "smooth": {"type": "zero"},
-        "jumps": [],
-        "profile": {"eta": [1.0, 0.0], "xi": [0.0, 1.0], "beta": 0.0,
-                    "staircase": {"kind": "cantor", "depth": 6, "totalMass": 1.0,
-                                  "support": [0.0, 1.0]}},
-    }
     path = tmp_path / "stair.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(STAIR_SPEC))
     code, out = run_cli(tmp_path, "korn", "--bd-spec", str(path),
                         "--eps-schedule", "1,1/3", "--quad", "81")
     assert code == 0

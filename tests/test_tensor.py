@@ -1,38 +1,33 @@
 import numpy as np
 import pytest
 
-from bdrelax.bdmodel import StructuredBD, total_variation
-from bdrelax.geometry import Box
-from bdrelax.tensor import (BaseChange, SingularBaseChange, as_mat, frob, odot,
-                            pushforward_atom, split)
+from bdrelax.tensor import frob, odot, sym
 
 
 def test_split_identity():
-    d = split(np.eye(2))
-    assert np.array_equal(d.sym, np.eye(2))
-    assert np.array_equal(d.skew, np.zeros((2, 2)))
+    assert np.array_equal(sym(np.eye(2)), np.eye(2))
+    assert np.array_equal(np.eye(2) - sym(np.eye(2)), np.zeros((2, 2)))
 
 
 def test_split_printed_example():
     # (A0 + A0^t)/2 = Id with skew rotation generator left over
     A0 = np.array([[1.0, -1.0], [1.0, 1.0]])
-    d = split(A0)
-    assert np.array_equal(d.sym, np.eye(2))
-    assert np.array_equal(d.skew, np.array([[0.0, -1.0], [1.0, 0.0]]))
+    assert np.array_equal(sym(A0), np.eye(2))
+    assert np.array_equal(A0 - sym(A0), np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 def test_split_reconstruction_and_projection():
+    # A = sym A + (A - sym A), and sym projects: it fixes symmetric
+    # matrices and annihilates skew ones
     rng = np.random.default_rng(0)
     for n in (2, 3, 4):
         A = rng.normal(size=(n, n))
-        d = split(A)
-        assert np.allclose(d.sym + d.skew, A, atol=0)
-        assert np.allclose(d.sym, d.sym.T, atol=0)
-        assert np.allclose(d.skew, -d.skew.T, atol=0)
-        # projection property on its own parts
-        assert np.array_equal(split(d.sym).sym, d.sym)
-        assert np.array_equal(split(d.sym).skew, np.zeros((n, n)))
-        assert np.array_equal(split(d.skew).skew, d.skew)
+        S, W = sym(A), A - sym(A)
+        assert np.allclose(S + W, A, atol=0)
+        assert np.allclose(S, S.T, atol=0)
+        assert np.allclose(W, -W.T, atol=0)
+        assert np.array_equal(sym(S), S)
+        assert np.array_equal(sym(W), np.zeros((n, n)))
 
 
 def test_odot_values():
@@ -48,83 +43,3 @@ def test_odot_symmetric_in_arguments():
     for _ in range(20):
         a, b = rng.normal(size=2), rng.normal(size=2)
         assert np.array_equal(odot(a, b), odot(b, a))
-
-
-def test_mat_guards():
-    with pytest.raises(ValueError):
-        as_mat(np.ones((5, 5)))
-    with pytest.raises(ValueError):
-        as_mat(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        as_mat(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-
-
-def test_pushforward_identity():
-    bc = BaseChange.from_matrix(np.eye(2))
-    M = odot([1.0, 0.0], [0.0, 1.0])
-    M = M / frob(M)
-    direction, mass = pushforward_atom(bc, M, 3.0)
-    assert np.allclose(direction, M, atol=0)
-    assert mass == 3.0
-
-
-def test_pushforward_unit_mapping_mass_ratio():
-    # B maps eta -> e1, xi -> e2; atom direction becomes e1 (.) e2 and the
-    # mass scales by |det B|^-1 |e1 (.) e2| / |eta (.) xi|
-    eta = np.array([3.0, 4.0]) / 5.0
-    xi = np.array([0.0, 1.0])
-    B = np.linalg.inv(np.stack([eta, xi], axis=1))  # B eta = e1, B xi = e2
-    bc = BaseChange.from_matrix(B)
-    M = odot(eta, xi)
-    direction, mass = pushforward_atom(bc, M / frob(M), 1.0)
-    e12 = odot([1.0, 0.0], [0.0, 1.0])
-    assert np.allclose(direction, e12 / frob(e12), atol=1e-14)
-    expected = frob(e12) / (bc.detAbs * frob(M))
-    assert mass == pytest.approx(expected, rel=1e-14)
-
-
-def test_pushforward_dilation_against_measure_oracle():
-    """Independent oracle: transform a two-constant field by hand and
-    compare total variations over corresponding boxes.
-
-    For w~(y) = B w(B^t y) with B = 2 Id the jump doubles while the chord
-    halves, so the total mass over the transformed box is unchanged; the
-    atom formula must reproduce that.
-    """
-    dv, nu = np.array([0.0, 1.0]), np.array([1.0, 0.0])
-    u = StructuredBD.two_constant((0.0, 0.0), dv, nu)
-    K = Box.cube((0.0, 0.0), 1.0)
-    mass_orig = total_variation(u, K)
-    # transformed field: 2 w(2 y) jumps by 2 dv across {y . nu = 0}
-    u2 = StructuredBD.two_constant((0.0, 0.0), 2.0 * dv, nu)
-    K2 = Box.cube((0.0, 0.0), 0.5)  # B^{-t} K
-    mass_transformed = total_variation(u2, K2)
-    assert mass_transformed == pytest.approx(mass_orig, rel=1e-15)
-
-    bc = BaseChange.from_matrix(2.0 * np.eye(2))
-    M = odot(dv, nu)
-    direction, mass = pushforward_atom(bc, M / frob(M), mass_orig)
-    assert np.allclose(direction, M / frob(M), atol=1e-15)
-    assert mass == pytest.approx(mass_transformed, rel=1e-14)
-
-
-def test_pushforward_round_trip():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        B = rng.normal(size=(2, 2))
-        if abs(np.linalg.det(B)) < 0.1:
-            continue
-        bc = BaseChange.from_matrix(B)
-        M = rng.normal(size=(2, 2))
-        M = 0.5 * (M + M.T)
-        M /= frob(M)
-        m0 = float(rng.uniform(0.5, 2.0))
-        d1, m1 = pushforward_atom(bc, M, m0)
-        d2, m2 = pushforward_atom(bc.inverse(), d1, m1)
-        assert np.allclose(d2, M, atol=1e-10) or np.allclose(d2, -M, atol=1e-10)
-        assert m2 == pytest.approx(m0, abs=1e-10)
-
-
-def test_singular_base_change():
-    with pytest.raises(SingularBaseChange, match="singular base change"):
-        BaseChange.from_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
