@@ -1,9 +1,10 @@
 """Discrete cell problems on a box: a conforming Q1 solver for
 linear-growth bulk energies with Dirichlet or periodic conditions and a
 discontinuous per-element variant with facet jump energies, all minimized
-by one multistart driver. The minimizer asks for values first and for a
-gradient only at accepted points, so the Q1 kernel returns its gradient
-lazily, and it skips the field-value path of v-independent integrands.
+by one multistart driver over stacked points and all returning a
+CellSolution. The minimizer asks for values first and for a gradient only
+at accepted points, so the Q1 kernel returns its gradient lazily, and it
+skips the field-value path of v-independent integrands.
 
 Fields are nodal, elements are multilinear quadrilaterals on a uniform
 grid with 2x2 Gauss quadrature, so affine competitors are reproduced
@@ -430,10 +431,10 @@ def prolong(w: GridDisplacement, factor: int = 2) -> GridDisplacement:
 
 
 @dataclass
-class LDSolution:
+class CellSolution:
     value: float  # raw energy of the minimizer
     value_smoothed: float
-    argmin: GridDisplacement
+    argmin: object  # GridDisplacement or SBDField
     diagnostics: dict
 
 
@@ -467,16 +468,17 @@ def _multistart(fg, starts: list, spec: CellSpec):
             results[k] = stop.value
 
     active = list(range(len(runs)))
-    while active:
-        F, grad = fg(np.array([points[k] for k in active]))
-        for k, f in zip(active, F):
-            send(k, float(f))
-        asked = [i for i, k in enumerate(active) if points[k] is None]
-        if asked:
-            for i, g in zip(asked, grad(asked)):
-                send(active[i], g)
-        del grad  # the strains it holds go before the next round builds its own
-        active = [k for k in active if results[k] is None]
+    with np.errstate(over="ignore", invalid="ignore"):  # lbfgs_steps judges non-finite values
+        while active:
+            F, grad = fg(np.array([points[k] for k in active]))
+            for k, f in zip(active, F):
+                send(k, float(f))
+            asked = [i for i, k in enumerate(active) if points[k] is None]
+            if asked:
+                for i, g in zip(asked, grad(asked)):
+                    send(active[i], g)
+            del grad  # the strains it holds go before the next round builds its own
+            active = [k for k in active if results[k] is None]
     k_best = min(range(len(results)), key=lambda k: results[k]["f"])
     res = results[k_best]
     diag = {"iters": res["iters"], "nfev": res["nfev"], "reason": res["reason"],
@@ -487,7 +489,7 @@ def _multistart(fg, starts: list, spec: CellSpec):
     return res, diag
 
 
-def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
+def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     """Minimize the bulk quadrature energy over Q1 fields matching the
     boundary datum at the boundary nodes.
 
@@ -500,8 +502,6 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
     free = ~grid.boundary_mask
-    if not free.any():
-        raise BadSpec("bad spec")
     extra = [np.asarray(Ux, dtype=float).reshape(grid.n_nodes, 2)[free].ravel()
              for Ux in extra_starts]
     starts = _starts(datum[free].ravel(), spec, extra)
@@ -519,11 +519,11 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> LDSolution:
     Ubest[free] = res["x"].reshape(-1, 2)
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)
-    return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin,
-                      diagnostics={**diag, "mu": f.mu})
+    return CellSolution(value=value, value_smoothed=res["f"], argmin=argmin,
+                        diagnostics={**diag, "mu": f.mu})
 
 
-def solve_periodic(spec: CellSpec, f: Integrand) -> LDSolution:
+def solve_periodic(spec: CellSpec, f: Integrand) -> CellSolution:
     """Minimize the quadrature energy of f(x, 0, A + grad w) over Q1 fields
     w periodic on the period cell `spec.box`, with A the matrix of the
     affine datum. Adding a constant to w changes no energy, so every start
@@ -542,8 +542,8 @@ def solve_periodic(spec: CellSpec, f: Integrand) -> LDSolution:
     W = res["x"].reshape(n, 2)
     argmin = GridDisplacement(grid=grid, values=(W - W.mean(axis=0))[grid.periodic_node])
     value = float(_q1_quadrature(grid, W[None], conn, f_A, spec.freeze_x, raw=True)[0][0])
-    return LDSolution(value=value, value_smoothed=res["f"], argmin=argmin,
-                      diagnostics={**diag, "mu": f.mu})
+    return CellSolution(value=value, value_smoothed=res["f"], argmin=argmin,
+                        diagnostics={**diag, "mu": f.mu})
 
 
 def boundary_l1_gap(spec: CellSpec, data1, data2) -> float:
@@ -578,20 +578,11 @@ class SBDField:
     values: np.ndarray  # (E, 4, 2) per-element nodal values
 
 
-@dataclass
-class SBDSolution:
-    value: float
-    value_smoothed: float
-    bulk: float
-    surface: float
-    argmin: SBDField
-    diagnostics: dict
-
-
 def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
-    """The SBD objective x -> (bulk, surface, grad) of per-element nodal
-    values x (4E * 2,): Q1 bulk quadrature plus a midpoint rule on every
-    facet, where grad() forms the gradient (4E * 2,) on request.
+    """The SBD objective U -> (bulk (K,), surface (K,), grad) of a stack U
+    (K, 8E) of per-element nodal values, K at most spec.solver.multistarts:
+    Q1 bulk quadrature plus a midpoint rule on every facet, where grad(rows)
+    forms the gradients (len(rows), 8E) of the listed rows (ascending).
 
     One facet table holds the interior vertical facets (nu = +e1 in
     reference coordinates, minus side left), the interior horizontal ones
@@ -599,10 +590,11 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     per row, bottom and top per column, outward normals). Each row has two
     minus-side slots 4 e + local, a normal, a length and a midpoint;
     interior rows also have two plus-side slots, boundary rows take the
-    datum at the midpoint as their plus trace.
+    datum at the midpoint as their plus trace. A call makes one kernel and
+    one g1.value call over all K rows, grad one g1.grad call over the rows
+    asked, and each row's result is bit for bit that of a stack of one.
     """
-    m = grid.mesh
-    E = m * m
+    m, E = grid.mesh, grid.mesh ** 2
     eid = np.arange(E).reshape(m, m)  # [ex, ey]
     vert, horz = eid[:-1].ravel(), eid[:, :-1].ravel()  # minus elements of interior facets
     plus = np.concatenate([4 * (vert[:, None] + m) + [0, 2], 4 * (horz[:, None] + 1) + [0, 1]])
@@ -626,34 +618,41 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     rows = np.concatenate([np.tile(np.arange(ni), 2), np.tile(np.arange(n, n + ni), 2),
                            np.tile(np.arange(ni, n), 2)])
     first, second = rows[np.argsort(slots, kind="stable")].reshape(-1, 2).T
-    own = np.arange(4 * E).reshape(1, E, 4)  # each element owns its four nodal values
+    # tables of the largest stack (an element owns its 4 nodal values); K rows read a prefix
+    K_max = spec.solver.multistarts
+    own = _stack_conn(np.arange(4 * E).reshape(E, 4), 4 * E, K_max)
+    Xs, nus = np.tile(X, (K_max, 1)), np.tile(nu, (K_max, 1))
 
-    def split_fg(x):
-        vals = x.reshape(4 * E, 2)
-        (bulk,), bulk_grad = _q1_quadrature(grid, vals[None], own, f1, spec.freeze_x)
-        vm = 0.5 * (vals[minus[:, 0]] + vals[minus[:, 1]])
-        vp = np.concatenate([0.5 * (vals[plus[:, 0]] + vals[plus[:, 1]]), datum])
-        w = g1.value(X, vm, vp, nu) * length
-        surf = float(np.sum(w[:ni])) + float(np.sum(w[ni:]))
+    def objective(U):
+        K, V = len(U), U.reshape(len(U), 4 * E, 2)
+        bulk, bulk_grad = _q1_quadrature(grid, V, own, f1, spec.freeze_x)
+        vm = 0.5 * (V.take(minus[:, 0], 1) + V.take(minus[:, 1], 1))
+        vp = np.concatenate([0.5 * (V.take(plus[:, 0], 1) + V.take(plus[:, 1], 1)),
+                             np.broadcast_to(datum, (K, n - ni, 2))], axis=1)
+        w = g1.value(Xs[:K * n], vm.reshape(-1, 2), vp.reshape(-1, 2),
+                     nus[:K * n]).reshape(K, n) * length
+        surf = w[:, :ni].sum(axis=1) + w[:, ni:].sum(axis=1)
 
-        def grad():
-            (g,) = bulk_grad([0])
-            dVM, dVP = g1.grad(X, vm, vp, nu)
-            terms = np.concatenate([0.5 * dVM * length[:, None],
-                                    0.5 * dVP[:ni] * length[:ni, None]])
-            g += terms[first]
-            g += terms[second]
-            return g.ravel()
+        def grad(asked):
+            R = len(asked)
+            g = bulk_grad(asked)
+            dVM, dVP = g1.grad(Xs[:R * n], vm[asked].reshape(-1, 2), vp[asked].reshape(-1, 2),
+                               nus[:R * n])
+            terms = np.concatenate([0.5 * dVM.reshape(R, n, 2) * length[:, None],
+                                    0.5 * dVP.reshape(R, n, 2)[:, :ni] * length[:ni, None]], 1)
+            g += terms.take(first, 1)
+            g += terms.take(second, 1)
+            return g.reshape(R, -1)
 
         return bulk, surf, grad
 
-    return split_fg
+    return objective
 
 
-def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolution:
+def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSolution:
     """Minimize bulk quadrature plus midpoint-rule facet surface energy over
     element-wise Q1 fields; the boundary datum enters through the surface
-    term on boundary facets.
+    term on boundary facets. The argmin is an SBDField.
 
     The value is the raw bulk energy plus the smoothed surface term
     g1.value: for g_odot it lies below the raw one by at most mu times the
@@ -662,24 +661,22 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> SBDSolutio
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     E = grid.mesh ** 2
-    split_fg = _sbd_objective(grid, spec, f1, g1)
+    objective = _sbd_objective(grid, spec, f1, g1)
 
     def fg(X):
-        rows = [split_fg(x) for x in X]
-        return [bulk + surf for bulk, surf, _ in rows], lambda asked: [rows[i][2]() for i in asked]
+        bulk, surf, grad = objective(X)
+        return bulk + surf, grad
 
     # side-aware datum interpolant: evaluate at nodes nudged toward the
     # element center, so discontinuous data land on facets, not inside cells
-    corner_pts = grid.nodes[grid.conn]  # (E, 4, 2)
-    centers = corner_pts.mean(axis=1, keepdims=True)
-    nudged = corner_pts + 1e-9 * (centers - corner_pts)
-    U0 = spec.boundary.value(nudged.reshape(-1, 2)).reshape(E, 4, 2)
-    res, diag = _multistart(fg, _starts(U0.ravel(), spec), spec)
-    vals = res["x"].reshape(E, 4, 2)
-    bulk, surf, _ = split_fg(res["x"])
-    raw_bulk = float(_q1_quadrature(grid, vals.reshape(1, 4 * E, 2),
-                                    np.arange(4 * E).reshape(1, E, 4), f1, spec.freeze_x,
-                                    raw=True)[0][0])
-    return SBDSolution(value=raw_bulk + surf, value_smoothed=res["f"], bulk=bulk,
-                       surface=surf, argmin=SBDField(grid=grid, values=vals),
-                       diagnostics={**diag, "mu": f1.mu})
+    corners = grid.nodes[grid.conn]  # (E, 4, 2)
+    nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
+    x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
+    res, diag = _multistart(fg, _starts(x0, spec), spec)
+    V = res["x"].reshape(1, 4 * E, 2)
+    _, (surf,), _ = objective(V)
+    (raw_bulk,), _ = _q1_quadrature(grid, V, np.arange(4 * E).reshape(1, E, 4), f1,
+                                    spec.freeze_x, raw=True)
+    return CellSolution(value=float(raw_bulk + surf), value_smoothed=res["f"],
+                        argmin=SBDField(grid=grid, values=V.reshape(E, 4, 2)),
+                        diagnostics={**diag, "mu": f1.mu})

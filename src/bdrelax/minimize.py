@@ -35,8 +35,10 @@ def lbfgs_steps(x0, max_iters: int = 2000):
     x = np.asarray(x0, dtype=float).copy()
     f = yield x
     nfev = 1
+    if not np.isfinite(f):
+        raise SolverError("integrand overflow")
     g = yield None
-    if not np.isfinite(f) or not np.isfinite(g).all():
+    if not np.isfinite(g).all():
         raise SolverError("integrand overflow")
     gnorm = float(np.linalg.norm(g))
     grad_tol = 1e-8 * (gnorm + 1.0)

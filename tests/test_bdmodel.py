@@ -226,6 +226,18 @@ def test_mean_exactness():
         p, q = 2.0 * np.pi * f[0], 2.0 * np.pi * f[1]
         expected = a * (np.exp(1j * ph) * mean_1d(p, x0, x1) * mean_1d(q, y0, y1)).imag
         assert np.allclose(u.mean(box), expected, atol=1e-14), f
+    # staircase plateaus: a Cantor staircase is shifted to zero average over
+    # its support, so it averages to 0 xi over the support box
+    uc = StructuredBD.staircase(depth=5, support=(0, 1))
+    assert np.allclose(uc.mean(Box(lo=(0.0, -1.0), hi=(1.0, 2.0))), 0.0, atol=1e-14)
+    # two atoms on t = x . e1 in [-1/2, 1]: psi = -0.4, then +1/2 at 1/4 and
+    # +1/3 at 1/2, plus the slope term beta (x . e2) e1 at the box center (x . e2 = 1)
+    us = StructuredBD(profile=Profile(eta=E1, xi=E2, beta=0.5, staircase=ExplicitStaircase(
+        atom_list=((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 3))),
+        offset=-0.4)))
+    psi_mean = -0.4 + 0.5 * (0.75 / 1.5) + (1.0 / 3.0) * (0.5 / 1.5)
+    assert np.allclose(us.mean(Box(lo=(-0.5, 0.0), hi=(1.0, 2.0))),
+                       psi_mean * E2 + 0.5 * E1, atol=1e-14)
 
 
 def test_json_round_trip():

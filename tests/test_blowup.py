@@ -7,6 +7,7 @@ from bdrelax.bdmodel import SmoothPolynomial, StructuredBD
 from bdrelax.blowup import (BlowupError, BlowupFrame, ProfilePair, blowup_sequence,
                             normalize_profile, normalize_profile_parallel, rescale)
 from bdrelax.geometry import Box
+from bdrelax.rigid import rigid_projection
 from bdrelax.tensor import frob, odot
 
 E1 = (1.0, 0.0)
@@ -41,6 +42,24 @@ def test_rescale_staircase_triadic_exact():
         r = rescale(u, frame, grid_per_axis=6)
         assert r.emass == K.volume
         assert r.emass_ratio == 1
+
+
+def test_rescale_staircase_with_profile_slope():
+    # beta != 0: the slope term beta (x . xi) eta carries a constant into
+    # the rescaled field; the samples are (u - R_W)(x + eps y) / (eps t)
+    # with R_W the rigid projection on the window W = x + eps K
+    u = StructuredBD.staircase(depth=4, beta=0.3)
+    x = (Fraction(1, 2), Fraction(1, 4))
+    for k in range(5):
+        frame = BlowupFrame(x=x, K=K, eps=Fraction(1, 3) ** k)
+        r = rescale(u, frame, grid_per_axis=6)
+        assert r.emass == K.volume
+        assert r.emass_ratio == 1
+        eps = float(frame.eps)
+        P = np.array([0.5, 0.25]) + eps * r.points
+        R_W = rigid_projection(u, frame.window)
+        expected = (u.value(P) - R_W.value(P)) / (eps * r.normalization)
+        assert np.allclose(r.samples, expected, rtol=0.0, atol=1e-12)
 
 
 def test_rescale_jump_only():

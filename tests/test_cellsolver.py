@@ -341,11 +341,11 @@ def test_lockstep_matches_serial_sbd():
     spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
     sol = solve_sbd(spec, f1, g1)
     grid = Grid(spec.box, spec.mesh)
-    split_fg = _sbd_objective(grid, spec, f1, g1)
+    objective = _sbd_objective(grid, spec, f1, g1)
 
     def fg_row(x):
-        bulk, surf, grad = split_fg(x)
-        return bulk + surf, grad()
+        (bulk,), (surf,), grad = objective(x[None])
+        return bulk + surf, grad([0])[0]
 
     corners = grid.nodes[grid.conn]
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
@@ -590,17 +590,51 @@ def test_sbd_objective_bit_identical_to_seed(mesh, nu):
     grid = Grid(Box.cube((0.0, 0.0), 1.0), mesh, frame)
     normal = np.array([1.0, 0.0]) if nu is None else frame[:, 0]
     x = np.random.default_rng(mesh).normal(size=8 * mesh * mesh)
+    X3 = np.random.default_rng(mesh + 100).normal(size=(3, 8 * mesh * mesh))
     f1 = abs_sym(mu=1e-6)
     for data in (AffineData([[0.3, 0.1], [0.1, -0.5]], [0.2, 0.0]),
                  JumpData(np.zeros(2), [0.3, 1.0], normal)):
         for fx in (None, np.array([0.3, -0.1])):
-            spec = CellSpec(boundary=data, mesh=mesh, frame=frame, freeze_x=fx)
+            spec = CellSpec(boundary=data, mesh=mesh, frame=frame, freeze_x=fx,
+                            solver=SolverParams(multistarts=3))
             for g1 in (g_odot(), g_penalty(1e4)):
-                bulk_ref, surf_ref, grad_ref = _seed_sbd_objective(grid, spec, f1, g1)(x)
-                bulk, surf, grad = _sbd_objective(grid, spec, f1, g1)(x)
+                seed_fg = _seed_sbd_objective(grid, spec, f1, g1)
+                objective = _sbd_objective(grid, spec, f1, g1)
+                bulk_ref, surf_ref, grad_ref = seed_fg(x)
+                (bulk,), (surf,), grad = objective(x[None])
                 assert bulk == bulk_ref
                 assert surf == surf_ref
-                assert np.array_equal(grad(), grad_ref)
+                assert np.array_equal(grad([0])[0], grad_ref)
+                # a stack of three: each row is the seed's value of that row,
+                # whether all rows or some ask for their gradient
+                refs = [seed_fg(row) for row in X3]
+                bulk, surf, grad = objective(X3)
+                for k, (bulk_ref, surf_ref, grad_ref) in enumerate(refs):
+                    assert bulk[k] == bulk_ref
+                    assert surf[k] == surf_ref
+                for rows in ([0, 1, 2], [0, 2]):
+                    for k, g in zip(rows, grad(rows)):
+                        assert np.array_equal(g, refs[k][2])
+
+
+def test_sbd_one_surface_call_per_round():
+    # the starts of an SBD cell run in lockstep: each round values the
+    # pending points of all active starts with one g1.value call (the
+    # rounds are the most values any start took), plus one at the argmin
+    g = g_odot()
+    calls = []
+
+    def value(X, VM, VP, NU):
+        calls.append(len(X))
+        return g.value(X, VM, VP, NU)
+
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6,
+                    solver=SolverParams(multistarts=3, max_iters=40))
+    sol = solve_sbd(spec, abs_sym(mu=1e-6), replace(g, value=value))
+    nfev = [n for _, n, _ in sol.diagnostics["starts"]]
+    assert len(calls) == max(nfev) + 1
+    n_facets = 2 * 6 * 5 + 4 * 6
+    assert calls[0] == 3 * n_facets and calls[-1] == n_facets
 
 
 def test_sbd_penalty_limit_matches_ld():

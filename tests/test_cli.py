@@ -225,6 +225,17 @@ def test_density_solver_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_solver_failure_prints_one_stderr_line(tmp_path):
+    # the overflow reaches stderr as the one documented line, with no numpy
+    # RuntimeWarning before it
+    env = {**os.environ, "PYTHONPATH": str(Path(bdrelax.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path),
+                           "density", "--integrand", "abs-sym*1e308", "--A", "1e10,0;0,1e10"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == "solver failure: integrand overflow\n"
+
+
 def test_json_identical_across_processes(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(bdrelax.__file__).parents[1])}
     for command, files in (
