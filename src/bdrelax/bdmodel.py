@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .geometry import Box, box_halfplane_area, box_plane_segment, box_quadrature, box_slab_area
 from .tensor import frob, odot, sym
@@ -83,31 +84,23 @@ class Staircase:
 
     def value(self, t) -> np.ndarray:
         """Staircase value, right-continuous at the atoms."""
-        t = np.asarray(t, dtype=float)
-        pos, cum = self._steps
-        idx = np.searchsorted(pos, t, side="right")
-        raw = np.where(idx > 0, cum[np.maximum(idx - 1, 0)], 0.0)
-        return raw + self.offset
+        pos, levels = self._steps
+        return levels[np.searchsorted(pos, np.asarray(t, dtype=float), side="right")] + self.offset
 
     @cached_property
     def _steps(self) -> tuple[np.ndarray, np.ndarray]:
-        # float atom positions and cumulative jumps, built once per instance
+        # float atom positions and the raw level of each plateau (0 left of
+        # every atom): the one float view of the atoms, built once per instance
         atoms = self.atoms()
-        return (np.array([float(p) for p, _ in atoms] or [0.0]),
-                np.cumsum([float(q) for _, q in atoms] or [0.0]))
+        return (np.array([float(p) for p, _ in atoms]),
+                np.cumsum([0.0] + [float(q) for _, q in atoms]))
 
     def plateaus(self) -> list[tuple[float, float, float]]:
         """(t_lo, t_hi, value) pieces covering all of R."""
-        offset = self.offset
-        pieces = []
-        lo = -np.inf
-        level = 0.0
-        for p, q in self.atoms():
-            pieces.append((lo, float(p), level + offset))
-            lo = float(p)
-            level += float(q)
-        pieces.append((lo, np.inf, level + offset))
-        return pieces
+        pos, levels = self._steps
+        edges = [-np.inf, *pos.tolist(), np.inf]
+        return [(lo, hi, level + self.offset)
+                for lo, hi, level in zip(edges, edges[1:], levels.tolist())]
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,8 @@ def _zero_smooth() -> SmoothAffine:
 
 
 class SmoothPolynomial:
-    """u_k(x, y) = sum_ij c[k, i, j] x^i y^j with total degree <= 3."""
+    """u_k(x, y) = sum_ij c[k, i, j] x^i y^j, of degree <= 3 in each variable
+    (so up to x^3 y^3)."""
 
     kind = "polynomial"
 
@@ -243,32 +237,25 @@ class SmoothPolynomial:
         if c.ndim != 3 or c.shape[0] != 2 or c.shape[1] > 4 or c.shape[2] > 4:
             raise ValueError("coeffs must have shape (2, <=4, <=4)")
         self.c = c
+        self._cxy = np.moveaxis(c, 0, -1)  # (i, j, k): the layout numpy.polynomial reads
+
+    @staticmethod
+    def _eval(cxy, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return P.polyval2d(X[:, 0], X[:, 1], cxy).T
 
     def value(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        xp = X[:, 0][:, None] ** np.arange(self.c.shape[1])[None, :]
-        yp = X[:, 1][:, None] ** np.arange(self.c.shape[2])[None, :]
-        return np.einsum("kij,mi,mj->mk", self.c, xp, yp)
+        return self._eval(self._cxy, X)
 
     def grad(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        ni, nj = self.c.shape[1], self.c.shape[2]
-        xp = X[:, 0][:, None] ** np.arange(ni)[None, :]
-        yp = X[:, 1][:, None] ** np.arange(nj)[None, :]
-        dx = np.zeros((len(X), ni))
-        dx[:, 1:] = np.arange(1, ni)[None, :] * (X[:, 0][:, None] ** np.arange(ni - 1)[None, :])
-        dy = np.zeros((len(X), nj))
-        dy[:, 1:] = np.arange(1, nj)[None, :] * (X[:, 1][:, None] ** np.arange(nj - 1)[None, :])
-        gx = np.einsum("kij,mi,mj->mk", self.c, dx, yp)
-        gy = np.einsum("kij,mi,mj->mk", self.c, xp, dy)
-        return np.stack([gx, gy], axis=-1)  # (m, comp, deriv)
+        return np.stack([self._eval(P.polyder(self._cxy, axis=d), X) for d in (0, 1)],
+                        axis=-1)  # (m, comp, deriv)
 
     def mean(self, box: Box):
+        F = P.polyint(P.polyint(self._cxy, axis=0), axis=1)
         (x0, y0), (x1, y1) = box.lo, box.hi
-        ni, nj = self.c.shape[1], self.c.shape[2]
-        ix = np.array([(x1 ** (i + 1) - x0 ** (i + 1)) / (i + 1) for i in range(ni)])
-        iy = np.array([(y1 ** (j + 1) - y0 ** (j + 1)) / (j + 1) for j in range(nj)])
-        return np.einsum("kij,i,j->k", self.c, ix, iy) / box.volume
+        corners = P.polyval2d(np.array([x1, x0, x1, x0]), np.array([y1, y1, y0, y0]), F)
+        return corners @ np.array([1.0, -1.0, -1.0, 1.0]) / box.volume
 
     def to_json(self):
         return {"type": "polynomial", "coeffs": self.c.tolist()}
@@ -297,28 +284,16 @@ class SmoothSinusoid:
         out = np.zeros((len(X), 2, 2))
         for a, f, ph in self.terms:
             c = np.cos(2 * np.pi * (X @ f) + ph)
-            out += c[:, None, None] * np.einsum("i,j->ij", a, 2 * np.pi * f)[None, :, :]
+            out += c[:, None, None] * np.outer(a, 2 * np.pi * f)[None, :, :]
         return out
 
     def mean(self, box: Box):
-        (x0, y0), (x1, y1) = box.lo, box.hi
+        # the mean of sin over a box is its value at the centre times one
+        # sinc factor per axis; np.sinc(0) = 1 covers zero frequencies
+        c, e = box.center, box.extent
         out = np.zeros(2)
         for a, f, ph in self.terms:
-            p, q = 2 * np.pi * f[0], 2 * np.pi * f[1]
-            if p != 0.0 and q != 0.0:
-                s = (
-                    np.sin(p * x1 + q * y0 + ph)
-                    - np.sin(p * x0 + q * y0 + ph)
-                    - np.sin(p * x1 + q * y1 + ph)
-                    + np.sin(p * x0 + q * y1 + ph)
-                ) / (p * q)
-            elif p == 0.0 and q != 0.0:
-                s = (x1 - x0) * (np.cos(q * y0 + ph) - np.cos(q * y1 + ph)) / q
-            elif q == 0.0 and p != 0.0:
-                s = (y1 - y0) * (np.cos(p * x0 + ph) - np.cos(p * x1 + ph)) / p
-            else:
-                s = np.sin(ph) * box.volume
-            out += a * (s / box.volume)
+            out += a * (np.sin(2 * np.pi * (f @ c) + ph) * np.prod(np.sinc(f * e)))
         return out
 
     def to_json(self):
@@ -386,8 +361,8 @@ def _smooth_from_json(d) -> object:
 class JumpPlane:
     """Jump of dv across {x . nu = c}; the field gains dv where x . nu >= c.
 
-    nu is stored with its lexicographically first nonzero component
-    positive; constructors normalize the orientation.
+    nu must have its lexicographically first nonzero component positive,
+    so that each plane has one description.
     """
 
     nu: np.ndarray
@@ -396,6 +371,8 @@ class JumpPlane:
 
     def __post_init__(self):
         object.__setattr__(self, "nu", _unit(self.nu, "nu"))
+        if self.nu[np.flatnonzero(self.nu)[0]] < 0:
+            raise ValueError("jump normal must have its first nonzero component positive")
         object.__setattr__(self, "dv", np.asarray(self.dv, dtype=float).reshape(2))
 
 
@@ -465,7 +442,6 @@ class StructuredBD:
         """u = v_plus where x . nu >= 0, v_minus otherwise."""
         v_minus = np.asarray(v_minus, dtype=float)
         v_plus = np.asarray(v_plus, dtype=float)
-        nu = _unit(nu, "nu")
         jump = JumpPlane(nu=nu, c=0.0, dv=v_plus - v_minus)
         return StructuredBD(smooth=SmoothAffine(np.zeros((2, 2)), v_minus), jumps=(jump,))
 
@@ -525,7 +501,7 @@ class StructuredBD:
         G = self.smooth.grad(X)
         if self.profile is not None:
             p = self.profile
-            G = G + p.beta * np.einsum("i,j->ij", p.eta, p.xi)[None, :, :]
+            G = G + p.beta * np.outer(p.eta, p.xi)[None, :, :]
         return G
 
     def e_ac(self, X) -> np.ndarray:
@@ -590,15 +566,8 @@ class StructuredBD:
         if d.get("dim", 2) != 2:
             raise ValueError("only dim = 2 specs are supported")
         smooth = _smooth_from_json(d.get("smooth", {"type": "zero"}))
-        jumps = []
-        for e in d.get("jumps", []) or []:
-            nu = np.asarray(e["nu"], dtype=float)
-            c = float(e["c"])
-            dv = np.asarray(e["dv"], dtype=float)
-            nz = np.nonzero(np.abs(nu) > 0)[0]
-            if len(nz) and nu[nz[0]] < 0:
-                raise ValueError("jump normal must have its first nonzero component positive")
-            jumps.append(JumpPlane(nu=nu, c=c, dv=dv))
+        jumps = [JumpPlane(nu=e["nu"], c=float(e["c"]), dv=e["dv"])
+                 for e in d.get("jumps", []) or []]
         prof = None
         pd = d.get("profile")
         if pd:

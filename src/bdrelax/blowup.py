@@ -226,13 +226,6 @@ class ProfilePair:
     def parallel(self) -> bool:
         return bool(abs(abs(float(self.eta @ self.xi)) - 1.0) < 1e-12)
 
-    def trace_left(self) -> Fraction:
-        return self.offset - self.slope * self.rho / 2
-
-    def trace_right(self) -> Fraction:
-        total = sum((q for _, q in self.atoms), Fraction(0))
-        return self.offset + self.slope * self.rho / 2 + total
-
     def mean(self) -> Fraction:
         acc = self.offset
         for t, q in self.atoms:
@@ -260,14 +253,14 @@ def normalize_profile(p: ProfilePair) -> NormalizedProfile:
     """Two-vector normalization: remove the skew part generated by the
     profile's linear drift.
 
-    kappa = (psi_bar(rho/2) - psi_bar(-rho/2) - beta_bar rho) / (2 rho);
+    kappa = (D psi_bar(I) - beta_bar rho) / (2 rho), I = (-rho/2, rho/2);
     psi = psi_bar - kappa t - mean(psi_bar); beta = beta_bar + kappa. The
     output has exact zero average and D psi(I) = beta rho; applying the map
     twice returns the first output bit for bit.
     """
     if p.parallel:
         raise ValueError("xi = +-eta: route to the parallel (case-three) variant")
-    kappa = (p.trace_right() - p.trace_left() - p.beta_bar * p.rho) / (2 * p.rho)
+    kappa = (p.derivative_mass() - p.beta_bar * p.rho) / (2 * p.rho)
     mean = p.mean()
     psi = ProfilePair(atoms=p.atoms, slope=p.slope - kappa, offset=p.offset - mean,
                       beta_bar=p.beta_bar + kappa, rho=p.rho, eta=p.eta, xi=p.xi)

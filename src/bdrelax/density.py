@@ -319,40 +319,39 @@ _REGISTRY = {
 }
 
 
+_SURFACE_REGISTRY = {
+    "odot": lambda arg: g_odot() if arg is None else g_odot(mu=float(arg)),
+    "penalty": lambda arg: g_penalty() if arg is None else g_penalty(c=float(arg)),
+}
+_SURFACE_REGISTRY["odot-norm"] = _SURFACE_REGISTRY["odot"]  # the integrand's own name
+
+
+def _lookup(registry: dict, spec: str, what: str):
+    """Build the entry of an id 'name', 'name(arg)' or 'name:arg'."""
+    arg = None
+    if "(" in spec and spec.endswith(")"):
+        spec, arg = spec[:-1].split("(", 1)
+    elif ":" in spec:
+        spec, arg = spec.split(":", 1)
+    if spec not in registry:
+        raise KeyError(f"unknown {what} id {spec!r}; known: {sorted(registry)}")
+    return registry[spec](arg)
+
+
 def get_integrand(spec: str) -> Integrand:
     """Look up a corpus integrand by id, e.g. 'abs-sym' or 'mueller-f-eps(0.1)'.
 
     A '*C' suffix scales the density by C (used for penalty-style bulk
     terms in the SBD experiments).
     """
-    spec = spec.strip()
-    factor = None
-    if "*" in spec:
-        spec, fs = spec.split("*", 1)
-        factor = float(fs)
-    arg = None
-    if "(" in spec and spec.endswith(")"):
-        spec, arg = spec[:-1].split("(", 1)
-    elif ":" in spec:
-        spec, arg = spec.split(":", 1)
-    if spec not in _REGISTRY:
-        raise KeyError(f"unknown integrand id {spec!r}; known: {sorted(_REGISTRY)}")
-    f = _REGISTRY[spec](arg)
-    if factor is not None:
-        f = scaled(f, factor)
-    return f
+    spec, star, factor = spec.strip().partition("*")
+    f = _lookup(_REGISTRY, spec, "integrand")
+    return scaled(f, float(factor)) if star else f
 
 
 def get_surface_integrand(spec: str) -> SurfaceIntegrand:
-    spec = spec.strip()
-    arg = None
-    if "(" in spec and spec.endswith(")"):
-        spec, arg = spec[:-1].split("(", 1)
-    if spec in ("odot", "odot-norm"):
-        return g_odot() if arg is None else g_odot(mu=float(arg))
-    if spec == "penalty":
-        return g_penalty() if arg is None else g_penalty(c=float(arg))
-    raise KeyError(f"unknown surface integrand id {spec!r}")
+    """Look up a surface integrand by id, e.g. 'odot' or 'penalty:100'."""
+    return _lookup(_SURFACE_REGISTRY, spec.strip(), "surface integrand")
 
 
 # ---------------------------------------------------------------------------

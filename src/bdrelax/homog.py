@@ -127,19 +127,13 @@ def fold(w: GridDisplacement, j: int, eps: float, v, target_mesh: int | None = N
         raise FoldError("traces do not match the jump-data convention")
     if np.max(np.abs(vals[:, N, :] - vals[:, 0, :])) > 1e-9 * scale:
         raise FoldError("field is not periodic across the horizontal faces")
-    out_grid = Grid(g.box, M)
-    px = np.arange(M + 1)
-    ix = px % N
-    kx = px // N
-    wrap = (ix == 0) & (kx > 0)  # left-limit convention at period boundaries
-    ix = np.where(wrap, N, ix)
-    kx = np.where(wrap, kx - 1, kx)
-    iy = np.where((px % N == 0) & (px > 0), N, px % N)
-    out = np.empty((M + 1, M + 1, 2))
-    for a in range(M + 1):
-        shift = (kx[a] / eps) * v / j
-        out[a, :, :] = vals[ix[a], iy, :] / j + shift
-    return GridDisplacement(grid=out_grid, values=out.reshape((M + 1) ** 2, 2))
+    # fine index p lies in period k = max(p - 1, 0) // N at node p - N k:
+    # a period boundary takes the left limit, node N of the earlier period
+    p = np.arange(M + 1)
+    k = np.maximum(p - 1, 0) // N
+    node = p - N * k
+    out = vals[node[:, None], node[None, :], :] / j + ((k / eps)[:, None] * v / j)[:, None, :]
+    return GridDisplacement(grid=Grid(g.box, M), values=out.reshape((M + 1) ** 2, 2))
 
 
 def fold_energy(w: GridDisplacement, f: Integrand) -> float:

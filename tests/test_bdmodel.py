@@ -8,7 +8,7 @@ from bdrelax.bdmodel import (BoundaryChargedBox, CantorProfile, ExplicitStaircas
                              Profile, SmoothAffine, SmoothPolynomial, SmoothSinusoid,
                              StructuredBD, combine, total_variation, trace_pair,
                              tv_mass_exact)
-from bdrelax.geometry import Box
+from bdrelax.geometry import Box, box_quadrature
 from bdrelax.tensor import frob, odot, sym
 
 E1 = np.array([1.0, 0.0])
@@ -290,3 +290,76 @@ def test_distinct_jump_planes_required():
     with pytest.raises(ValueError, match="pairwise distinct"):
         StructuredBD(jumps=(JumpPlane(nu=E1, c=0.0, dv=E2),
                             JumpPlane(nu=E1, c=0.0, dv=E1)))
+
+
+def test_jump_normal_orientation_checked_on_construction():
+    # a plane has one description: nu = -e1 would describe {x1 = 0.2} a
+    # second time, and the pair below is in truth one field with no jump
+    with pytest.raises(ValueError, match="first nonzero component positive"):
+        StructuredBD(jumps=(JumpPlane(E1, 0.2, E2), JumpPlane(-E1, -0.2, E2)))
+    with pytest.raises(ValueError, match="first nonzero component positive"):
+        StructuredBD.two_constant((0.0, 0.0), E2, -E1)
+    with pytest.raises(ValueError, match="first nonzero component positive"):
+        JumpPlane(np.array([0.0, -1.0]), 0.0, E2)
+    assert np.array_equal(JumpPlane(np.array([0.0, 1.0]), 0.0, E2).nu, E2)
+
+
+def _seed_plateaus(stair):
+    """The seed's plateau walk over the exact atoms: the reference the
+    cached-steps form must reproduce bit for bit."""
+    offset = stair.offset
+    pieces = []
+    lo = -np.inf
+    level = 0.0
+    for p, q in stair.atoms():
+        pieces.append((lo, float(p), level + offset))
+        lo = float(p)
+        level += float(q)
+    pieces.append((lo, np.inf, level + offset))
+    return pieces
+
+
+@pytest.mark.parametrize("stair", [
+    *(CantorProfile.make(depth, Fraction(3, 7), (Fraction(-1, 3), 2)) for depth in range(1, 9)),
+    ExplicitStaircase(atom_list=((Fraction(1, 4), Fraction(1, 2)), (0.5, Fraction(1, 3)),
+                                 (0.6, 0.1)), offset=-0.4),
+    ExplicitStaircase(atom_list=(), offset=0.3),
+], ids=[*(f"cantor-{d}" for d in range(1, 9)), "explicit", "empty"])
+def test_plateaus_match_seed_walk(stair):
+    new, ref = stair.plateaus(), _seed_plateaus(stair)
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert np.array_equal(a, b)
+    # the plateau values are the staircase values just left of each atom
+    t = np.array([hi for _, hi, _ in new[:-1]])
+    assert np.array_equal(stair.value(np.nextafter(t, -np.inf)), [v for *_, v in new[:-1]])
+
+
+def _random_polynomial(rng):
+    return SmoothPolynomial(rng.normal(size=(2, int(rng.integers(1, 5)), int(rng.integers(1, 5)))))
+
+
+def test_polynomial_mean_matches_two_point_gauss():
+    # two-point Gauss is exact up to degree 3 in each variable
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        poly = _random_polynomial(rng)
+        lo = rng.uniform(-1.5, 1.0, size=2)
+        box = Box(lo=tuple(lo), hi=tuple(lo + rng.uniform(0.1, 1.5, size=2)))
+        pts, w = box_quadrature(box, cells=1, npts=2)
+        expected = (w[:, None] * poly.value(pts)).sum(axis=0) / box.volume
+        assert np.allclose(poly.mean(box), expected, rtol=0, atol=1e-13)
+
+
+def test_polynomial_grad_matches_central_differences():
+    rng = np.random.default_rng(4)
+    h = 1e-5
+    for _ in range(20):
+        poly = _random_polynomial(rng)
+        X = rng.uniform(-1.5, 1.5, size=(7, 2))
+        G = poly.grad(X)
+        assert G.shape == (7, 2, 2)
+        for d in range(2):
+            step = h * np.eye(2)[d]
+            fd = (poly.value(X + step) - poly.value(X - step)) / (2 * h)
+            assert np.allclose(G[:, :, d], fd, rtol=0, atol=1e-8)

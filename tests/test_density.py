@@ -63,6 +63,18 @@ def test_registry():
     assert get_surface_integrand("penalty(10)").name == "penalty(10)"
 
 
+def test_surface_registry_shares_id_grammar():
+    # bulk and surface ids take an argument as 'name(arg)' or 'name:arg'
+    assert get_surface_integrand("penalty:100").name == "penalty(100)"
+    assert get_surface_integrand(" penalty(100) ").name == "penalty(100)"
+    VM, VP, NU = np.zeros((1, 2)), np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])
+    for spec in ("odot:0.01", "odot-norm(0.01)"):
+        g = get_surface_integrand(spec)
+        assert g.value(None, VM, VP, NU) == get_surface_integrand("odot(0.01)").value(None, VM, VP, NU)
+    with pytest.raises(KeyError, match="known"):
+        get_surface_integrand("nope:1")
+
+
 def test_mueller_smoothed_matches_raw():
     f = mueller_h_integrand(mu=1e-8)
     rng = np.random.default_rng(1)

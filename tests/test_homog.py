@@ -116,3 +116,36 @@ def test_fold_shift_consistency():
     w = make_periodic_competitor(8, v, eps=eps, seed=2)
     w1 = fold(w, 1, eps, v)
     assert np.allclose(w1.values, w.values, atol=1e-12)
+
+
+def _seed_fold(w, j, eps, v):
+    """The seed's fold, one fine row at a time with explicit wrap fix-ups:
+    the reference the gather form must reproduce bit for bit."""
+    v = np.asarray(v, dtype=float).reshape(2)
+    N = w.grid.mesh
+    M = N * j
+    vals = w.values.reshape(N + 1, N + 1, 2)
+    px = np.arange(M + 1)
+    ix = px % N
+    kx = px // N
+    wrap = (ix == 0) & (kx > 0)
+    ix = np.where(wrap, N, ix)
+    kx = np.where(wrap, kx - 1, kx)
+    iy = np.where((px % N == 0) & (px > 0), N, px % N)
+    out = np.empty((M + 1, M + 1, 2))
+    for a in range(M + 1):
+        shift = (kx[a] / eps) * v / j
+        out[a, :, :] = vals[ix[a], iy, :] / j + shift
+    return out.reshape((M + 1) ** 2, 2)
+
+
+@pytest.mark.parametrize("mesh", [4, 5, 8, 16, 32])
+def test_fold_matches_seed_loop(mesh):
+    for j in (1, 2, 3, 4, 7):
+        for eps in (0.3, 0.5, 1.0):
+            for seed in range(3):
+                v = (0.4 - 0.3 * seed, 1.0 + 0.5 * seed)
+                w = make_periodic_competitor(mesh, v, eps=eps, seed=seed)
+                wj = fold(w, j, eps, v)
+                assert wj.grid.mesh == mesh * j
+                assert np.array_equal(wj.values, _seed_fold(w, j, eps, v))
