@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .geometry import Box, box_halfplane_area, box_plane_segment, box_quadrature, box_slab_area
+from .geometry import Box, box_halfplane_area, box_plane_segment, box_quadrature
 from .tensor import frob, odot, sym
 
 
@@ -94,13 +94,6 @@ class Staircase:
         atoms = self.atoms()
         return (np.array([float(p) for p, _ in atoms]),
                 np.cumsum([0.0] + [float(q) for _, q in atoms]))
-
-    def plateaus(self) -> list[tuple[float, float, float]]:
-        """(t_lo, t_hi, value) pieces covering all of R."""
-        pos, levels = self._steps
-        edges = [-np.inf, *pos.tolist(), np.inf]
-        return [(lo, hi, level + self.offset)
-                for lo, hi, level in zip(edges, edges[1:], levels.tolist())]
 
 
 @dataclass(frozen=True)
@@ -195,7 +188,7 @@ def _unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (2,):
         raise ValueError(f"{name} must be a 2-vector")
-    if abs(float(v @ v) - 1.0) > 2e-12:
+    if not abs(float(v @ v) - 1.0) <= 2e-12:  # "not <=", so a NaN norm fails too
         raise ValueError(f"{name} must be unit norm")
     return v
 
@@ -508,23 +501,16 @@ class StructuredBD:
         return sym(self.grad_ac(X))
 
     def mean(self, box: Box) -> np.ndarray:
-        """Exact average of the field over the box."""
+        """Exact average of the field over the box: each atom adds q a times the
+        area fraction of its plus side, the profile its offset and slope terms."""
         out = np.asarray(self.smooth.mean(box), dtype=float)
         vol = box.volume
-        for j in self.jumps:
-            area_plus = vol - box_halfplane_area(box, j.nu, j.c)
-            out = out + j.dv * (area_plus / vol)
+        for atom in self.atoms():
+            area_plus = vol - box_halfplane_area(box, atom.n, float(atom.c))
+            out = out + atom.a * (float(atom.q) * area_plus / vol)
         if self.profile is not None:
             p = self.profile
-            acc = 0.0
-            tvals = box.corners() @ p.eta
-            tmin, tmax = float(tvals.min()), float(tvals.max())
-            for lo, hi, val in p.staircase.plateaus():
-                a, b = max(lo, tmin), min(hi, tmax)
-                if b > a:
-                    acc += val * box_slab_area(box, p.eta, a, b)
-            out = out + (acc / vol) * p.xi
-            out = out + p.beta * float(box.center @ p.xi) * p.eta
+            out = out + p.staircase.offset * p.xi + p.beta * float(box.center @ p.xi) * p.eta
         return out
 
     # -- serialization -------------------------------------------------------

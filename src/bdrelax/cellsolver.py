@@ -162,7 +162,7 @@ class JumpData:
         object.__setattr__(self, "v_minus", np.asarray(self.v_minus, dtype=float).reshape(2))
         object.__setattr__(self, "v_plus", np.asarray(self.v_plus, dtype=float).reshape(2))
         nu = np.asarray(self.nu, dtype=float).reshape(2)
-        if abs(float(nu @ nu) - 1.0) > 1e-12:
+        if not abs(float(nu @ nu) - 1.0) <= 1e-12:
             raise BadSpec("jump normal must be unit")
         object.__setattr__(self, "nu", nu)
 
@@ -209,7 +209,7 @@ class CellSpec:
             raise BadSpec("meshPerAxis must be >= 4")
         if self.frame is not None:
             R = np.asarray(self.frame, dtype=float).reshape(2, 2)
-            if frob(R @ R.T - np.eye(2)) > 1e-10:
+            if not frob(R @ R.T - np.eye(2)) <= 1e-10:
                 raise BadSpec("frame must be orthonormal")
             object.__setattr__(self, "frame", R)
         if self.freeze_x is not None:

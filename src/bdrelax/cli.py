@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation error, 3 solver failure.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -40,13 +41,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _finite(tok) -> float:
+    """float(tok), where NaN and the infinities raise ValueError."""
+    x = float(tok)
+    if not math.isfinite(x):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return x
+
+
 def parse_matrix(s: str) -> np.ndarray:
     s = s.strip()
     named = {"A0": A0, "Id": np.eye(2), "J": np.array([[0.0, -1.0], [1.0, 0.0]])}
     if s in named:
         return named[s].copy()
     try:
-        rows = [[float(t) for t in row.split(",")] for row in s.split(";")]
+        rows = [[_finite(t) for t in row.split(",")] for row in s.split(";")]
         M = np.array(rows, dtype=float)
         if M.shape != (2, 2):
             raise ValueError
@@ -57,7 +66,7 @@ def parse_matrix(s: str) -> np.ndarray:
 
 def parse_vector(s: str) -> np.ndarray:
     try:
-        v = np.array([float(t) for t in s.split(",")], dtype=float)
+        v = np.array([_finite(t) for t in s.split(",")], dtype=float)
         if v.shape != (2,):
             raise ValueError
         return v
@@ -67,7 +76,7 @@ def parse_vector(s: str) -> np.ndarray:
 
 def parse_schedule(s: str):
     try:
-        return [Fraction(tok) if "/" in tok else float(tok)
+        return [Fraction(tok) if "/" in tok else _finite(tok)
                 for tok in (t.strip() for t in s.split(","))]
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse schedule {s!r} (expect 'a,b/c,...')") from exc
@@ -76,8 +85,8 @@ def parse_schedule(s: str):
 def parse_box(s: str) -> Box:
     try:
         lo_s, hi_s = s.split(";")
-        lo = tuple(float(t) for t in lo_s.split(","))
-        hi = tuple(float(t) for t in hi_s.split(","))
+        lo = tuple(_finite(t) for t in lo_s.split(","))
+        hi = tuple(_finite(t) for t in hi_s.split(","))
         return Box(lo=lo, hi=hi)
     except Exception as exc:
         raise ValidationError(f"cannot parse box {s!r} (expect 'lo1,lo2;hi1,hi2')") from exc
@@ -143,11 +152,11 @@ def _solver_params(args) -> SolverParams:
 
 def _load_json(path: str, what: str, parse):
     """parse(the JSON value in path); a missing, unreadable or malformed file,
-    or a value that parse rejects, is a ValidationError."""
+    a NaN or infinite number, or a value that parse rejects is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+            return parse(json.load(fh, parse_constant=_finite, parse_float=_finite))
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad {what} {path}: {exc}") from exc
 
 
@@ -160,7 +169,7 @@ def _table_constants(tab) -> list:
     keys = ("f", "g", "finf")
     if not isinstance(tab, dict) or not set(keys) <= tab.keys():
         raise ValueError(f"expected a JSON object with keys {list(keys)}")
-    return [float(tab[k]) for k in keys]
+    return [_finite(tab[k]) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +279,7 @@ def cmd_korn(args) -> None:
 def cmd_selftest(args) -> None:
     from .selftest import run_all
 
-    ok = run_all(verbose=True)
-    if not ok:
+    if not run_all():
         raise SolverError("acceptance suite failed")
 
 
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bd-spec", required=True)
     p.add_argument("--point", default="0,0")
     p.add_argument("--eps-schedule", default="1,1/3,1/9")
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=_finite, default=1.0)
     p.add_argument("--grid", type=int, default=48)
     p.set_defaults(fn=cmd_blowup)
 
@@ -378,7 +386,7 @@ def _config_defaults(ap: argparse.ArgumentParser, command: str, path: str) -> No
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_finite, parse_float=_finite)
         if not isinstance(cfg, dict):
             raise ValueError("expected a JSON object")
         subparsers = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))

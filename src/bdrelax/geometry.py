@@ -117,17 +117,6 @@ def box_plane_segment(box: Box, nu, c: float) -> float:
     return float(np.sqrt(((q - p) ** 2).sum()))
 
 
-def box_slab_area(box: Box, eta, t0: float, t1: float) -> float:
-    """Area of box intersected with the slab {t0 <= x . eta <= t1}."""
-    if t1 <= t0:
-        return 0.0
-    poly = clip_halfplane(box.corners(), eta, t1)
-    if len(poly) < 3:
-        return 0.0
-    poly = clip_halfplane(poly, -np.asarray(eta, dtype=float), -t0)
-    return polygon_area(poly)
-
-
 _GAUSS = {
     1: (np.array([0.0]), np.array([2.0])),
     2: (np.array([-1.0, 1.0]) / np.sqrt(3.0), np.array([1.0, 1.0])),

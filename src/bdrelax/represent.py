@@ -70,9 +70,8 @@ def densities_from_integrand(f0: Integrand):
         return f0.raw(np.atleast_2d(X), np.atleast_2d(V), A.reshape(-1, 2, 2))
 
     def g(X, VM, VP, NU):
-        M = np.array([odot(vp - vm, nu) for vm, vp, nu in
-                      zip(np.atleast_2d(VM), np.atleast_2d(VP), np.atleast_2d(NU))])
-        return rec.raw(np.atleast_2d(X), np.atleast_2d(VM), M)
+        VM = np.atleast_2d(VM)
+        return rec.raw(np.atleast_2d(X), VM, odot(np.atleast_2d(VP) - VM, np.atleast_2d(NU)))
 
     def finf(X, V, P):
         return rec.raw(np.atleast_2d(X), np.atleast_2d(V), P.reshape(-1, 2, 2))

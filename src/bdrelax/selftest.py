@@ -249,11 +249,11 @@ CHECKS = [
 ]
 
 
-def run_all(verbose: bool = True) -> bool:
+def run_all() -> bool:
+    """Run every check, print one ACCEPTANCE line each; True when all pass."""
     all_ok = True
     for num, name, fn in CHECKS:
         ok, detail = fn()
         all_ok = all_ok and ok
-        if verbose:
-            print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'} {name}: {detail}")
     return all_ok

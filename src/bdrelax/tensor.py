@@ -19,9 +19,10 @@ def frob(A) -> float | np.ndarray:
 
 
 def odot(a, b) -> np.ndarray:
-    """Symmetrized tensor product a (.) b = (a x b + b x a) / 2."""
+    """Symmetrized tensor product a (.) b = (a x b + b x a) / 2, batched."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("odot expects two vectors of equal length")
-    return 0.5 * (np.outer(a, b) + np.outer(b, a))
+    if a.shape != b.shape:
+        raise ValueError("odot expects two vector stacks of equal shape")
+    ab = a[..., :, None] * b[..., None, :]
+    return 0.5 * (ab + ab.swapaxes(-1, -2))

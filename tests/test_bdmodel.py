@@ -8,7 +8,8 @@ from bdrelax.bdmodel import (BoundaryChargedBox, CantorProfile, ExplicitStaircas
                              Profile, SmoothAffine, SmoothPolynomial, SmoothSinusoid,
                              StructuredBD, combine, total_variation, trace_pair,
                              tv_mass_exact)
-from bdrelax.geometry import Box, box_quadrature
+from bdrelax.geometry import (Box, box_halfplane_area, box_quadrature, clip_halfplane,
+                              polygon_area)
 from bdrelax.tensor import frob, odot, sym
 
 E1 = np.array([1.0, 0.0])
@@ -226,7 +227,7 @@ def test_mean_exactness():
         p, q = 2.0 * np.pi * f[0], 2.0 * np.pi * f[1]
         expected = a * (np.exp(1j * ph) * mean_1d(p, x0, x1) * mean_1d(q, y0, y1)).imag
         assert np.allclose(u.mean(box), expected, atol=1e-14), f
-    # staircase plateaus: a Cantor staircase is shifted to zero average over
+    # staircase means: a Cantor staircase is shifted to zero average over
     # its support, so it averages to 0 xi over the support box
     uc = StructuredBD.staircase(depth=5, support=(0, 1))
     assert np.allclose(uc.mean(Box(lo=(0.0, -1.0), hi=(1.0, 2.0))), 0.0, atol=1e-14)
@@ -304,9 +305,19 @@ def test_jump_normal_orientation_checked_on_construction():
     assert np.array_equal(JumpPlane(np.array([0.0, 1.0]), 0.0, E2).nu, E2)
 
 
-def _seed_plateaus(stair):
-    """The seed's plateau walk over the exact atoms: the reference the
-    cached-steps form must reproduce bit for bit."""
+@pytest.mark.parametrize("bad", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+def test_non_finite_unit_vectors_rejected(bad):
+    with pytest.raises(ValueError, match="nu must be unit norm"):
+        JumpPlane(bad, 0.0, E2)
+    with pytest.raises(ValueError, match="eta must be unit norm"):
+        Profile(eta=bad, xi=E2, staircase=CantorProfile.make(2, 1, (0, 1)))
+    with pytest.raises(ValueError, match="xi must be unit norm"):
+        Profile(eta=E1, xi=bad, staircase=CantorProfile.make(2, 1, (0, 1)))
+
+
+def _seed_pieces(stair):
+    """The seed's plateau walk over the exact atoms: (t_lo, t_hi, value)
+    pieces covering all of R, each value offset plus the jumps left of it."""
     offset = stair.offset
     pieces = []
     lo = -np.inf
@@ -326,13 +337,85 @@ def _seed_plateaus(stair):
     ExplicitStaircase(atom_list=(), offset=0.3),
 ], ids=[*(f"cantor-{d}" for d in range(1, 9)), "explicit", "empty"])
 def test_plateaus_match_seed_walk(stair):
-    new, ref = stair.plateaus(), _seed_plateaus(stair)
-    assert len(new) == len(ref)
-    for a, b in zip(new, ref):
-        assert np.array_equal(a, b)
-    # the plateau values are the staircase values just left of each atom
-    t = np.array([hi for _, hi, _ in new[:-1]])
-    assert np.array_equal(stair.value(np.nextafter(t, -np.inf)), [v for *_, v in new[:-1]])
+    # just left of each atom the staircase equals offset plus the jumps
+    # before it, and at the atom (right-continuous) the jump is added
+    ref = _seed_pieces(stair)
+    t = np.array([hi for _, hi, _ in ref[:-1]])
+    assert np.array_equal(stair.value(np.nextafter(t, -np.inf)), [v for *_, v in ref[:-1]])
+    assert np.array_equal(stair.value(t), [v for *_, v in ref[1:]])
+    assert np.array_equal(stair.value([-1e300, 1e300]), [ref[0][2], ref[-1][2]])
+
+
+def _slab_area(box, eta, t0, t1):
+    """Area of box inside {t0 <= x . eta <= t1}, clipped by two halfplanes."""
+    poly = clip_halfplane(clip_halfplane(box.corners(), eta, t1), -np.asarray(eta), -t0)
+    return polygon_area(poly)
+
+
+def _seed_mean(u, box):
+    """The seed's box mean: jump planes by halfplane areas, then the
+    staircase plateau by plateau through slab areas."""
+    out = np.asarray(u.smooth.mean(box), dtype=float)
+    vol = box.volume
+    for j in u.jumps:
+        out = out + j.dv * ((vol - box_halfplane_area(box, j.nu, j.c)) / vol)
+    if u.profile is not None:
+        p = u.profile
+        tvals = box.corners() @ p.eta
+        tmin, tmax = float(tvals.min()), float(tvals.max())
+        acc = 0.0
+        for lo, hi, val in _seed_pieces(p.staircase):
+            a, b = max(lo, tmin), min(hi, tmax)
+            if b > a:
+                acc += val * _slab_area(box, p.eta, a, b)
+        out = out + (acc / vol) * p.xi
+        out = out + p.beta * float(box.center @ p.xi) * p.eta
+    return out
+
+
+def _random_boxes(seed, n=30):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1.0, 0.8, size=(n, 2))
+    hi = lo + rng.uniform(0.05, 1.5, size=(n, 2))
+    return [Box(lo=tuple(a), hi=tuple(b)) for a, b in zip(lo, hi)]
+
+
+OBLIQUE = JumpPlane(nu=np.array([0.6, 0.8]), c=-0.05, dv=np.array([1.0, 0.5]))
+JUMPS = (JumpPlane(nu=E1, c=0.1, dv=np.array([0.3, -1.1])), OBLIQUE)
+
+
+@pytest.mark.parametrize("u", [
+    StructuredBD(jumps=JUMPS),
+    StructuredBD.affine([[0.2, -0.4], [0.3, 0.1]], (1.0, -2.0)),
+    StructuredBD(smooth=SmoothPolynomial(np.arange(18.0).reshape(2, 3, 3) / 10.0 - 0.8),
+                 jumps=JUMPS),
+    StructuredBD(smooth=SmoothSinusoid([((0.5, -0.2), (1.0, 2.0), 0.4)]), jumps=JUMPS),
+], ids=["jumps", "affine", "polynomial", "sinusoid"])
+def test_mean_without_staircase_matches_seed_walk(u):
+    # a jump atom has q = 1, so the atom walk repeats the seed's arithmetic
+    for box in _random_boxes(5):
+        assert np.array_equal(u.mean(box), _seed_mean(u, box))
+
+
+EXPLICIT = ExplicitStaircase(atom_list=((Fraction(1, 4), Fraction(1, 2)),
+                                        (Fraction(1, 2), Fraction(1, 3))), offset=-0.4)
+
+
+@pytest.mark.parametrize("u", [
+    *(StructuredBD.staircase(depth) for depth in range(1, 9)),
+    StructuredBD.staircase(5, eta=(0.6, 0.8), xi=(0.8, -0.6)),
+    StructuredBD(profile=Profile(eta=E1, xi=E2, staircase=EXPLICIT)),
+    StructuredBD.staircase(6, beta=0.3),
+    StructuredBD(jumps=(JumpPlane(nu=E2, c=0.125, dv=np.array([0.3, -1.1])),),
+                 profile=Profile(eta=E1, xi=E2, beta=0.5, staircase=EXPLICIT)),
+], ids=[*(f"cantor-{d}" for d in range(1, 9)), "oblique", "explicit", "beta", "jump"])
+def test_mean_on_staircases_matches_seed_walk(u):
+    # boxes holding every atom, some atoms, or none (to the left and right)
+    boxes = [Box(lo=(-0.5, -1.0), hi=(1.5, 2.0)), Box(lo=(0.3, -0.2), hi=(0.7, 0.4)),
+             Box(lo=(1.2, 0.0), hi=(1.9, 1.0)), Box(lo=(-1.0, -1.0), hi=(-0.2, 0.0)),
+             *_random_boxes(6)]
+    for box in boxes:
+        assert np.allclose(u.mean(box), _seed_mean(u, box), rtol=0, atol=1e-14)
 
 
 def _random_polynomial(rng):

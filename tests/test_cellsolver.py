@@ -483,6 +483,11 @@ def test_bad_spec():
     for starts in (0, -3):
         with pytest.raises(BadSpec, match="multistarts"):
             SolverParams(multistarts=starts)
+    # a NaN fails every tolerance check, so it must not pass one
+    with pytest.raises(BadSpec, match="jump normal must be unit"):
+        JumpData((0.0, 0.0), (0.0, 1.0), (np.nan, 0.0))
+    with pytest.raises(BadSpec, match="frame must be orthonormal"):
+        CellSpec(boundary=AffineData(np.eye(2), np.zeros(2)), frame=np.full((2, 2), np.nan))
 
 
 def test_flag_checks():

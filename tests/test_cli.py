@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import bdrelax
+from bdrelax import selftest
 from bdrelax.cli import (build_parser, main, parse_box, parse_matrix, parse_schedule,
                          parse_vector)
 from bdrelax.util import configure_logging, log
@@ -122,6 +123,72 @@ def test_validation_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,err", [
+    (["jump", "--v-plus", "0,1", "--nu", "nan,0", "--mesh", "4", "--eps-schedule", "1"],
+     "cannot parse vector 'nan,0' (expect 'a,b')"),
+    (["density", "--A", "nan,0;0,0", "--mesh", "4", "--eps-schedule", "1"],
+     "cannot parse matrix 'nan,0;0,0' (expect 'a,b;c,d')"),
+    (["density", "--A", "1,0;0,0", "--mesh", "4", "--eps-schedule", "nan"],
+     "cannot parse schedule 'nan' (expect 'a,b/c,...')"),
+    (["recession", "--A", "1,0;0,1", "--t-schedule", "1e2,inf"],
+     "cannot parse schedule '1e2,inf' (expect 'a,b/c,...')"),
+    (["korn", "--box=-inf,-0.5;0.5,0.5"],
+     "cannot parse box '-inf,-0.5;0.5,0.5' (expect 'lo1,lo2;hi1,hi2')"),
+], ids=["vector", "matrix", "schedule-nan", "schedule-inf", "box"])
+def test_non_finite_flags_exit_2(tmp_path, capsys, argv, err):
+    path = tmp_path / "stair.json"
+    path.write_text(json.dumps(STAIR_SPEC))
+    code, out = run_cli(tmp_path, *argv, *(["--bd-spec", str(path)] if argv[0] == "korn" else []))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+    assert not out.exists()
+
+
+def test_non_finite_rho_exits_2(tmp_path, capsys):
+    path = tmp_path / "stair.json"
+    path.write_text(json.dumps(STAIR_SPEC))
+    for rho in ("inf", "nan"):
+        code, out = run_cli(tmp_path, "blowup", "--bd-spec", str(path), "--rho", rho)
+        assert code == 2 and not out.exists()
+        assert "argument --rho" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text,token", [
+    ('{"jumps": [{"nu": [NaN, 0], "c": 0, "dv": [0, 1]}]}', "NaN"),
+    ('{"jumps": [{"nu": [1, 0], "c": -Infinity, "dv": [0, 1]}]}', "-Infinity"),
+    ('{"jumps": [{"nu": [1, 0], "c": 1e999, "dv": [0, 1]}]}', "1e999"),
+    ('{"profile": {"eta": [Infinity, 0], "xi": [0, 1], "staircase": {"depth": 2, '
+     '"totalMass": 1, "support": [0, 1]}}}', "Infinity"),
+], ids=["nan", "minus-infinity", "overflow", "infinity"])
+def test_non_finite_json_exits_2(tmp_path, capsys, text, token):
+    # Python's json reads NaN, Infinity and 1e999 as floats unless told not to
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out = run_cli(tmp_path, "represent", "--bd-spec", str(spec))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad BD spec {spec}: {token!r} is not a finite number"]
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"rho": {token}}}')
+    code, out = run_cli(tmp_path, "--config", str(cfg), "recession", "--A", "1,0;0,1")
+    assert code == 2 and not out.exists()
+
+
+def test_selftest_prints_one_line_per_check(monkeypatch, capsys):
+    passing = (1, "stub pass", lambda: (True, "fine"))
+    failing = (2, "stub fail", lambda: (False, "off by 1"))
+    monkeypatch.setattr(selftest, "CHECKS", [passing, failing])
+    assert main(["selftest"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["ACCEPTANCE  1 PASS stub pass: fine",
+                                         "ACCEPTANCE  2 FAIL stub fail: off by 1"]
+    assert captured.err == "solver failure: acceptance suite failed\n"
+    monkeypatch.setattr(selftest, "CHECKS", [passing])
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["ACCEPTANCE  1 PASS stub pass: fine"]
+
+
 def test_mueller_command(tmp_path, capsys):
     code, out = run_cli(tmp_path, "mueller", "--matrix", "A0", "--mesh", "8")
     assert code == 0
@@ -183,9 +250,13 @@ def test_represent_table_source(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content", [None, "absent", "{not json", "[1, 2, 0]",
-                                     '{"f": 1, "finf": 0}', '{"f": 1, "g": "x", "finf": 0}'],
+                                     '{"f": 1, "finf": 0}', '{"f": 1, "g": "x", "finf": 0}',
+                                     '{"f": 1, "g": NaN, "finf": 0}',
+                                     '{"f": 1, "g": "-inf", "finf": 0}',
+                                     '{"f": 1, "g": 1' + 400 * "0" + ', "finf": 0}'],
                          ids=["no-table-flag", "missing-file", "malformed", "not-an-object",
-                              "missing-key", "not-a-number"])
+                              "missing-key", "not-a-number", "nan", "infinite-string",
+                              "huge-int"])
 def test_bad_density_table_exits_2(tmp_path, capsys, content):
     table = tmp_path / "table.json"
     if content not in (None, "absent"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bdrelax.geometry import (Box, box_halfplane_area, box_plane_chord, box_plane_segment,
-                              box_quadrature, box_slab_area, clip_halfplane, polygon_area,
+                              box_quadrature, clip_halfplane, polygon_area,
                               segment_midpoints, segment_panels)
 
 
@@ -40,9 +40,16 @@ def test_plane_chords():
 
 
 def test_slab_area():
+    # a slab {t0 <= x . eta <= t1} is the box clipped by two opposite halfplanes
     b = Box.cube((0.0, 0.0), 1.0)
-    assert box_slab_area(b, (1.0, 0.0), -0.25, 0.25) == pytest.approx(0.5, abs=1e-15)
-    assert box_slab_area(b, (1.0, 0.0), 0.25, 0.25) == 0.0
+
+    def slab(eta, t0, t1):
+        eta = np.asarray(eta, dtype=float)
+        return polygon_area(clip_halfplane(clip_halfplane(b.corners(), eta, t1), -eta, -t0))
+
+    assert slab((1.0, 0.0), -0.25, 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert slab((1.0, 0.0), 0.25, 0.25) == 0.0
+    assert slab((1.0, 0.0), 0.6, 0.9) == 0.0
 
 
 def test_quadrature_exactness():

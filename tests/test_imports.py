@@ -78,10 +78,22 @@ def test_integrand_corpus_stays_in_density():
 
 
 def test_atom_walks_read_the_atom_list():
-    """rigid.py and represent.py walk the jump planes and staircase atoms of
-    a field only through StructuredBD.atoms(): they read no `.jumps`
-    attribute and no `.staircase.atoms()` chain."""
+    """rigid.py, represent.py and StructuredBD.mean walk the jump planes and
+    staircase atoms of a field only through StructuredBD.atoms(): they read
+    no `.jumps` attribute and no `.staircase.atoms()` chain, and the mean
+    reads no plateau view of the staircase and no slab areas."""
     offenders = []
+    tree = ast.parse((SRC[0].parent / "bdmodel.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "StructuredBD")
+    mean = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "mean")
+    if not any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+               and n.func.attr == "atoms" and isinstance(n.func.value, ast.Name)
+               and n.func.value.id == "self" for n in ast.walk(mean)):
+        offenders.append(f"bdmodel.py:{mean.lineno}: StructuredBD.mean never calls self.atoms()")
+    for node in ast.walk(mean):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name in ("jumps", "plateaus", "box_slab_area"):
+            offenders.append(f"bdmodel.py:{node.lineno}: StructuredBD.mean reads {name}")
     for path in SRC:
         if path.name not in ("rigid.py", "represent.py"):
             continue
@@ -92,3 +104,4 @@ def test_atom_walks_read_the_atom_list():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "staircase"):
                 offenders.append(f"{path.name}:{node.lineno}: .staircase.atoms")
     assert not offenders, f"atom walks outside StructuredBD.atoms(): {offenders}"
+

@@ -43,3 +43,15 @@ def test_odot_symmetric_in_arguments():
     for _ in range(20):
         a, b = rng.normal(size=2), rng.normal(size=2)
         assert np.array_equal(odot(a, b), odot(b, a))
+
+
+def test_odot_batched_matches_pairwise_outer():
+    # a stack of pairs gives the stack of the seed's per-pair outer form, bit for bit
+    rng = np.random.default_rng(2)
+    a, b = rng.normal(size=(256, 2)), rng.normal(size=(256, 2))
+    pairwise = np.array([0.5 * (np.outer(x, y) + np.outer(y, x)) for x, y in zip(a, b)])
+    assert np.array_equal(odot(a, b), pairwise)
+    assert np.array_equal(odot(a.reshape(16, 16, 2), b.reshape(16, 16, 2)),
+                          pairwise.reshape(16, 16, 2, 2))
+    with pytest.raises(ValueError, match="equal shape"):
+        odot(a, b[:1])
