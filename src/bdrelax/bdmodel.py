@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .geometry import Box, box_halfplane_area, box_plane_segment, box_quadrature
+from .geometry import Box, box_plane_segment, box_quadrature, clip_halfplane, polygon_area
 from .tensor import frob, odot, sym
 
 
@@ -174,6 +174,7 @@ class ExplicitStaircase(Staircase):
             raise ValueError("staircase jumps must be nonnegative")
         if any(b <= a for (a, _), (b, _) in zip(atoms, atoms[1:])):
             raise ValueError("atom positions must be strictly increasing")
+        _finite(self.offset, "staircase offset")
         object.__setattr__(self, "atom_list", atoms)
 
     def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -182,6 +183,14 @@ class ExplicitStaircase(Staircase):
 
 # ---------------------------------------------------------------------------
 # smooth parts
+
+
+def _finite(x, name: str) -> np.ndarray:
+    """x as a float array; a NaN or infinite entry is a ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
 
 
 def _unit(v, name: str) -> np.ndarray:
@@ -197,8 +206,8 @@ class SmoothAffine:
     kind = "affine"
 
     def __init__(self, A, v):
-        self.A = np.asarray(A, dtype=float).reshape(2, 2)
-        self.v = np.asarray(v, dtype=float).reshape(2)
+        self.A = _finite(A, "affine A").reshape(2, 2)
+        self.v = _finite(v, "affine v").reshape(2)
 
     def value(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -226,7 +235,7 @@ class SmoothPolynomial:
     kind = "polynomial"
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
+        c = _finite(coeffs, "polynomial coeffs")
         if c.ndim != 3 or c.shape[0] != 2 or c.shape[1] > 4 or c.shape[2] > 4:
             raise ValueError("coeffs must have shape (2, <=4, <=4)")
         self.c = c
@@ -261,7 +270,8 @@ class SmoothSinusoid:
 
     def __init__(self, terms):
         self.terms = [
-            (np.asarray(a, dtype=float).reshape(2), np.asarray(f, dtype=float).reshape(2), float(ph))
+            (_finite(a, "sinusoid a").reshape(2), _finite(f, "sinusoid f").reshape(2),
+             float(_finite(ph, "sinusoid phase")))
             for a, f, ph in terms
         ]
 
@@ -366,7 +376,8 @@ class JumpPlane:
         object.__setattr__(self, "nu", _unit(self.nu, "nu"))
         if self.nu[np.flatnonzero(self.nu)[0]] < 0:
             raise ValueError("jump normal must have its first nonzero component positive")
-        object.__setattr__(self, "dv", np.asarray(self.dv, dtype=float).reshape(2))
+        _finite(self.c, "jump offset c")
+        object.__setattr__(self, "dv", _finite(self.dv, "jump dv").reshape(2))
 
 
 @dataclass(frozen=True)
@@ -381,6 +392,7 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "eta", _unit(self.eta, "eta"))
         object.__setattr__(self, "xi", _unit(self.xi, "xi"))
+        _finite(self.beta, "profile beta")
 
 
 @dataclass(frozen=True)
@@ -502,12 +514,28 @@ class StructuredBD:
 
     def mean(self, box: Box) -> np.ndarray:
         """Exact average of the field over the box: each atom adds q a times the
-        area fraction of its plus side, the profile its offset and slope terms."""
+        area fraction of its plus side, the profile its offset and slope terms.
+
+        Only the planes that cross the box are clipped: an atom's minus
+        side is the whole box where no corner lies above its plane and empty
+        where every corner does. The corner heights are clip_halfplane's
+        own, and a rounded difference h - c has the sign of h - c, so every
+        area is clip_halfplane's, bit for bit."""
         out = np.asarray(self.smooth.mean(box), dtype=float)
-        vol = box.volume
+        vol, corners = box.volume, box.corners()
+        full = polygon_area(corners)
+
+        def heights(n):  # the lowest and highest corner along n
+            h = [float(p @ n) for p in corners]
+            return min(h), max(h)
+
+        stair = None if self.profile is None else heights(self.profile.eta)
         for atom in self.atoms():
-            area_plus = vol - box_halfplane_area(box, atom.n, float(atom.c))
-            out = out + atom.a * (float(atom.q) * area_plus / vol)
+            c = float(atom.c)
+            lo, hi = stair if atom.plane is None else heights(atom.n)
+            area = (full if hi <= c else 0.0 if lo > c
+                    else polygon_area(clip_halfplane(corners, atom.n, c)))
+            out = out + atom.a * (float(atom.q) * (vol - area) / vol)
         if self.profile is not None:
             p = self.profile
             out = out + p.staircase.offset * p.xi + p.beta * float(box.center @ p.xi) * p.eta

@@ -20,6 +20,7 @@ below the raw one for density.g_odot, and exact for density.g_penalty.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -281,6 +282,11 @@ class Grid:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    @cached_property
+    def plan(self) -> tuple:
+        """The kernel's plan (_plan) for one field on the grid's own elements."""
+        return _plan(self, self.conn, self.n_nodes, 1)
+
 
 @dataclass
 class GridDisplacement:
@@ -314,17 +320,29 @@ class GridDisplacement:
                 + n01 * (1 - tx) * ty + n11 * tx * ty)
 
 
-def _stack_conn(conn: np.ndarray, n: int, K: int) -> np.ndarray:
-    """Connectivity (K, E, 4) of K stacked n-node fields: copy k's is conn + k n."""
-    return conn[None] + n * np.arange(K)[:, None, None]
+def _plan(grid: Grid, conn: np.ndarray, n: int, K: int) -> tuple:
+    """The assembly plan of the Q1 kernel for stacks of up to K fields of n
+    nodes on the connectivity conn (E, 4), built once per solve: the gather
+    index (K, E, 4) of copy k's nodes conn + k n, the scatter index
+    (K, E, 4, 2) 2 node + component into the flattened stack, and, for each
+    stack height k <= K, the quadrature points of k copies in (copy,
+    element, quadrature point) order as one read-only array. A stack of k
+    fields reads the first k copies of each, so the kernel hands every pass
+    over k rows the same point array, and an integrand may keep its x-only
+    coefficients for it."""
+    gather = conn[None] + n * np.arange(K)[:, None, None]
+    X = np.concatenate([grid.qp.reshape(-1, 2)] * K)
+    X.flags.writeable = False
+    m = len(X) // K
+    return gather, 2 * gather[..., None] + np.arange(2), [X[:k * m] for k in range(1, K + 1)]
 
 
-def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, freeze_x=None,
+def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_x=None,
                    raw: bool = False, exact_sum: bool = False):
     """The Q1 element kernel: quadrature energies sum_q w f(x_q, v_q, grad_q)
-    of a stack U (K, n, 2) of nodal fields on the first K copies of the
-    stacked connectivity `conn` (_stack_conn) of the grid's own, a periodic
-    wrap-around or the identity for per-element fields.
+    of a stack U (K, n, 2) of nodal fields through the first K copies of a
+    plan (_plan) of the grid's own connectivity, a periodic wrap-around or
+    the identity for per-element fields.
 
     Returns (energies (K,), grad) for the smoothed density, where grad(rows)
     forms the nodal gradients (len(rows), n, 2) of the listed stack rows
@@ -338,29 +356,35 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
     Arrays keep the element axis last, so every numpy operation runs over
     the K E elements. The sums over local nodes, over quadrature points and
     into the nodes run in a fixed order (a = 0..3, q = 0..3, elements in
-    `conn` order) and each energy is a row sum, so each copy's result is bit
-    for bit that of a stack of one: the solver trajectories depend on the
-    gradient's last bits.
+    connectivity order) and each energy is a row sum, so each copy's result
+    is bit for bit that of a stack of one: the solver trajectories depend on
+    the gradient's last bits.
     """
     Nval, dN = grid.Nval, grid.dN
+    gather, scatter, points = plan
     K, n = U.shape[:2]
-    flat = conn[:K].reshape(-1, 4)
     Q = len(Nval)
-    Ua = U.reshape(K * n, 2).T[:, flat.T]  # (k, a, E)
+    Ua = U.reshape(K * n, 2).take(gather[:K], axis=0)  # (K, E, a, k)
+    Ua = np.ascontiguousarray(Ua.transpose(3, 2, 0, 1)).reshape(2, 4, -1)  # (k, a, E)
     V = None if f.v_independent else Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
     G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
     for a in range(1, 4):
         if V is not None:
             V += Nval[:, a, None, None] * Ua[:, a]
         G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
-    X = grid.qp.reshape(-1, 2)
     if freeze_x is not None:
-        X = np.broadcast_to(np.asarray(freeze_x, dtype=float), X.shape)
-    # the integrand takes points in (copy, element, quadrature point) order
-    Xf = X if K == 1 else np.concatenate([X] * K)
+        freeze_x = np.asarray(freeze_x, dtype=float)
+
+    def points_of(k):  # the integrand takes points in (copy, element, quadrature point) order
+        X = points[k - 1]
+        return X if freeze_x is None else np.broadcast_to(freeze_x, X.shape)
+
+    Xf = points_of(K)
     Vf = (np.zeros((len(Xf), 2)) if V is None
           else np.ascontiguousarray(V.transpose(2, 0, 1)).reshape(-1, 2))
-    Gf = np.ascontiguousarray(G.transpose(3, 0, 1, 2)).reshape(-1, 2, 2)
+    Gf = np.ascontiguousarray(G.transpose(3, 0, 1, 2))
+    Gf.flags.writeable = False  # the gradient pass reads these strains again
+    Gf = Gf.reshape(-1, 2, 2)
     del V, G  # freed before the integrand allocates its temporaries
     if raw:
         vals = f.raw(Xf, Vf, Gf).reshape(K, -1)
@@ -372,10 +396,10 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
     def grad(rows):
         R = len(rows)
         sel = slice(None) if R == K else np.asarray(rows)  # a slice copies nothing
-        Gr = Gf.reshape(K, -1, 2, 2)[sel].reshape(-1, 2, 2)
-        # Xf and the zero Vf repeat per row, so their first R rows serve any R
+        Gr = Gf if R == K else Gf.reshape(K, -1, 2, 2)[sel].reshape(-1, 2, 2)
+        # the zero Vf repeats per row, so its first R rows serve any R
         Vr = Vf[:len(Gr)] if f.v_independent else Vf.reshape(K, -1, 2)[sel].reshape(-1, 2)
-        dV, dA = f.grad(Xf[:len(Gr)], Vr, Gr)
+        dV, dA = f.grad(Xf if R == K else points_of(R), Vr, Gr)
         E = len(dA) // Q
         dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
         # back-contraction (a, k, E): the strain part and, for a
@@ -391,30 +415,28 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, conn: np.ndarray, f: Integrand, fr
             S1 += S
             S = S1
         S *= grid.wq
-        gradU = np.empty((R * n, 2))
-        for k in range(2):
-            gradU[:, k] = np.bincount(conn[:R].ravel(), weights=S[:, k].T.ravel(),
-                                      minlength=R * n)
-        return gradU.reshape(R, n, 2)
+        # each (node, component) bin adds its terms in (element, local node) order
+        return np.bincount(scatter[:R].ravel(), weights=S.transpose(2, 0, 1).ravel(),
+                           minlength=2 * R * n).reshape(R, n, 2)
 
     return energy, grad
 
 
-def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None, conn=None):
+def energy_and_grad(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None, plan=None):
     """Quadrature energy sum_q w f(x_q, v_q, grad_q) of the nodal field U
-    (n, 2) and its nodal gradient or, given `conn`, the grid's connectivity
-    stacked by _stack_conn, the energies (K,) of a stack U (K, n, 2) and the
-    kernel's grad(rows), which forms gradients only for the rows asked."""
-    if conn is None:
-        e, grad = _q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x)
+    (n, 2) and its nodal gradient or, given a `plan` (_plan) of stacks on
+    the grid's connectivity, the energies (K,) of a stack U (K, n, 2) and
+    the kernel's grad(rows), which forms gradients only for the rows asked."""
+    if plan is None:
+        e, grad = _q1_quadrature(grid, U[None], grid.plan, f, freeze_x)
         return float(e[0]), grad([0])[0]
-    return _q1_quadrature(grid, U, conn, f, freeze_x)
+    return _q1_quadrature(grid, U, plan, f, freeze_x)
 
 
 def raw_energy(grid: Grid, U: np.ndarray, f: Integrand, freeze_x=None,
                exact_sum: bool = False) -> float:
     """Quadrature energy with the unsmoothed integrand."""
-    return float(_q1_quadrature(grid, U[None], grid.conn[None], f, freeze_x, raw=True,
+    return float(_q1_quadrature(grid, U[None], grid.plan, f, freeze_x, raw=True,
                                 exact_sum=exact_sum)[0][0])
 
 
@@ -505,13 +527,13 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     extra = [np.asarray(Ux, dtype=float).reshape(grid.n_nodes, 2)[free].ravel()
              for Ux in extra_starts]
     starts = _starts(datum[free].ravel(), spec, extra)
-    conn = _stack_conn(grid.conn, grid.n_nodes, len(starts))
+    plan = _plan(grid, grid.conn, grid.n_nodes, len(starts))
     dofs = np.flatnonzero(np.repeat(free, 2))  # the free entries of a flattened field
 
     def fg(X):
         U = datum.reshape(1, -1).repeat(len(X), axis=0)
         U[:, dofs] = X
-        e, grad = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, conn)
+        e, grad = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, plan)
         return e, lambda rows: grad(rows).reshape(len(rows), -1).take(dofs, axis=1)
 
     res, diag = _multistart(fg, starts, spec)
@@ -532,16 +554,16 @@ def solve_periodic(spec: CellSpec, f: Integrand) -> CellSolution:
     grid, n = Grid(spec.box, spec.mesh, frame=spec.frame), spec.mesh ** 2
     f_A = reparametrize(f, v0=np.zeros(2), eps_v=0.0, A0=spec.boundary.A)
     starts = _starts(np.zeros(2 * n), spec)
-    conn = _stack_conn(grid.periodic_node[grid.conn], n, len(starts))
+    plan = _plan(grid, grid.periodic_node[grid.conn], n, len(starts))
 
     def fg(X):
-        energy, grad = _q1_quadrature(grid, X.reshape(len(X), n, 2), conn, f_A, spec.freeze_x)
+        energy, grad = _q1_quadrature(grid, X.reshape(len(X), n, 2), plan, f_A, spec.freeze_x)
         return energy, lambda rows: grad(rows).reshape(len(rows), -1)
 
     res, diag = _multistart(fg, starts, spec)
     W = res["x"].reshape(n, 2)
     argmin = GridDisplacement(grid=grid, values=(W - W.mean(axis=0))[grid.periodic_node])
-    value = float(_q1_quadrature(grid, W[None], conn, f_A, spec.freeze_x, raw=True)[0][0])
+    value = float(_q1_quadrature(grid, W[None], plan, f_A, spec.freeze_x, raw=True)[0][0])
     return CellSolution(value=value, value_smoothed=res["f"], argmin=argmin,
                         diagnostics={**diag, "mu": f.mu})
 
@@ -618,9 +640,10 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     rows = np.concatenate([np.tile(np.arange(ni), 2), np.tile(np.arange(n, n + ni), 2),
                            np.tile(np.arange(ni, n), 2)])
     first, second = rows[np.argsort(slots, kind="stable")].reshape(-1, 2).T
-    # tables of the largest stack (an element owns its 4 nodal values); K rows read a prefix
+    # plan and tables of the largest stack (an element owns its 4 nodal
+    # values); K rows read a prefix
     K_max = spec.solver.multistarts
-    own = _stack_conn(np.arange(4 * E).reshape(E, 4), 4 * E, K_max)
+    own = _plan(grid, np.arange(4 * E).reshape(E, 4), 4 * E, K_max)
     Xs, nus = np.tile(X, (K_max, 1)), np.tile(nu, (K_max, 1))
 
     def objective(U):
@@ -675,8 +698,8 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSoluti
     res, diag = _multistart(fg, _starts(x0, spec), spec)
     V = res["x"].reshape(1, 4 * E, 2)
     _, (surf,), _ = objective(V)
-    (raw_bulk,), _ = _q1_quadrature(grid, V, np.arange(4 * E).reshape(1, E, 4), f1,
-                                    spec.freeze_x, raw=True)
+    own = _plan(grid, np.arange(4 * E).reshape(E, 4), 4 * E, 1)
+    (raw_bulk,), _ = _q1_quadrature(grid, V, own, f1, spec.freeze_x, raw=True)
     return CellSolution(value=float(raw_bulk + surf), value_smoothed=res["f"],
                         argmin=SBDField(grid=grid, values=V.reshape(E, 4, 2)),
                         diagnostics={**diag, "mu": f1.mu})

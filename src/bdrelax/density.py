@@ -9,6 +9,7 @@ working extrapolation, and the spread of the last two samples. No claim
 about the true limit is encoded beyond that.
 """
 
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .cellsolver import (AffineData, CellSpec, GridDisplacement, Integrand, JumpData,
                          SolverParams, SurfaceIntegrand, frame_for_normal, prolong,
                          reparametrize, solve_ld, solve_sbd)
-from .tensor import frob, sym
+from .tensor import frob, frob_sq, sym
 
 DEFAULT_EPS_SCHEDULE = (1.0, 0.5, 0.25)
 DEFAULT_T_SCHEDULE = (1e2, 1e3, 1e4)
@@ -61,21 +62,64 @@ def _smooth_norm(q, mu):
     return np.sqrt(q + mu * mu) - mu
 
 
+def _read_only(Y) -> bool:
+    """Y is an array that neither it nor the array owning its data can write."""
+    if not isinstance(Y, np.ndarray) or Y.flags.writeable:
+        return False
+    return Y.base is None or (isinstance(Y.base, np.ndarray) and not Y.base.flags.writeable)
+
+
+def _kept(fn):
+    """fn of one array, kept for the last read-only array it was formed on
+    while that array lives: found by the array's identity, never by its
+    address, and dropped when the array goes, so it neither outlives the
+    array nor answers for another one at the same address. Any other
+    array, or one that can be written, is computed afresh. The Q1 kernel
+    hands every pass of a solve the same read-only points, and the
+    gradient pass the value pass's strains."""
+    last = [None]  # (weak reference to the array, fn(array))
+
+    def forget(ref):
+        if last[0] is not None and last[0][0] is ref:
+            last[0] = None
+
+    def kept(Y):
+        hit = last[0]
+        if hit is not None and hit[0]() is Y:
+            return hit[1]
+        out = fn(Y)
+        if _read_only(Y):
+            last[0] = (weakref.ref(Y, forget), out)
+        return out
+
+    return kept
+
+
+def _sym_root(c: float):
+    """A -> (sym A, sqrt(|sym A|^2 + c)), the terms the value and the
+    gradient of a sym-only corpus entry share, kept per strain array."""
+
+    @_kept
+    def strain(A):
+        S = sym(A)
+        return S, np.sqrt(frob_sq(S) + c)
+
+    return strain
+
+
 def abs_sym(mu: float = 1e-6) -> Integrand:
     """f(A) = |sym A| (Frobenius), smoothed by mu for minimization."""
+    strain = _sym_root(mu * mu)
 
     def raw(X, V, A):
         return frob(sym(A))
 
     def value(X, V, A):
-        S = sym(A)
-        return _smooth_norm((S * S).sum(axis=(-2, -1)), mu)
+        return strain(A)[1] - mu
 
     def grad(X, V, A):
-        S = sym(A)
-        root = np.sqrt((S * S).sum(axis=(-2, -1)) + mu * mu)
-        dA = S / root[:, None, None]
-        return np.zeros_like(V), dA
+        S, root = strain(A)
+        return np.zeros_like(V), S / root[:, None, None]
 
     f = Integrand(name="abs-sym", value=value, grad=grad, raw=raw,
                   convex=True, one_homogeneous=True, sym_only=True, mu=mu)
@@ -89,14 +133,13 @@ def scaled(f0: Integrand, c: float) -> Integrand:
 
 def sqrt1plus_sym() -> Integrand:
     """f(A) = sqrt(1 + |sym A|^2); already smooth, exact recession |sym A|."""
+    strain = _sym_root(1.0)
 
     def value(X, V, A):
-        S = sym(A)
-        return np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
+        return strain(A)[1]
 
     def grad(X, V, A):
-        S = sym(A)
-        root = np.sqrt(1.0 + (S * S).sum(axis=(-2, -1)))
+        S, root = strain(A)
         return np.zeros_like(V), S / root[:, None, None]
 
     return Integrand(name="sqrt1plus-sym", value=value, grad=grad, raw=value,
@@ -133,24 +176,26 @@ def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
         l1, l2, l3, l4 = _h_pieces(A)
         return np.abs(l1) + np.abs(l2) + np.minimum(np.abs(l3), np.abs(l4))
 
-    def _s(t):
-        return np.sqrt(t * t + mu * mu) - mu
+    def _root(t):  # the smoothed |t| is _root(t) - mu, its derivative t / _root(t)
+        return np.sqrt(t * t + mu * mu)
 
-    def _sp(t):
-        return t / np.sqrt(t * t + mu * mu)
+    @_kept
+    def roots(A):  # the roots of the four pieces
+        return [_root(t) for t in _h_pieces(A)]
 
     def value(X, V, A):
-        l1, l2, l3, l4 = _h_pieces(A)
-        a, b = _s(l3), _s(l4)
-        return _s(l1) + _s(l2) + 0.5 * (a + b - _s(a - b))
+        r1, r2, r3, r4 = roots(A)
+        a, b = r3 - mu, r4 - mu
+        return (r1 - mu) + (r2 - mu) + 0.5 * (a + b - (_root(a - b) - mu))
 
     def grad(X, V, A):
-        l1, l2, l3, l4 = _h_pieces(A)
-        a, b = _s(l3), _s(l4)
-        da = 0.5 * (1.0 - _sp(a - b)) * _sp(l3)
-        db = 0.5 * (1.0 + _sp(a - b)) * _sp(l4)
-        d1, d2 = _sp(l1), _sp(l2)
-        dA = np.zeros_like(np.asarray(A, dtype=float))
+        (l1, l2, l3, l4), (r1, r2, r3, r4) = _h_pieces(A), roots(A)
+        a, b = r3 - mu, r4 - mu
+        t = (a - b) / _root(a - b)
+        da = 0.5 * (1.0 - t) * (l3 / r3)
+        db = 0.5 * (1.0 + t) * (l4 / r4)
+        d1, d2 = l1 / r1, l2 / r2
+        dA = np.empty_like(np.asarray(A, dtype=float))
         dA[..., 0, 0] = d1 + da
         dA[..., 1, 1] = -d1 + da
         dA[..., 0, 1] = d2 + db
@@ -207,20 +252,23 @@ def convex_envelope_witness_A0() -> dict:
 
 
 def laminate_a(mu_reg: float = 1e-2) -> Integrand:
-    """Unit-periodic laminate (2 + cos 2 pi x1) * sqrt(mu^2 + |sym A|^2)."""
+    """Unit-periodic laminate (2 + cos 2 pi x1) * sqrt(mu^2 + |sym A|^2).
 
+    The coefficient depends on x alone, so it is formed once per point
+    array (_kept)."""
+
+    strain = _sym_root(mu_reg * mu_reg)
+
+    @_kept
     def coef(X):
         return 2.0 + np.cos(2.0 * np.pi * np.atleast_2d(X)[:, 0])
 
     def value(X, V, A):
-        S = sym(A)
-        return coef(X) * np.sqrt(mu_reg * mu_reg + (S * S).sum(axis=(-2, -1)))
+        return coef(X) * strain(A)[1]
 
     def grad(X, V, A):
-        S = sym(A)
-        root = np.sqrt(mu_reg * mu_reg + (S * S).sum(axis=(-2, -1)))
-        dA = (coef(X) / root)[:, None, None] * S
-        return np.zeros_like(np.asarray(V, dtype=float)), dA
+        S, root = strain(A)
+        return np.zeros_like(np.asarray(V, dtype=float)), (coef(X) / root)[:, None, None] * S
 
     return Integrand(name=f"laminate-a({mu_reg:g})", value=value, grad=grad, raw=value,
                      convex=True, sym_only=True)
@@ -231,11 +279,11 @@ def truncated_neg_sym_sq() -> Integrand:
 
     def value(X, V, A):
         S = sym(A)
-        return np.maximum(1.0 - (S * S).sum(axis=(-2, -1)), 0.0)
+        return np.maximum(1.0 - frob_sq(S), 0.0)
 
     def grad(X, V, A):
         S = sym(A)
-        active = ((S * S).sum(axis=(-2, -1)) < 1.0).astype(float)
+        active = (frob_sq(S) < 1.0).astype(float)
         return np.zeros_like(np.asarray(V, dtype=float)), -2.0 * active[:, None, None] * S
 
     return Integrand(name="truncated-neg-sym-sq", value=value, grad=grad, raw=value,
@@ -254,15 +302,14 @@ def vmin_abs(mu: float = 1e-6) -> Integrand:
         nv = np.sqrt((np.atleast_2d(V) ** 2).sum(axis=-1))
         return (1.0 + np.minimum(nv, 1.0)) * frob(sym(A))
 
+    strain = _sym_root(mu * mu)
+
     def value(X, V, A):
-        S = sym(A)
-        return _vfac(V) * _smooth_norm((S * S).sum(axis=(-2, -1)), mu)
+        return _vfac(V) * (strain(A)[1] - mu)
 
     def grad(X, V, A):
         V = np.atleast_2d(np.asarray(V, dtype=float))
-        S = sym(A)
-        q = (S * S).sum(axis=(-2, -1))
-        root = np.sqrt(q + mu * mu)
+        S, root = strain(A)
         sn = root - mu
         nv_root = np.sqrt((V * V).sum(axis=-1) + mu * mu)
         nv = nv_root - mu

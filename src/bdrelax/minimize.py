@@ -7,6 +7,8 @@ The search reads values only: a gradient is asked for at the start point
 and at each accepted step, never at a rejected trial point.
 """
 
+import math
+
 import numpy as np
 
 ARMIJO_C1 = 1e-4
@@ -40,7 +42,7 @@ def lbfgs_steps(x0, max_iters: int = 2000):
     g = yield None
     if not np.isfinite(g).all():
         raise SolverError("integrand overflow")
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g.dot(g))
     grad_tol = 1e-8 * (gnorm + 1.0)
 
     s_hist: list[np.ndarray] = []
@@ -53,18 +55,18 @@ def lbfgs_steps(x0, max_iters: int = 2000):
         q = g.copy()
         alphas = []
         for s, y, r in zip(reversed(s_hist), reversed(y_hist), reversed(rho)):
-            a = r * float(s @ q)
+            a = r * float(s.dot(q))
             q -= a * y
             alphas.append(a)
         if y_hist:
             y_last = y_hist[-1]
-            gamma = float(s_hist[-1] @ y_last) / float(y_last @ y_last)
+            gamma = float(s_hist[-1].dot(y_last)) / float(y_last.dot(y_last))
             q *= gamma
         for (s, y, r), a in zip(zip(s_hist, y_hist, rho), reversed(alphas)):
-            b = r * float(y @ q)
+            b = r * float(y.dot(q))
             q += (a - b) * s
         d = -q
-        slope = float(g @ d)
+        slope = float(g.dot(d))
         if slope >= 0.0:  # not a descent direction; restart from steepest descent
             d = -g
             slope = -gnorm * gnorm
@@ -77,7 +79,7 @@ def lbfgs_steps(x0, max_iters: int = 2000):
             x_try = x + step * d
             f_try = yield x_try
             nfev += 1
-            if not np.isfinite(f_try):
+            if not math.isfinite(f_try):
                 step *= BACKTRACK
                 continue
             if f_try <= f + ARMIJO_C1 * step * slope:
@@ -90,15 +92,15 @@ def lbfgs_steps(x0, max_iters: int = 2000):
 
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * max(float(np.linalg.norm(y)), 1e-300):
+        sy = float(s.dot(y))
+        if sy > 1e-12 * math.sqrt(s.dot(s)) * max(math.sqrt(y.dot(y)), 1e-300):
             s_hist.append(s)
             y_hist.append(y)
             rho.append(1.0 / sy)
             if len(s_hist) > MEMORY:
                 s_hist.pop(0), y_hist.pop(0), rho.pop(0)
         x, f, g = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         iters += 1
 
     reason = ("gtol" if gnorm <= grad_tol else "max_iters" if iters >= max_iters

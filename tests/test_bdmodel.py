@@ -315,6 +315,46 @@ def test_non_finite_unit_vectors_rejected(bad):
         Profile(eta=E1, xi=bad, staircase=CantorProfile.make(2, 1, (0, 1)))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf, "nan", "inf"]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf", "str-nan", "str-inf"])
+def test_non_finite_numbers_rejected(bad):
+    stair = CantorProfile.make(2, 1, (0, 1))
+    cases = [
+        (lambda: JumpPlane(E1, bad, E2), "jump offset c"),
+        (lambda: JumpPlane(E1, 0.0, [0.0, bad]), "jump dv"),
+        (lambda: Profile(eta=E1, xi=E2, staircase=stair, beta=bad), "profile beta"),
+        (lambda: ExplicitStaircase(atom_list=((0.5, 1),), offset=bad), "staircase offset"),
+        (lambda: SmoothAffine([[1.0, bad], [0.0, 1.0]], E1), "affine A"),
+        (lambda: SmoothAffine(np.eye(2), [bad, 0.0]), "affine v"),
+        (lambda: SmoothPolynomial([[[0.0, bad]], [[1.0, 0.0]]]), "polynomial coeffs"),
+        (lambda: SmoothSinusoid([((bad, 0.0), E1, 0.0)]), "sinusoid a"),
+        (lambda: SmoothSinusoid([(E1, (0.0, bad), 0.0)]), "sinusoid f"),
+        (lambda: SmoothSinusoid([(E1, E1, bad)]), "sinusoid phase"),
+    ]
+    for build, what in cases:
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            build()
+
+
+def test_from_json_rejects_non_finite_strings():
+    # a JSON string "nan" or "inf" passes float() and numpy's conversion
+    for spec, what in (
+            ({"jumps": [{"nu": [1, 0], "c": "nan", "dv": [0, 1]}]}, "jump offset c"),
+            ({"jumps": [{"nu": [1, 0], "c": 0.1, "dv": [0, "inf"]}]}, "jump dv"),
+            ({"profile": {"eta": [1, 0], "xi": [0, 1], "beta": "-inf", "staircase": {
+                "depth": 2, "totalMass": 1, "support": [0, 1]}}}, "profile beta"),
+            ({"profile": {"eta": [1, 0], "xi": [0, 1], "staircase": {
+                "kind": "explicit", "atoms": [[0.5, 1]], "offset": "nan"}}}, "staircase offset"),
+            ({"smooth": {"type": "polynomial", "coeffs": [[[0, "inf"]], [[1, 0]]]}},
+             "polynomial coeffs"),
+            ({"smooth": {"type": "sinusoid", "terms": [{"a": [1, 0], "f": [1, 0],
+                                                        "phase": "nan"}]}}, "sinusoid phase")):
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            StructuredBD.from_json(spec)
+
+
 def _seed_pieces(stair):
     """The seed's plateau walk over the exact atoms: (t_lo, t_hi, value)
     pieces covering all of R, each value offset plus the jumps left of it."""
@@ -416,6 +456,44 @@ def test_mean_on_staircases_matches_seed_walk(u):
              *_random_boxes(6)]
     for box in boxes:
         assert np.allclose(u.mean(box), _seed_mean(u, box), rtol=0, atol=1e-14)
+
+
+def _clip_every_atom_mean(u, box):
+    """The atom walk that clips every plane against the box, also the planes
+    that miss it: the mean that skips those clips must reproduce it."""
+    out = np.asarray(u.smooth.mean(box), dtype=float)
+    vol = box.volume
+    for atom in u.atoms():
+        area_plus = vol - box_halfplane_area(box, atom.n, float(atom.c))
+        out = out + atom.a * (float(atom.q) * area_plus / vol)
+    if u.profile is not None:
+        p = u.profile
+        out = out + p.staircase.offset * p.xi + p.beta * float(box.center @ p.xi) * p.eta
+    return out
+
+
+@pytest.mark.parametrize("u", [
+    *(StructuredBD.staircase(depth) for depth in (1, 3, 6, 8)),
+    StructuredBD.staircase(5, eta=(0.6, 0.8), xi=(0.8, -0.6)),
+    StructuredBD(profile=Profile(eta=E1, xi=E2, staircase=EXPLICIT)),
+    StructuredBD.staircase(6, beta=0.3),
+    StructuredBD(jumps=JUMPS),
+    StructuredBD(smooth=SmoothPolynomial(np.arange(18.0).reshape(2, 3, 3) / 10.0 - 0.8),
+                 jumps=JUMPS),
+    StructuredBD(jumps=(JumpPlane(nu=E2, c=0.125, dv=np.array([0.3, -1.1])), OBLIQUE),
+                 profile=Profile(eta=E1, xi=E2, beta=0.5, staircase=EXPLICIT)),
+], ids=["cantor-1", "cantor-3", "cantor-6", "cantor-8", "oblique", "explicit", "beta", "jumps",
+        "polynomial", "mixed"])
+def test_mean_skips_planes_that_miss_the_box(u):
+    # windows holding every atom, some or none, boxes with corners on atom
+    # planes (x1 = 1/4 and 1/2 of the explicit staircase, x2 = 1/8 of the
+    # mixed field's jump), and shrinking centred windows
+    boxes = [Box(lo=(-0.5, -1.0), hi=(1.5, 2.0)), Box(lo=(0.3, -0.2), hi=(0.7, 0.4)),
+             Box(lo=(1.2, 0.0), hi=(1.9, 1.0)), Box(lo=(-1.0, -1.0), hi=(-0.2, 0.0)),
+             Box(lo=(0.25, 0.0), hi=(0.5, 0.125)), Box(lo=(0.0, 0.0), hi=(0.5, 0.5)),
+             *_random_boxes(7), *(Box.cube((0.5, 0.5), 1.2 * 0.8 ** k) for k in range(12))]
+    for box in boxes:
+        assert np.array_equal(u.mean(box), _clip_every_atom_mean(u, box))
 
 
 def _random_polynomial(rng):

@@ -1,13 +1,16 @@
+import gc
 import itertools
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bdrelax import cellsolver
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
-                                Integrand, JumpData, SolverParams, _q1_quadrature,
-                                _sbd_objective, _stack_conn, energy_and_grad,
+                                Integrand, JumpData, SolverParams, _plan, _q1_quadrature,
+                                _sbd_objective, energy_and_grad,
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
 from bdrelax.density import (_REGISTRY, A0, abs_sym, g_odot, g_penalty, get_integrand,
@@ -124,14 +127,14 @@ def _assert_kernel_bits(grid, U, conn):
     """Each row of the kernel on a stack of the first K fields of U (k, n, 2),
     K = 1, 3 and k, equals the seed kernel on that field alone, bit for bit."""
     n = U.shape[1]
-    stacked = _stack_conn(conn, n, len(U))
+    plan = _plan(grid, conn, n, len(U))
     for f in BIT_INTEGRANDS.values():
         for fx in (None, np.array([0.3, -0.1])):
             refs = [_seed_q1(grid, Uk, conn, f, fx) for Uk in U]
             raw_refs = {exact: [_seed_q1(grid, Uk, conn, f, fx, raw=True, exact_sum=exact)[0]
                                 for Uk in U] for exact in (False, True)}
             for K in sorted({1, 3, len(U)}):
-                e_new, grad = _q1_quadrature(grid, U[:K], stacked, f, fx)
+                e_new, grad = _q1_quadrature(grid, U[:K], plan, f, fx)
                 g_new = grad(range(K))
                 assert e_new.shape == (K,) and g_new.shape == (K, n, 2)
                 for k in range(K):
@@ -142,7 +145,7 @@ def _assert_kernel_bits(grid, U, conn):
                 for k, g in zip(rows, grad(rows)):
                     assert np.array_equal(g, refs[k][1])
                 for exact in (False, True):
-                    r_new = _q1_quadrature(grid, U[:K], stacked, f, fx, raw=True,
+                    r_new = _q1_quadrature(grid, U[:K], plan, f, fx, raw=True,
                                            exact_sum=exact)[0]
                     assert r_new.tolist() == raw_refs[exact][:K]
 
@@ -161,7 +164,7 @@ def test_q1_kernel_bit_identical_to_seed(mesh, nu):
     e_ref, g_ref = _seed_q1(grid, U[0], grid.conn, f)
     e_new, g_new = energy_and_grad(grid, U[0], f)
     assert type(e_new) is float and e_new == e_ref and np.array_equal(g_new, g_ref)
-    e_new, grad = energy_and_grad(grid, U[:2], f, conn=_stack_conn(grid.conn, grid.n_nodes, 2))
+    e_new, grad = energy_and_grad(grid, U[:2], f, plan=_plan(grid, grid.conn, grid.n_nodes, 2))
     assert e_new[0] == e_ref and np.array_equal(grad([0, 1])[0], g_ref)
     assert raw_energy(grid, U[0], f, exact_sum=True) == _seed_q1(grid, U[0], grid.conn, f,
                                                                  raw=True, exact_sum=True)[0]
@@ -321,18 +324,19 @@ def test_lockstep_matches_serial_periodic():
                     box=Box((0.0, 0.0), (1.0, 1.0)), solver=sp)
     sol = solve_periodic(spec, f)
     grid = Grid(spec.box, spec.mesh)
-    n, conn = spec.mesh ** 2, grid.periodic_node[grid.conn]
+    n = spec.mesh ** 2
+    plan = _plan(grid, grid.periodic_node[grid.conn], n, 1)
     f_A = reparametrize(f, v0=np.zeros(2), eps_v=0.0, A0=A0)
 
     def fg_row(x):
-        e, grad = _q1_quadrature(grid, x.reshape(1, n, 2), conn[None], f_A)
+        e, grad = _q1_quadrature(grid, x.reshape(1, n, 2), plan, f_A)
         return float(e[0]), grad([0]).ravel()
 
     starts = _serial_starts(np.zeros(2 * n), sp, frob(A0))
     best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
     W = best["x"].reshape(n, 2)
     assert np.array_equal(sol.argmin.values, (W - W.mean(axis=0))[grid.periodic_node])
-    assert sol.value == _q1_quadrature(grid, W[None], conn[None], f_A, raw=True)[0][0]
+    assert sol.value == _q1_quadrature(grid, W[None], plan, f_A, raw=True)[0][0]
 
 
 def test_lockstep_matches_serial_sbd():
@@ -450,6 +454,55 @@ def test_rotated_frame_affine_exact():
     assert sol.value == pytest.approx(frob(A), abs=1e-5)
 
 
+def test_gradient_pass_reads_the_value_pass_arrays():
+    # when every row asks, the gradient pass gets the very point and strain
+    # arrays of the value pass, both read-only; a subset of rows gets its
+    # own strains, and the points of each stack height are one array
+    seen = []
+
+    def recorded(fn, tag):
+        def wrapped(X, V, A):
+            seen.append((tag, X, A))
+            return fn(X, V, A)
+        return wrapped
+
+    f0 = laminate_a()
+    f = replace(f0, value=recorded(f0.value, "value"), grad=recorded(f0.grad, "grad"))
+    grid = Grid(Box.cube((0.0, 0.0), 1.0), 4)
+    plan = _plan(grid, grid.conn, grid.n_nodes, 3)
+    U = RNG.normal(size=(3, grid.n_nodes, 2))
+    _, grad = _q1_quadrature(grid, U, plan, f)
+    grad([0, 1, 2])
+    grad([0, 2])
+    _q1_quadrature(grid, U[:2], plan, f)[1]([0, 1])
+    (_, X3, A3), (_, Xg, Ag), (_, X2, A2), (_, X2v, A2v), (_, X2g, A2g) = seen
+    assert Xg is X3 and Ag is A3 and not (X3.flags.writeable or A3.flags.writeable)
+    assert X2 is plan[2][1] and A2 is not A3 and len(A2) == 2 * len(A3) // 3
+    assert X2v is X2 and X2g is X2 and A2g is A2v
+
+
+def test_no_grid_outlives_its_solve(monkeypatch):
+    # a solve's assembly plan lives and dies with the solve: once the value
+    # is read, no grid a solver built is reachable, also where the laminate
+    # keeps the coefficients of the solve's last point array
+    alive = []
+
+    class Tracked(Grid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(cellsolver, "Grid", Tracked)
+    sp = SolverParams(multistarts=2, max_iters=40)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=8, solver=sp)
+    values = [solve_ld(spec, laminate_a()).value,
+              solve_periodic(replace(spec, box=Box((0.0, 0.0), (1.0, 1.0))), laminate_a()).value,
+              solve_sbd(replace(spec, mesh=4), abs_sym(mu=1e-6), g_odot()).value]
+    gc.collect()
+    assert all(np.isfinite(values)) and len(alive) == 3
+    assert [ref() for ref in alive] == [None] * 3
+
+
 def test_integrand_overflow():
     def bad(X, V, A):
         return np.full(len(np.atleast_2d(V)), np.inf)
@@ -558,11 +611,11 @@ def _seed_sbd_objective(grid, spec, f1, g1):
     xs_b = np.broadcast_to(spec.freeze_x, bmid.shape) if spec.freeze_x is not None else bmid
     em, a1, a2, ep, b1, b2 = interior[:, :6].T
     eb, c1, c2 = boundary[:, :3].T
-    own = np.arange(4 * E).reshape(E, 4)
+    own = _plan(grid, np.arange(4 * E).reshape(E, 4), 4 * E, 1)
 
     def split_fg(vals_flat):
         vals = vals_flat.reshape(E, 4, 2)
-        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(1, 4 * E, 2), own[None], f1,
+        bulk, gradv = _q1_quadrature(grid, vals_flat.reshape(1, 4 * E, 2), own, f1,
                                      spec.freeze_x)
         bulk, gradv = bulk[0], gradv([0]).reshape(E, 4, 2)
         vm = 0.5 * (vals[em, a1] + vals[em, a2])

@@ -153,6 +153,23 @@ def test_non_finite_rho_exits_2(tmp_path, capsys):
         assert "argument --rho" in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("spec,what", [
+    ({"jumps": [{"nu": [1, 0], "c": "nan", "dv": [0, 1]}]}, "jump offset c"),
+    ({"jumps": [{"nu": [1, 0], "c": 0.1, "dv": [0, "inf"]}]}, "jump dv"),
+    ({"smooth": {"type": "affine", "A": [[1, 0], [0, 1]], "v": ["-inf", 0]}}, "affine v"),
+], ids=["c-nan", "dv-inf", "affine-v"])
+def test_non_finite_json_strings_exit_2(tmp_path, capsys, spec, what):
+    # json reads "nan" and "inf" as strings, which float() and numpy still
+    # turn into numbers: the field rejects them, as it rejects NaN tokens
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out = run_cli(tmp_path, "represent", "--bd-spec", str(path))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: bad BD spec {path}: {what} must be finite"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text,token", [
     ('{"jumps": [{"nu": [NaN, 0], "c": 0, "dv": [0, 1]}]}', "NaN"),
     ('{"jumps": [{"nu": [1, 0], "c": -Infinity, "dv": [0, 1]}]}', "-Infinity"),

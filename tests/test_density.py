@@ -1,13 +1,18 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bdrelax.cellsolver import SolverParams
-from bdrelax.density import (A0, DensityEstimate, abs_sym, bulk_density,
+from bdrelax.cellsolver import AffineData, CellSpec, SolverParams, solve_ld, solve_periodic
+from bdrelax.density import (A0, DensityEstimate, _kept, abs_sym, bulk_density,
                              check_symmetric_quasiconvexity, convex_envelope_witness_A0,
                              get_integrand, get_surface_integrand, integrand_evaluator,
                              jump_density, laminate_a, mueller_f_eps, mueller_h,
                              mueller_h_integrand, recession, scaled, sq_envelope,
                              sqrt1plus_sym, truncated_neg_sym_sq, vmin_abs)
+from bdrelax.geometry import Box
 from bdrelax.tensor import frob, odot, sym
 
 X0 = (0.0, 0.0)
@@ -93,6 +98,243 @@ def test_mueller_smoothed_matches_raw():
             A2[0, i, j] += h
             fd = (f.value(X[:1], V[:1], A2)[0] - f.value(X[:1], V[:1], A1)[0]) / h
             assert fd == pytest.approx(dA[0, i, j], rel=1e-3, abs=1e-6)
+
+
+def _general_sym(A):
+    return 0.5 * (A + A.swapaxes(-1, -2))
+
+
+def _general_sq(S):
+    return (S * S).sum(axis=(-2, -1))
+
+
+def _corpus_in_general_form():
+    """Every _REGISTRY entry at its default argument, written with the
+    general n x n forms of the symmetric part and of the squared norm (one
+    numpy reduction) and a memo-free laminate coefficient: {id: (value,
+    grad, raw)}, the formulas the corpus must reproduce bit for bit."""
+    mu = 1e-6
+
+    def q_of(A):
+        S = _general_sym(A)
+        return S, _general_sq(S)
+
+    def abs_value(X, V, A):
+        return np.sqrt(q_of(A)[1] + mu * mu) - mu
+
+    def abs_grad(X, V, A):
+        S, q = q_of(A)
+        return np.zeros_like(V), S / np.sqrt(q + mu * mu)[:, None, None]
+
+    def abs_raw(X, V, A):
+        return np.sqrt(q_of(A)[1])
+
+    def s1p_value(X, V, A):
+        return np.sqrt(1.0 + q_of(A)[1])
+
+    def s1p_grad(X, V, A):
+        S, q = q_of(A)
+        return np.zeros_like(V), S / np.sqrt(1.0 + q)[:, None, None]
+
+    def pieces(A):
+        return (A[..., 0, 0] - A[..., 1, 1], A[..., 0, 1] + A[..., 1, 0],
+                A[..., 0, 0] + A[..., 1, 1], A[..., 0, 1] - A[..., 1, 0])
+
+    def sm(t):
+        return np.sqrt(t * t + mu * mu) - mu
+
+    def sp(t):
+        return t / np.sqrt(t * t + mu * mu)
+
+    def h_raw(X, V, A):
+        l1, l2, l3, l4 = pieces(A)
+        return np.abs(l1) + np.abs(l2) + np.minimum(np.abs(l3), np.abs(l4))
+
+    def h_value(X, V, A):
+        l1, l2, l3, l4 = pieces(A)
+        a, b = sm(l3), sm(l4)
+        return sm(l1) + sm(l2) + 0.5 * (a + b - sm(a - b))
+
+    def h_grad(X, V, A):
+        l1, l2, l3, l4 = pieces(A)
+        a, b = sm(l3), sm(l4)
+        da = 0.5 * (1.0 - sp(a - b)) * sp(l3)
+        db = 0.5 * (1.0 + sp(a - b)) * sp(l4)
+        dA = np.zeros_like(A)
+        dA[..., 0, 0], dA[..., 1, 1] = sp(l1) + da, -sp(l1) + da
+        dA[..., 0, 1], dA[..., 1, 0] = sp(l2) + db, sp(l2) - db
+        return np.zeros_like(V), dA
+
+    def f_eps_grad(X, V, A):
+        (dV1, dA1), (dV2, dA2) = h_grad(X, V, A), abs_grad(X, V, A)
+        return dV1 + 0.1 * dV2, dA1 + 0.1 * dA2
+
+    def coef(X):
+        return 2.0 + np.cos(2.0 * np.pi * X[:, 0])
+
+    def lam_value(X, V, A):
+        return coef(X) * np.sqrt(1e-2 * 1e-2 + q_of(A)[1])
+
+    def lam_grad(X, V, A):
+        S, q = q_of(A)
+        return np.zeros_like(V), (coef(X) / np.sqrt(1e-2 * 1e-2 + q))[:, None, None] * S
+
+    def trunc_value(X, V, A):
+        return np.maximum(1.0 - q_of(A)[1], 0.0)
+
+    def trunc_grad(X, V, A):
+        S, q = q_of(A)
+        return np.zeros_like(V), -2.0 * (q < 1.0).astype(float)[:, None, None] * S
+
+    def vfac(V):
+        nv = np.sqrt((V * V).sum(axis=-1) + mu * mu) - mu
+        return 1.0 + 0.5 * (nv + 1.0 - np.sqrt((nv - 1.0) ** 2 + mu * mu))
+
+    def vmin_raw(X, V, A):
+        return (1.0 + np.minimum(np.sqrt((V ** 2).sum(axis=-1)), 1.0)) * abs_raw(X, V, A)
+
+    def vmin_value(X, V, A):
+        return vfac(V) * abs_value(X, V, A)
+
+    def vmin_grad(X, V, A):
+        S, q = q_of(A)
+        root = np.sqrt(q + mu * mu)
+        nv_root = np.sqrt((V * V).sum(axis=-1) + mu * mu)
+        nv = nv_root - mu
+        dmin = 0.5 * (1.0 - (nv - 1.0) / np.sqrt((nv - 1.0) ** 2 + mu * mu))
+        return ((dmin * (root - mu) / nv_root)[:, None] * V,
+                (vfac(V) / root)[:, None, None] * S)
+
+    return {
+        "abs-sym": (abs_value, abs_grad, abs_raw),
+        "sqrt1plus-sym": (s1p_value, s1p_grad, s1p_value),
+        "mueller-h": (h_value, h_grad, h_raw),
+        "mueller-f-eps": (lambda X, V, A: h_value(X, V, A) + 0.1 * abs_value(X, V, A),
+                          f_eps_grad,
+                          lambda X, V, A: h_raw(X, V, A) + 0.1 * abs_raw(X, V, A)),
+        "laminate-a": (lam_value, lam_grad, lam_value),
+        "truncated-neg-sym-sq": (trunc_value, trunc_grad, trunc_value),
+        "vmin-abs": (vmin_value, vmin_grad, vmin_raw),
+    }
+
+
+def _extreme_batch(seed, n=256):
+    """Points, values and gradients over 16 decades, with entries near 1e154
+    (whose squares overflow), near 1e308 (whose doubles overflow), signed
+    zeros and infinities."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    V = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    A = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1, 1))
+    special = np.array([1e154, -3e154, 1.7e308, -1e308, 0.0, -0.0, np.inf, -np.inf])
+    rows = rng.integers(0, n, size=n // 2)
+    A[rows, rng.integers(0, 2, size=n // 2), rng.integers(0, 2, size=n // 2)] = \
+        rng.choice(special, size=n // 2)
+    V[rows[: n // 8], 0] = rng.choice(special[:6], size=n // 8)
+    return X, V, A
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(_corpus_in_general_form()))
+def test_corpus_bits_match_the_general_forms(name):
+    # the component forms of tensor.sym and tensor.frob_sq, and the kept
+    # x-only factors and strain terms, change no bit of any corpus entry:
+    # signed zeros, infinities and overflowed values included
+    value, grad, raw = _corpus_in_general_form()[name]
+    f = get_integrand(name)
+    for seed in range(3):
+        X, V, A = _extreme_batch(seed)
+        Xr, Ar = X.copy(), A.copy()
+        Xr.flags.writeable = Ar.flags.writeable = False  # arrays the corpus may keep terms for
+        with np.errstate(all="ignore"):
+            ref = value(X, V, A), raw(X, V, A), grad(X, V, A)
+            # fresh arrays, then read-only ones twice: the second pass reads kept terms
+            for Xk, Ak in ((X, A), (Xr, Ar), (Xr, Ar)):
+                assert _same_bits(f.value(Xk, V, Ak), ref[0])
+                (dV, dA) = f.grad(Xk, V, Ak)
+                assert _same_bits(dV, ref[2][0]) and _same_bits(dA, ref[2][1])
+                assert _same_bits(f.raw(Xk, V, Ak), ref[1])
+
+
+def test_laminate_memo_keys_on_the_array_not_its_address():
+    # two read-only point arrays at one data address and of one shape, with
+    # different first coordinates, and a writeable array changed in place:
+    # each call gets the coefficient of the points it was handed
+    f = laminate_a()
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(8, 2, 2))
+    V = np.zeros((8, 2))
+
+    def fresh(X):
+        return (2.0 + np.cos(2.0 * np.pi * X[:, 0])) * np.sqrt(1e-4 + (sym(A) ** 2).sum((1, 2)))
+
+    base = rng.uniform(size=16)
+    base.flags.writeable = False
+    X1 = base.reshape(8, 2)
+    X2 = np.lib.stride_tricks.as_strided(base, shape=(8, 2), strides=(8, 8))
+    assert X1.ctypes.data == X2.ctypes.data and not X2.flags.writeable
+    for X in (X1, X2, X1):
+        assert np.array_equal(f.value(X, V, A), fresh(X))
+    W = rng.uniform(size=(8, 2))
+    assert np.array_equal(f.value(W, V, A), fresh(W))
+    W[:, 0] += 0.25  # a writeable array is never kept
+    assert np.array_equal(f.value(W, V, A), fresh(W))
+    view = W.view()
+    view.flags.writeable = False  # nor a read-only view of writeable data
+    assert np.array_equal(f.value(view, V, A), fresh(view))
+    W[:, 0] += 0.25
+    assert np.array_equal(f.value(view, V, A), fresh(view))
+
+
+def test_kept_terms_go_with_their_array():
+    # terms are kept for a read-only array while it lives, never for a
+    # writeable one, and are dropped with the array
+    calls = []
+
+    def doubled(Y):
+        calls.append(1)
+        return 2.0 * Y
+
+    kept = _kept(doubled)
+    Y = np.arange(4.0)
+    kept(Y), kept(Y)
+    assert len(calls) == 2
+    Y.flags.writeable = False
+    out = weakref.ref(kept(Y))
+    assert np.array_equal(kept(Y), 2.0 * Y) and len(calls) == 3 and out() is not None
+    del Y
+    gc.collect()
+    assert out() is None
+
+
+def test_laminate_memo_across_cells_of_one_shape():
+    # the periodic cell and the T = 1 cube have point arrays of one shape;
+    # one laminate serves both, as a HomogSpec does, and each solve equals
+    # the solve with a memo-free laminate (fed writeable copies of X). In
+    # the later rounds a cube's points may reuse the freed buffer of the
+    # periodic cell's, which a memo keyed on the address would mistake
+    lam, ref = laminate_a(), laminate_a()
+
+    def copied(fn):
+        return lambda X, V, A: fn(np.array(X), V, A)
+
+    free = replace(ref, value=copied(ref.value), grad=copied(ref.grad), raw=copied(ref.raw))
+    A = np.array([[1.0, 0.0], [0.0, 0.0]])
+    periodic = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8,
+                        box=Box((0.0, 0.0), (1.0, 1.0)), solver=SolverParams(max_iters=100))
+    cube = replace(periodic, box=Box.cube((0.0, 0.0), 1.0))
+    want = [solve_periodic(periodic, free), solve_ld(cube, free)]
+    for _ in range(3):
+        for w, (solve, spec) in zip(want, ((solve_periodic, periodic), (solve_ld, cube))):
+            g = solve(spec, lam)
+            assert g.value == w.value and g.value_smoothed == w.value_smoothed
+            assert np.array_equal(g.argmin.values, w.argmin.values)
+            assert g.diagnostics == w.diagnostics
+            del g  # the solution keeps its grid, not the plan with the points
 
 
 # ---------------------------------------------------------------------------

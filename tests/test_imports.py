@@ -105,3 +105,44 @@ def test_atom_walks_read_the_atom_list():
                 offenders.append(f"{path.name}:{node.lineno}: .staircase.atoms")
     assert not offenders, f"atom walks outside StructuredBD.atoms(): {offenders}"
 
+
+
+def test_solver_modules_keep_no_module_state():
+    """cellsolver, tensor and minimize bind no module-level dict, list, set
+    or array: a solve's assembly plan lives and dies with the solve, and a
+    module-level cache of plans would keep every grid it saw alive."""
+    import importlib
+    from collections.abc import MutableMapping, MutableSequence, MutableSet
+
+    import numpy as np
+
+    kinds = (MutableMapping, MutableSequence, MutableSet, np.ndarray)
+    offenders = []
+    for name in ("cellsolver", "tensor", "minimize"):
+        module = importlib.import_module(f"bdrelax.{name}")
+        offenders += [f"{name}.{attr}: {type(value).__name__}"
+                      for attr, value in vars(module).items()
+                      if not attr.startswith("__") and isinstance(value, kinds)]
+    assert not offenders, f"module-level containers: {offenders}"
+
+
+def test_matrix_norm_reductions_stay_in_tensor():
+    """Squared matrix norms go through tensor.frob_sq (or frob): no module
+    but tensor.py reduces over the axes (-2, -1), whose numpy reduction is
+    several times slower than the component sum and must give its bits."""
+    offenders = []
+    for path in SRC:
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum"):
+                continue
+            for arg in [*node.args, *(kw.value for kw in node.keywords if kw.arg == "axis")]:
+                try:
+                    axis = ast.literal_eval(arg)
+                except ValueError:
+                    continue
+                if isinstance(axis, tuple) and sorted(axis) == [-2, -1]:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"sum over the axes (-2, -1) outside tensor.py: {offenders}"
