@@ -44,6 +44,8 @@ class Integrand:
     value/grad/raw take batched arguments: X (m,2), V (m,2), A (m,2,2).
     `raw` is the unsmoothed density used for reporting and for the flag
     self-checks; `grad` returns (df/dv, df/dA) of the smoothed density.
+    `dual_radius` r declares raw = r |sym A|; solve_ld then certifies its
+    runs with a duality gap (_dual_bound).
     """
 
     name: str
@@ -56,11 +58,13 @@ class Integrand:
     sym_only: bool = True
     mu: float = 0.0
     recession_exact: "Integrand | None" = None
+    dual_radius: float | None = None
 
     def check_flags(self) -> None:
         """Sampled validation of the declared structure flags at 16 seeded
         Gaussian points, to a relative tolerance of 1e-9. The Q1 kernel
-        relies on v_independent: it hands such an integrand a zero V."""
+        relies on v_independent: it hands such an integrand a zero V, and a
+        wrong dual_radius would certify a false lower bound."""
         rng, tol = np.random.default_rng(0), 1e-9
         X, V, A = rng.normal(size=(16, 2)), rng.normal(size=(16, 2)), rng.normal(size=(16, 2, 2))
         base = self.raw(X, V, A)
@@ -77,6 +81,10 @@ class Integrand:
             for t in (2.0, 10.0):
                 if np.max(np.abs(self.raw(X, V, t * A) - t * base)) > tol * t * (1 + np.max(np.abs(base))):
                     raise ValueError(f"integrand {self.name}: oneHomogeneous flag violated")
+        if self.dual_radius is not None:
+            target = self.dual_radius * frob(sym(A))
+            if np.max(np.abs(base - target)) > tol * np.max(target):
+                raise ValueError(f"integrand {self.name}: dualRadius {self.dual_radius:g} violated")
 
 
 def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
@@ -86,7 +94,8 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
 
     v0=None leaves v as it is (eps_v is then unused) and A0=None adds no
     offset. Flags are those of f0; the exact recession, where f0 has one,
-    is (c / s_A) f0^inf(x, v0 + eps_v w, A).
+    is (c / s_A) f0^inf(x, v0 + eps_v w, A). A dual radius r becomes
+    c r / s_A, and an offset A0 drops it (the density is no longer r |sym A|).
     """
     if c <= 0 or s_A <= 0:
         raise ValueError("scale must be positive")
@@ -118,7 +127,8 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
     rec = f0.recession_exact
     if rec is not None:
         rec = reparametrize(rec, c=c_A, v0=v0, eps_v=eps_v)
-    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec)
+    r = None if A0 is not None or f0.dual_radius is None else c_A * f0.dual_radius
+    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_radius=r)
 
 
 @dataclass(frozen=True)
@@ -337,6 +347,48 @@ def _plan(grid: Grid, conn: np.ndarray, n: int, K: int) -> tuple:
     return gather, 2 * gather[..., None] + np.arange(2), [X[:k * m] for k in range(1, K + 1)]
 
 
+def _q1_strains(grid: Grid, U: np.ndarray, gather: np.ndarray, values: bool = False):
+    """The strain half of the Q1 kernel: the field values V (Q, k, K E) at
+    the quadrature points (None unless `values`) and the gradients
+    G (Q, k, j, K E), G[q, k, j] = d_j u_k, of a stack U (K, n, 2) of nodal
+    fields gathered through the first K copies of `gather` (a plan's)."""
+    Nval, dN = grid.Nval, grid.dN
+    K, n = U.shape[:2]
+    Ua = U.reshape(K * n, 2).take(gather[:K], axis=0)  # (K, E, a, k)
+    Ua = np.ascontiguousarray(Ua.transpose(3, 2, 0, 1)).reshape(2, 4, -1)  # (k, a, E)
+    V = Nval[:, 0, None, None] * Ua[:, 0] if values else None  # (Q, k, E)
+    G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
+    for a in range(1, 4):
+        if V is not None:
+            V += Nval[:, a, None, None] * Ua[:, a]
+        G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
+    return V, G
+
+
+def _q1_scatter(grid: Grid, dA: np.ndarray, scatter: np.ndarray, n: int, dV=None) -> np.ndarray:
+    """The scatter half of the Q1 kernel: the nodal gradients (R, n, 2) of
+    sum_q w (dA : grad N_a + dV N_a) for stresses dA (Q, j, k, R E) and, for
+    a v-dependent integrand, dV (Q, k, R E), through the scatter index
+    (R, E, 4, 2) of R rows (a plan's)."""
+    Nval, dN = grid.Nval, grid.dN
+    # back-contraction (a, k, E): the strain part and, for a v-dependent
+    # integrand, the v part, each summed over q, then added
+    S = dN[0, :, 0, None, None] * dA[0, 0] + dN[0, :, 1, None, None] * dA[0, 1]
+    for q in range(1, len(Nval)):
+        S += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
+    if dV is not None:
+        S1 = Nval[0, :, None, None] * dV[0]
+        for q in range(1, len(Nval)):
+            S1 += Nval[q, :, None, None] * dV[q]
+        S1 += S
+        S = S1
+    S *= grid.wq
+    # each (node, component) bin adds its terms in (element, local node) order
+    R = len(scatter)
+    return np.bincount(scatter.ravel(), weights=S.transpose(2, 0, 1).ravel(),
+                       minlength=2 * R * n).reshape(R, n, 2)
+
+
 def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_x=None,
                    raw: bool = False, exact_sum: bool = False):
     """The Q1 element kernel: quadrature energies sum_q w f(x_q, v_q, grad_q)
@@ -347,11 +399,13 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_
     Returns (energies (K,), grad) for the smoothed density, where grad(rows)
     forms the nodal gradients (len(rows), n, 2) of the listed stack rows
     (ascending) from the strains the value pass built, copying none when
-    every row asks; or (energies (K,), None) for the raw density (raw=True),
-    summed exactly with math.fsum when exact_sum is set. A v-independent
-    integrand gets a zero V: the kernel skips the nodal-value interpolation
-    and the v part of the back-contraction, which is +0 and leaves every
-    gradient bit unchanged, as the scatter accumulates from +0.0.
+    every row asks, and grad(rows, stress=True) also returns the stresses
+    df/dA (len(rows), Q, j, k, E) it contracted; or (energies (K,), None)
+    for the raw density (raw=True), summed exactly with math.fsum when
+    exact_sum is set. A v-independent integrand gets a zero V: the kernel
+    skips the nodal-value interpolation and the v part of the
+    back-contraction, which is +0 and leaves every gradient bit unchanged,
+    as the scatter accumulates from +0.0.
 
     Arrays keep the element axis last, so every numpy operation runs over
     the K E elements. The sums over local nodes, over quadrature points and
@@ -360,18 +414,10 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_
     is bit for bit that of a stack of one: the solver trajectories depend on
     the gradient's last bits.
     """
-    Nval, dN = grid.Nval, grid.dN
     gather, scatter, points = plan
     K, n = U.shape[:2]
-    Q = len(Nval)
-    Ua = U.reshape(K * n, 2).take(gather[:K], axis=0)  # (K, E, a, k)
-    Ua = np.ascontiguousarray(Ua.transpose(3, 2, 0, 1)).reshape(2, 4, -1)  # (k, a, E)
-    V = None if f.v_independent else Nval[:, 0, None, None] * Ua[:, 0]  # (Q, k, E)
-    G = dN[:, 0, None, :, None] * Ua[None, :, 0, None, :]  # (Q, k, j, E)
-    for a in range(1, 4):
-        if V is not None:
-            V += Nval[:, a, None, None] * Ua[:, a]
-        G += dN[:, a, None, :, None] * Ua[None, :, a, None, :]
+    Q = len(grid.Nval)
+    V, G = _q1_strains(grid, U, gather, values=not f.v_independent)
     if freeze_x is not None:
         freeze_x = np.asarray(freeze_x, dtype=float)
 
@@ -393,7 +439,7 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_
         return grid.wq * vals.sum(axis=1), None
     energy = grid.wq * f.value(Xf, Vf, Gf).reshape(K, -1).sum(axis=1)
 
-    def grad(rows):
+    def grad(rows, stress=False):
         R = len(rows)
         sel = slice(None) if R == K else np.asarray(rows)  # a slice copies nothing
         Gr = Gf if R == K else Gf.reshape(K, -1, 2, 2)[sel].reshape(-1, 2, 2)
@@ -402,22 +448,10 @@ def _q1_quadrature(grid: Grid, U: np.ndarray, plan: tuple, f: Integrand, freeze_
         dV, dA = f.grad(Xf if R == K else points_of(R), Vr, Gr)
         E = len(dA) // Q
         dA = np.ascontiguousarray(dA.reshape(E, Q, 2, 2).transpose(1, 3, 2, 0))  # (Q, j, k, E)
-        # back-contraction (a, k, E): the strain part and, for a
-        # v-dependent integrand, the v part, each summed over q, then added
-        S = dN[0, :, 0, None, None] * dA[0, 0] + dN[0, :, 1, None, None] * dA[0, 1]
-        for q in range(1, Q):
-            S += dN[q, :, 0, None, None] * dA[q, 0] + dN[q, :, 1, None, None] * dA[q, 1]
         if not f.v_independent:
             dV = np.ascontiguousarray(dV.reshape(E, Q * 2).T).reshape(Q, 2, E)  # (Q, k, E)
-            S1 = Nval[0, :, None, None] * dV[0]
-            for q in range(1, Q):
-                S1 += Nval[q, :, None, None] * dV[q]
-            S1 += S
-            S = S1
-        S *= grid.wq
-        # each (node, component) bin adds its terms in (element, local node) order
-        return np.bincount(scatter[:R].ravel(), weights=S.transpose(2, 0, 1).ravel(),
-                           minlength=2 * R * n).reshape(R, n, 2)
+        nodal = _q1_scatter(grid, dA, scatter[:R], n, None if f.v_independent else dV)
+        return (nodal, np.moveaxis(dA.reshape(Q, 2, 2, R, -1), 3, 0)) if stress else nodal
 
     return energy, grad
 
@@ -468,7 +502,70 @@ def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
                    for k in range(1, sp.multistarts)] + list(extra_starts)
 
 
-def _multistart(fg, starts: list, spec: CellSpec):
+GAP_TOL = 1e-5  # a certified run ends once value - lower bound <= GAP_TOL * value
+FIRST_CERTIFICATE = 32  # runs are certified at iterations 32, 64, 128, ...
+CG_TOL = 1e-12  # relative residual of the equilibrating CG solve
+
+
+def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, r: float,
+                stress: np.ndarray, g: np.ndarray, y=None):
+    """A lower bound on the discrete infimum of sum_q w r |sym grad u| over
+    Q1 fields u equal to `datum` (n, 2) at the boundary nodes, from the
+    stresses (Q, j, k, E), |stress| <= r, and the free entries `dofs` of the
+    nodal gradient g = sum_q w B^T stress that one gradient pass formed:
+
+    1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w |sym grad y|^2
+       over fields y vanishing at the boundary nodes solves K y = g from y
+       (the previous correction, or 0) to a relative residual of CG_TOL, so
+       tau = stress - sym grad y does no work on any such field. K is
+       applied element by element: every element of the uniform grid has
+       the one 8x8 matrix that the kernel's strain and scatter halves give
+       on the unit fields of one element;
+    2. scale tau into the ball of radius r by one factor s;
+    3. return sum_q w s tau : grad u_D, which equals sum_q w s tau : grad u
+       <= sum_q w r |sym grad u| for every admissible u.
+
+    Returns (bound, y), with bound None where CG stops short of CG_TOL.
+    """
+    gather, scatter, _ = plan
+    n = grid.n_nodes
+
+    def sym_strain(U, index):  # sym grad (Q, k, j, E), symmetric: also (Q, j, k, E)
+        G = _q1_strains(grid, U, index)[1]
+        return 0.5 * (G + G.transpose(0, 2, 1, 3))
+
+    one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
+    Ke = _q1_scatter(grid, sym_strain(np.eye(8).reshape(8, 4, 2), one),
+                     2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
+    U = np.zeros(2 * n)
+
+    def K(y):
+        U[dofs] = y
+        Ue = U.reshape(n, 2).take(gather[0], axis=0).reshape(-1, 8)  # (E, 8)
+        return np.bincount(scatter[0].ravel(), (Ue @ Ke).ravel(), minlength=2 * n)[dofs]
+
+    y = np.zeros(len(g)) if y is None else y.copy()
+    res = g - K(y)
+    p, rr, stop = res.copy(), res.dot(res), (CG_TOL * CG_TOL) * g.dot(g)
+    for _ in range(2 * len(g)):
+        if rr <= stop:
+            break
+        Kp = K(p)
+        alpha = rr / p.dot(Kp)
+        y += alpha * p
+        res -= alpha * Kp
+        rr, rr_old = res.dot(res), rr
+        p = res + (rr / rr_old) * p
+    else:
+        return None, y
+    U[dofs] = y
+    tau = stress - sym_strain(U.reshape(1, n, 2), gather)
+    size = np.sqrt((tau * tau).sum(axis=(1, 2))).max()
+    work = (tau * _q1_strains(grid, datum[None], gather)[1]).sum()
+    return grid.wq * (r / max(size, r)) * work, y
+
+
+def _multistart(fg, starts: list, spec: CellSpec, certify=None):
     """Minimize fg, which maps stacked points X (K, d) to values (K,) and a
     grad(rows) giving the gradients (len(rows), d) of the listed rows, from
     each of `starts` in lockstep on one thread (spec.solver.jobs has no
@@ -479,9 +576,19 @@ def _multistart(fg, starts: list, spec: CellSpec):
     each start follows its serial trajectory. The lowest smoothed energy
     wins, ties going to the lowest seed. Returns the winning L-BFGS result
     and the cell diagnostics.
+
+    With `certify`, grad(rows) returns the gradients and a stress per row,
+    and at iterations 32, 64, 128, ... each run's accepted point gets
+    certify(k, x, g, stress) = (its raw value, a lower bound on the cell's
+    discrete infimum or None). A run ends with reason "gap" once its value
+    minus the best bound of the solve, which the diagnostics hold as
+    lower_bound, is at most GAP_TOL times the value. No other run, and no
+    trajectory up to that point, changes. A run's stop reason is then
+    "gtol", "gap", "max_iters" or "line_search_stall".
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
+    grads_sent, best = [0] * len(runs), -math.inf  # a run's gradients count its iterations
 
     def send(k, msg):
         try:
@@ -492,13 +599,23 @@ def _multistart(fg, starts: list, spec: CellSpec):
     active = list(range(len(runs)))
     with np.errstate(over="ignore", invalid="ignore"):  # lbfgs_steps judges non-finite values
         while active:
-            F, grad = fg(np.array([points[k] for k in active]))
+            X = np.array([points[k] for k in active])
+            F, grad = fg(X)
             for k, f in zip(active, F):
                 send(k, float(f))
             asked = [i for i, k in enumerate(active) if points[k] is None]
             if asked:
-                for i, g in zip(asked, grad(asked)):
-                    send(active[i], g)
+                G, stresses = grad(asked) if certify else (grad(asked), [None] * len(asked))
+                for i, g, stress in zip(asked, G, stresses):
+                    k = active[i]
+                    it, grads_sent[k] = grads_sent[k], grads_sent[k] + 1
+                    if certify and it >= FIRST_CERTIFICATE and it & (it - 1) == 0:
+                        value, bound = certify(k, X[i], g, stress)
+                        if bound is not None:
+                            best = max(best, bound)
+                        if value - best <= GAP_TOL * value:
+                            g = (g, "gap")
+                    send(k, g)
             del grad  # the strains it holds go before the next round builds its own
             active = [k for k in active if results[k] is None]
     k_best = min(range(len(results)), key=lambda k: results[k]["f"])
@@ -508,6 +625,8 @@ def _multistart(fg, starts: list, spec: CellSpec):
             "grad_tol": res["grad_tol"], "seed": spec.solver.seed + k_best,
             "start_values": [r["f"] for r in results],
             "starts": [(r["iters"], r["nfev"], r["reason"]) for r in results]}
+    if best > -math.inf:
+        diag["lower_bound"] = best
     return res, diag
 
 
@@ -520,6 +639,11 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     smoothed energy wins, ties broken by the lowest seed. `extra_starts`
     appends caller-provided nodal fields (e.g. prolonged coarse minimizers)
     to the start list.
+
+    An integrand with a dual_radius r (raw density r |sym A|) is certified
+    (_multistart, _dual_bound) from the stress and gradient of each
+    certified point's own gradient pass, and its diagnostics then hold the
+    best lower_bound found and the gap, value - lower_bound.
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
@@ -529,18 +653,40 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     starts = _starts(datum[free].ravel(), spec, extra)
     plan = _plan(grid, grid.conn, grid.n_nodes, len(starts))
     dofs = np.flatnonzero(np.repeat(free, 2))  # the free entries of a flattened field
+    r = f.dual_radius
 
     def fg(X):
         U = datum.reshape(1, -1).repeat(len(X), axis=0)
         U[:, dofs] = X
         e, grad = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, plan)
-        return e, lambda rows: grad(rows).reshape(len(rows), -1).take(dofs, axis=1)
 
-    res, diag = _multistart(fg, starts, spec)
-    Ubest = datum.copy()
-    Ubest[free] = res["x"].reshape(-1, 2)
+        def grad_free(rows):
+            if r is None:
+                return grad(rows).reshape(len(rows), -1).take(dofs, axis=1)
+            G, stress = grad(rows, stress=True)
+            return G.reshape(len(rows), -1).take(dofs, axis=1), stress
+
+        return e, grad_free
+
+    def field(x):
+        U = datum.copy()
+        U[free] = x.reshape(-1, 2)
+        return U
+
+    corrections = {}  # each run's last CG correction, its next warm start
+
+    def certify(k, x, g, stress):
+        value = raw_energy(grid, field(x), f, freeze_x=spec.freeze_x)
+        bound, corrections[k] = _dual_bound(grid, plan, dofs, datum, r, stress, g,
+                                            corrections.get(k))
+        return value, bound
+
+    res, diag = _multistart(fg, starts, spec, None if r is None else certify)
+    Ubest = field(res["x"])
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)
+    if "lower_bound" in diag:
+        diag["gap"] = value - diag["lower_bound"]
     return CellSolution(value=value, value_smoothed=res["f"], argmin=argmin,
                         diagnostics={**diag, "mu": f.mu})
 

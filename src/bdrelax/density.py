@@ -28,7 +28,12 @@ DEFAULT_MESH_SCHEDULE = (8, 16, 32)
 class DensityEstimate:
     """(key, value) samples along a refinement schedule plus the working
     extrapolation (= last sample), the spread of the last two and the
-    cell diagnostics of each solved sample, keyed like the samples."""
+    cell diagnostics of each solved sample, keyed like the samples.
+
+    `converged` needs a small spread and, for every solved sample, a winning
+    run that stopped on "gtol" or "gap" (a certified duality gap, with the
+    sample's lower_bound and gap in its diagnostics), not on "max_iters" or
+    "line_search_stall"."""
 
     samples: list
     extrapolated: float
@@ -47,10 +52,15 @@ class DensityEstimate:
         vals = [v for _, v in samples]
         extrapolated = vals[-1]
         spread = abs(vals[-1] - vals[-2]) if len(vals) > 1 else 0.0
-        converged = spread <= max(1e-8, 0.02 * abs(extrapolated))
-        return cls(samples=samples, extrapolated=extrapolated, spread=spread,
-                   converged=converged,
-                   diagnostics={row[0]: row[2] for row in rows if len(row) > 2})
+        est = cls(samples=samples, extrapolated=extrapolated, spread=spread, converged=False,
+                  diagnostics={row[0]: row[2] for row in rows if len(row) > 2})
+        est.converged = est.runs_converged and spread <= max(1e-8, 0.02 * abs(extrapolated))
+        return est
+
+    @property
+    def runs_converged(self) -> bool:
+        """Every solved sample's winning run stopped on gtol or gap."""
+        return all(d.get("reason") in ("gtol", "gap") for d in self.diagnostics.values())
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +132,7 @@ def abs_sym(mu: float = 1e-6) -> Integrand:
         return np.zeros_like(V), S / root[:, None, None]
 
     f = Integrand(name="abs-sym", value=value, grad=grad, raw=raw,
-                  convex=True, one_homogeneous=True, sym_only=True, mu=mu)
+                  convex=True, one_homogeneous=True, sym_only=True, mu=mu, dual_radius=1.0)
     return replace(f, recession_exact=f)
 
 

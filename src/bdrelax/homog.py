@@ -70,7 +70,8 @@ def fhom_dirichlet(spec: HomogSpec) -> DensityEstimate:
         (t1, f1), (t2, f2) = est.samples[-2:]
         s1, s2 = 1.0 / t1, 1.0 / t2
         est.extrapolated = f2 + s2 * (f2 - f1) / (s1 - s2)
-        est.converged = abs(f2 - f1) <= max(1e-8, 0.1 * abs(est.extrapolated))
+        est.converged = (est.runs_converged
+                         and abs(f2 - f1) <= max(1e-8, 0.1 * abs(est.extrapolated)))
     return est
 
 

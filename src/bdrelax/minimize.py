@@ -27,12 +27,16 @@ def lbfgs_steps(x0, max_iters: int = 2000):
     gradient of the point it last valued and receives that gradient. It asks
     for a gradient only at x0 and at each Armijo-accepted trial point, since
     the backtracking search reads values alone. Returns the result dict once
-    the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1).
+    the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1). In
+    place of the gradient of an accepted point the caller may send the pair
+    (gradient, reason), which ends the run at that point with that reason
+    (the cell driver sends "gap" once a duality gap certifies the point).
 
     A non-finite value or gradient at x0 raises SolverError("integrand
     overflow"); a non-finite value at a trial point shortens the step.
     The result holds x, f, grad_norm, grad_tol, iters, converged, nfev (the
-    count of values) and reason: "gtol", "max_iters" or "line_search_stall".
+    count of values) and reason: "gtol", "max_iters", "line_search_stall"
+    or the caller's ("gap"); a run the caller ended counts as converged.
     """
     x = np.asarray(x0, dtype=float).copy()
     f = yield x
@@ -49,8 +53,9 @@ def lbfgs_steps(x0, max_iters: int = 2000):
     y_hist: list[np.ndarray] = []
     rho: list[float] = []
     iters = 0
+    stop = None  # the caller's reason to end the run
 
-    while gnorm > grad_tol and iters < max_iters:
+    while stop is None and gnorm > grad_tol and iters < max_iters:
         # two-loop recursion
         q = g.copy()
         alphas = []
@@ -89,6 +94,8 @@ def lbfgs_steps(x0, max_iters: int = 2000):
             step *= BACKTRACK
         else:
             break  # line search stalled
+        if isinstance(g_new, tuple):
+            g_new, stop = g_new
 
         s = x_new - x
         y = g_new - g
@@ -103,10 +110,10 @@ def lbfgs_steps(x0, max_iters: int = 2000):
         gnorm = math.sqrt(g.dot(g))
         iters += 1
 
-    reason = ("gtol" if gnorm <= grad_tol else "max_iters" if iters >= max_iters
-              else "line_search_stall")
+    reason = stop or ("gtol" if gnorm <= grad_tol else "max_iters" if iters >= max_iters
+                      else "line_search_stall")
     return {"x": x, "f": f, "grad_norm": gnorm,
-            "iters": iters, "converged": gnorm <= grad_tol, "nfev": nfev,
+            "iters": iters, "converged": stop is not None or gnorm <= grad_tol, "nfev": nfev,
             "grad_tol": grad_tol, "reason": reason}
 
 

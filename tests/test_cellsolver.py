@@ -9,15 +9,15 @@ import pytest
 
 from bdrelax import cellsolver
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
-                                Integrand, JumpData, SolverParams, _plan, _q1_quadrature,
-                                _sbd_objective, energy_and_grad,
+                                Integrand, JumpData, SolverParams, _dual_bound, _plan,
+                                _q1_quadrature, _sbd_objective, energy_and_grad,
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
 from bdrelax.density import (_REGISTRY, A0, abs_sym, g_odot, g_penalty, get_integrand,
                              laminate_a, mueller_f_eps, mueller_h_integrand, scaled, sqrt1plus_sym,
                              truncated_neg_sym_sq, vmin_abs)
 from bdrelax.geometry import Box
-from bdrelax.minimize import SolverError, minimize_lbfgs
+from bdrelax.minimize import SolverError, lbfgs_steps, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
 
 RNG = np.random.default_rng(0)
@@ -44,6 +44,24 @@ def test_minimizer_on_quadratic():
 
     res = minimize_lbfgs(wrong_sign, np.array([3.0, -5.0]))
     assert res["reason"] == "line_search_stall" and res["iters"] == 0
+
+
+def test_caller_ends_a_run_with_its_reason():
+    # sending (gradient, reason) for an accepted point ends the run there
+    H = np.array([[4.0, 1.0], [1.0, 2.0]])
+    steps = lbfgs_steps(np.array([3.0, -5.0]))
+    x, grads = next(steps), 0
+    try:
+        while True:
+            msg = steps.send(0.5 * x @ H @ x)
+            if msg is None:  # the gradient of x: the start, then each accepted point
+                x_end, grads = x, grads + 1
+                msg = steps.send((H @ x, "gap") if grads == 3 else H @ x)
+            x = msg
+    except StopIteration as stop:
+        res = stop.value
+    assert res["reason"] == "gap" and res["converged"] and res["iters"] == 2
+    assert np.array_equal(res["x"], x_end) and res["grad_norm"] == np.linalg.norm(H @ x_end)
 
 
 def test_convex_affine_exactness():
@@ -359,6 +377,82 @@ def test_lockstep_matches_serial_sbd():
     assert np.array_equal(sol.argmin.values.ravel(), best["x"])
 
 
+def test_uncertified_run_matches_serial():
+    # the diagonal jump cell: L-BFGS is 6.3e-4 above the discrete infimum
+    # after 200 iterations, so the certificates at iterations 32, 64 and 128
+    # close nothing and the run follows its serial trajectory bit for bit
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    sp = SolverParams(max_iters=200)
+    spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=8,
+                    solver=sp, frame=frame_for_normal(nu))
+    f = abs_sym(mu=1e-6)
+    sol = solve_ld(spec, f)
+    grid = Grid(spec.box, spec.mesh, frame=spec.frame)
+    datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
+
+    def fg_row(x):
+        U = datum.copy()
+        U[free] = x.reshape(-1, 2)
+        e, gradU = energy_and_grad(grid, U, f)
+        return e, gradU[free].ravel()
+
+    best = _assert_lockstep_matches_serial(sol, fg_row, [datum[free].ravel()], sp.max_iters)
+    assert best["reason"] == "max_iters"
+    diag = sol.diagnostics
+    assert diag["lower_bound"] <= sol.value and diag["gap"] == sol.value - diag["lower_bound"]
+    assert diag["gap"] > 1e-5 * sol.value
+
+
+def _affine_stress(A, U_of):
+    """The stress and free nodal gradient of abs-sym on the affine datum A y
+    at mesh 8, from the kernel's gradient pass at U_of(datum, free)."""
+    spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8)
+    grid = Grid(spec.box, spec.mesh)
+    datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
+    plan = _plan(grid, grid.conn, grid.n_nodes, 1)
+    _, grad = energy_and_grad(grid, U_of(datum, free)[None], abs_sym(mu=1e-6), plan=plan)
+    G, (stress,) = grad([0], stress=True)
+    dofs = np.flatnonzero(np.repeat(free, 2))
+    return grid, plan, dofs, datum, stress, G.reshape(-1)[dofs]
+
+
+def test_dual_bound_on_affine_data():
+    # quadrature Jensen: no bound exceeds the affine energy |sym A|, and the
+    # smoothed stress of the affine field certifies it to rounding
+    A = rand_sym()
+    grid, plan, dofs, datum, stress, g = _affine_stress(A, lambda U, free: U)
+    bound, _ = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g)
+    assert bound == pytest.approx(frob(A), rel=1e-9)
+    for seed in range(3):
+        noise = np.random.default_rng(seed).normal(size=(grid.n_nodes, 2))
+        grid, plan, dofs, datum, stress, g = _affine_stress(
+            A, lambda U, free: U + np.where(free[:, None], 0.1 * noise, 0.0))
+        bound, y = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g)
+        assert bound <= frob(A) * (1 + 1e-12) and bound > 0
+        # a warm start from the correction solves the same system
+        again, _ = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g, y)
+        assert again == pytest.approx(bound, rel=1e-9)
+
+
+def test_certified_samples_bound_their_values():
+    # perturbed starts on affine data run past iteration 32 and are
+    # certified; the rotated jump cell is certified without closing
+    A = rand_sym()
+    sp = SolverParams(multistarts=3, seed=1, max_iters=300)
+    nu = np.array([0.6, 0.8])
+    specs = [CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8, solver=sp),
+             CellSpec(boundary=JumpData(np.zeros(2), np.array([1.0, 0.5]), nu), mesh=8,
+                      solver=sp, frame=frame_for_normal(nu))]
+    bounds = []
+    for spec in specs:
+        sol = solve_ld(spec, abs_sym(mu=1e-6))
+        diag = sol.diagnostics
+        assert diag["lower_bound"] <= sol.value
+        assert diag["gap"] == sol.value - diag["lower_bound"]
+        bounds.append(diag["lower_bound"])
+    assert bounds[0] <= frob(A) * (1 + 1e-12)
+
+
 def test_gradient_only_at_start_and_accepted_points():
     # the line search reads values only: on a cell that backtracks, the
     # integrand's gradient runs once per iteration plus once at the start
@@ -560,6 +654,30 @@ def test_flag_checks():
     with pytest.raises(ValueError, match="vIndependent"):
         liar.check_flags()
     replace(liar, v_independent=False).check_flags()
+
+
+def test_dual_radius_check():
+    # a declared radius r must give raw = r |sym A|: a wrong one would
+    # certify a false lower bound
+    f = abs_sym(mu=1e-6)
+    assert f.dual_radius == 1.0
+    with pytest.raises(ValueError, match="dualRadius"):
+        replace(f, dual_radius=1.5).check_flags()
+    with pytest.raises(ValueError, match="dualRadius"):
+        replace(laminate_a(), dual_radius=2.0).check_flags()
+    scaled(f, 3.0).check_flags()
+
+
+def test_reparametrize_maps_the_dual_radius():
+    f = abs_sym(mu=1e-6)
+    g = reparametrize(f, c=0.5, s_A=0.25, v0=np.ones(2), eps_v=0.5)
+    assert g.dual_radius == 2.0 and g.recession_exact.dual_radius == 2.0
+    g.check_flags()
+    assert scaled(f, 100.0).dual_radius == 100.0
+    assert reparametrize(f, A0=A0).dual_radius is None
+    assert reparametrize(mueller_h_integrand(), c=2.0).dual_radius is None
+    assert sqrt1plus_sym().dual_radius is None
+    assert sqrt1plus_sym().recession_exact.dual_radius == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,17 @@ def test_homogenize_command(tmp_path, capsys):
     assert (out / "homogenize.csv").read_text().splitlines()[0] == "T,value"
 
 
+def test_jump_command_reports_an_unconverged_solver(tmp_path, capsys):
+    # the diagonal cell stops at max_iters=2000, 0.028 above |dv (.) nu|:
+    # however small the spread, the estimate is not converged
+    code, _ = run_cli(tmp_path, "jump", "--v-plus", "0,1",
+                      "--nu", "0.7071067811865476,0.7071067811865476",
+                      "--mesh", "16", "--eps-schedule", "1")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False and payload["spread"] == 0.0
+
+
 def test_jump_command_sbd(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "jump", "--integrand", "abs-sym*100", "--sbd",
                       "--g1", "odot", "--v-plus", "0,1", "--nu", "1,0",

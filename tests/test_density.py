@@ -416,6 +416,26 @@ def test_jump_density_eps_invariance_one_homogeneous():
     assert max(vals) - min(vals) <= 1e-4
 
 
+@pytest.mark.parametrize("dv, mesh, work", [
+    ((0.0, 1.0), 8, (64, 148, "gap")),
+    ((1.0, 0.0), 8, (128, 384, "gap")),
+    ((0.0, 1.0), 12, (128, 642, "gap")),
+], ids=["e2-e1-m8", "e1-e1-m8", "e2-e1-m12"])
+def test_axis_jump_cells_stop_on_a_certified_gap(dv, mesh, work):
+    # the axis cells of the jump benchmark: without the duality-gap stop
+    # they take (100, 343, gtol), (413, 4813, gtol) and (355, 7985,
+    # line_search_stall) for the same values
+    est = jump_density(abs_sym(mu=1e-6), X0, (0.0, 0.0), dv, (1.0, 0.0),
+                       eps_schedule=(1.0,), mesh=mesh)
+    diag = est.diagnostics[1.0]
+    assert (diag["iters"], diag["nfev"], diag["reason"]) == work
+    assert diag["lower_bound"] <= est.extrapolated
+    assert diag["gap"] <= 1e-5 * est.extrapolated
+    assert est.extrapolated == pytest.approx(frob(odot(np.array(dv), np.array([1.0, 0.0]))),
+                                             rel=1e-6)
+    assert est.converged
+
+
 def test_jump_density_doubling():
     f = abs_sym(mu=1e-6)
     e1 = jump_density(f, X0, (0.0, 0.0), (0.0, 1.0), (1.0, 0.0),
@@ -524,5 +544,11 @@ def test_density_estimate_invariants():
     est3 = DensityEstimate.from_samples([(8, 2.0, {"iters": 3}), (16, 1.5, {"iters": 5})])
     assert est3.samples == [(8, 2.0), (16, 1.5)] and est3.spread == 0.5
     assert est3.diagnostics == {8: {"iters": 3}, 16: {"iters": 5}}
+    # converged needs every solved sample's winning run to stop on gtol or gap
+    assert not est3.converged
+    rows = [(8, 2.0, {"reason": "gtol"}), (16, 2.0, {"reason": "gap"})]
+    assert DensityEstimate.from_samples(rows).converged
+    for reason in ("max_iters", "line_search_stall"):
+        assert not DensityEstimate.from_samples(rows + [(32, 2.0, {"reason": reason})]).converged
     with pytest.raises(ValueError):
         DensityEstimate.from_samples([])
