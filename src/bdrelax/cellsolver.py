@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, gauss_rule, segment_midpoints
 from .minimize import lbfgs_steps
-from .tensor import frob, sym
+from .tensor import frob, frob_sq, sym
 
 
 class BadSpec(ValueError):
@@ -44,8 +44,10 @@ class Integrand:
     value/grad/raw take batched arguments: X (m,2), V (m,2), A (m,2,2).
     `raw` is the unsmoothed density used for reporting and for the flag
     self-checks; `grad` returns (df/dv, df/dA) of the smoothed density.
-    `dual_radius` r declares raw = r |sym A|; solve_ld then certifies its
-    runs with a duality gap (_dual_bound).
+    `dual_datum` (c, m) declares raw = c(x) sqrt(m^2 + |sym A|^2), with c a
+    positive number or an x-only function of the points (m,) and m >= 0;
+    the conjugate is -m sqrt(c^2 - |tau|^2) on |tau| <= c, and solve_ld
+    then certifies its runs with a duality gap (_dual_bound).
     """
 
     name: str
@@ -58,13 +60,13 @@ class Integrand:
     sym_only: bool = True
     mu: float = 0.0
     recession_exact: "Integrand | None" = None
-    dual_radius: float | None = None
+    dual_datum: tuple | None = None
 
     def check_flags(self) -> None:
         """Sampled validation of the declared structure flags at 16 seeded
         Gaussian points, to a relative tolerance of 1e-9. The Q1 kernel
         relies on v_independent: it hands such an integrand a zero V, and a
-        wrong dual_radius would certify a false lower bound."""
+        wrong dual_datum would certify a false lower bound."""
         rng, tol = np.random.default_rng(0), 1e-9
         X, V, A = rng.normal(size=(16, 2)), rng.normal(size=(16, 2)), rng.normal(size=(16, 2, 2))
         base = self.raw(X, V, A)
@@ -81,10 +83,12 @@ class Integrand:
             for t in (2.0, 10.0):
                 if np.max(np.abs(self.raw(X, V, t * A) - t * base)) > tol * t * (1 + np.max(np.abs(base))):
                     raise ValueError(f"integrand {self.name}: oneHomogeneous flag violated")
-        if self.dual_radius is not None:
-            target = self.dual_radius * frob(sym(A))
-            if np.max(np.abs(base - target)) > tol * np.max(target):
-                raise ValueError(f"integrand {self.name}: dualRadius {self.dual_radius:g} violated")
+        if self.dual_datum is not None:
+            c, m = self.dual_datum
+            c = c(X) if callable(c) else c
+            target = c * np.sqrt(m * m + frob_sq(sym(A)))
+            if m < 0 or np.any(c <= 0) or np.max(np.abs(base - target)) > tol * np.max(target):
+                raise ValueError(f"integrand {self.name}: dualDatum (c, m = {m:g}) violated")
 
 
 def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
@@ -94,8 +98,9 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
 
     v0=None leaves v as it is (eps_v is then unused) and A0=None adds no
     offset. Flags are those of f0; the exact recession, where f0 has one,
-    is (c / s_A) f0^inf(x, v0 + eps_v w, A). A dual radius r becomes
-    c r / s_A, and an offset A0 drops it (the density is no longer r |sym A|).
+    is (c / s_A) f0^inf(x, v0 + eps_v w, A). A dual datum (c0, m) becomes
+    (c c0 / s_A, m s_A), and an offset A0 drops it (the density is no
+    longer of that form).
     """
     if c <= 0 or s_A <= 0:
         raise ValueError("scale must be positive")
@@ -127,8 +132,12 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
     rec = f0.recession_exact
     if rec is not None:
         rec = reparametrize(rec, c=c_A, v0=v0, eps_v=eps_v)
-    r = None if A0 is not None or f0.dual_radius is None else c_A * f0.dual_radius
-    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_radius=r)
+    dual = f0.dual_datum
+    if dual is not None:
+        c0, m = dual
+        c1 = (lambda X: c_A * c0(X)) if callable(c0) else c_A * c0
+        dual = None if A0 is not None else (c1, m * s_A)
+    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_datum=dual)
 
 
 @dataclass(frozen=True)
@@ -507,62 +516,99 @@ FIRST_CERTIFICATE = 32  # runs are certified at iterations 32, 64, 128, ...
 CG_TOL = 1e-12  # relative residual of the equilibrating CG solve
 
 
-def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, r: float,
-                stress: np.ndarray, g: np.ndarray, y=None):
-    """A lower bound on the discrete infimum of sum_q w r |sym grad u| over
-    Q1 fields u equal to `datum` (n, 2) at the boundary nodes, from the
-    stresses (Q, j, k, E), |stress| <= r, and the free entries `dofs` of the
-    nodal gradient g = sum_q w B^T stress that one gradient pass formed:
+def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, dual: tuple,
+                U: np.ndarray, stress: np.ndarray, g: np.ndarray, y=None):
+    """A lower bound on the discrete infimum of sum_q w f_q(sym grad u_q),
+    f_q(S) = c_q sqrt(m^2 + |S|^2), over Q1 fields u equal to `datum` (n, 2)
+    at the boundary nodes, from a run's field U (n, 2), the stresses
+    (Q, j, k, E) = df/dA, |stress_q| <= c_q, and the free entries `dofs` of
+    the nodal gradient g = sum_q w B^T stress that its gradient pass formed.
+    `dual` is (c, m): c a number or the radii c_q (Q, E) at the points the
+    kernel read, and m >= 0.
 
-    1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w |sym grad y|^2
-       over fields y vanishing at the boundary nodes solves K y = g from y
-       (the previous correction, or 0) to a relative residual of CG_TOL, so
-       tau = stress - sym grad y does no work on any such field. K is
-       applied element by element: every element of the uniform grid has
-       the one 8x8 matrix that the kernel's strain and scatter halves give
-       on the unit fields of one element;
-    2. scale tau into the ball of radius r by one factor s;
-    3. return sum_q w s tau : grad u_D, which equals sum_q w s tau : grad u
-       <= sum_q w r |sym grad u| for every admissible u.
+    1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w H_q[e(y)] : e(y),
+       e(y) = sym grad y, over fields y vanishing at the boundary nodes
+       solves K y = g from y (the previous correction, or 0) to a relative
+       residual of CG_TOL, so tau = stress - H[e(y)] does no work on any
+       such field. For m = 0, H is the identity and K is applied through
+       the one 8x8 matrix that every element of the uniform grid has (the
+       kernel's strain and scatter halves on the unit fields of one
+       element). For m > 0, H_q is the Hessian of f_q at the run's strain
+       S_q, H[D] = (c / rho)(D - S (S : D) / rho^2) with
+       rho = sqrt(m^2 + |S|^2), so tau is the run's stress after one Newton
+       step; K is assembled as one 8x8 matrix per element and solved with
+       a Jacobi preconditioner. Any positive definite H leaves tau
+       equilibrated: it makes the bound tight, not valid;
+    2. scale tau into the balls |tau_q| <= c_q by one factor s;
+    3. return sum_q w [s tau : grad u_D + m sqrt(c_q^2 - s^2 |tau_q|^2)],
+       which equals sum_q w [s tau : sym grad u - f_q*(s tau)] <= sum_q w
+       f_q(sym grad u) for every admissible u, f_q*(tau) =
+       -m sqrt(c_q^2 - |tau|^2) being the conjugate (Fenchel-Young).
 
     Returns (bound, y), with bound None where CG stops short of CG_TOL.
     """
     gather, scatter, _ = plan
-    n = grid.n_nodes
+    n, (c, m) = grid.n_nodes, dual
 
     def sym_strain(U, index):  # sym grad (Q, k, j, E), symmetric: also (Q, j, k, E)
         G = _q1_strains(grid, U, index)[1]
         return 0.5 * (G + G.transpose(0, 2, 1, 3))
 
     one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
-    Ke = _q1_scatter(grid, sym_strain(np.eye(8).reshape(8, 4, 2), one),
-                     2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
-    U = np.zeros(2 * n)
+    B = sym_strain(np.eye(8).reshape(8, 4, 2), one)  # (Q, k, j, 8)
+    if m == 0:
+        Ke = _q1_scatter(grid, B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
+    else:
+        Q, E = len(grid.Nval), len(grid.conn)
+        B = B.reshape(Q, 4, 8)
+        S = sym_strain(U[None], gather).reshape(Q, 4, E)
+        rho2 = m * m + (S * S).sum(axis=1)
+        a = c / np.sqrt(rho2)  # (Q, E)
+        b = np.einsum("qci,qce->qei", B, S)  # B_q^T S_q
+        BtB = np.einsum("qci,qcj->qij", B, B).reshape(Q, 64)
+        Ke = (a.T @ BtB).reshape(E, 8, 8) - np.einsum("qei,qej->eij", (a / rho2)[..., None] * b, b)
+        Ke *= grid.wq
+        inv_diag = 1.0 / np.bincount(scatter[0].ravel(), np.diagonal(Ke, axis1=1, axis2=2).ravel(),
+                                     minlength=2 * n)[dofs]
+    Uy = np.zeros(2 * n)
 
     def K(y):
-        U[dofs] = y
-        Ue = U.reshape(n, 2).take(gather[0], axis=0).reshape(-1, 8)  # (E, 8)
-        return np.bincount(scatter[0].ravel(), (Ue @ Ke).ravel(), minlength=2 * n)[dofs]
+        Uy[dofs] = y
+        Ue = Uy.reshape(n, 2).take(gather[0], axis=0).reshape(-1, 8)  # (E, 8)
+        KUe = Ue @ Ke if m == 0 else np.einsum("ei,eij->ej", Ue, Ke)
+        return np.bincount(scatter[0].ravel(), KUe.ravel(), minlength=2 * n)[dofs]
 
     y = np.zeros(len(g)) if y is None else y.copy()
     res = g - K(y)
-    p, rr, stop = res.copy(), res.dot(res), (CG_TOL * CG_TOL) * g.dot(g)
+    p = res.copy() if m == 0 else res * inv_diag
+    rz, stop = res.dot(p), (CG_TOL * CG_TOL) * g.dot(g)
     for _ in range(2 * len(g)):
-        if rr <= stop:
+        if res.dot(res) <= stop:
             break
         Kp = K(p)
-        alpha = rr / p.dot(Kp)
+        alpha = rz / p.dot(Kp)
         y += alpha * p
         res -= alpha * Kp
-        rr, rr_old = res.dot(res), rr
-        p = res + (rr / rr_old) * p
+        z = res if m == 0 else res * inv_diag
+        rz, rz_old = res.dot(z), rz
+        p = z + (rz / rz_old) * p
     else:
         return None, y
-    U[dofs] = y
-    tau = stress - sym_strain(U.reshape(1, n, 2), gather)
-    size = np.sqrt((tau * tau).sum(axis=(1, 2))).max()
+    Uy[dofs] = y
+    D = sym_strain(Uy.reshape(1, n, 2), gather)
+    if m == 0:
+        tau = stress - D
+    else:
+        D = D.reshape(Q, 4, E)
+        tau = stress - (a[:, None] * (D - S * ((S * D).sum(axis=1) / rho2)[:, None])).reshape(
+            Q, 2, 2, E)
+    size = np.sqrt((tau * tau).sum(axis=(1, 2)))  # (Q, E)
+    s = c / max(size.max(), c) if np.ndim(c) == 0 else 1.0 / max((size / c).max(), 1.0)
     work = (tau * _q1_strains(grid, datum[None], gather)[1]).sum()
-    return grid.wq * (r / max(size, r)) * work, y
+    bound = grid.wq * s * work
+    if m > 0:
+        bound += grid.wq * m * np.sqrt(np.maximum(c * c - (s * size) ** 2, 0.0)).sum()
+    return bound, y
 
 
 def _multistart(fg, starts: list, spec: CellSpec, certify=None):
@@ -640,10 +686,12 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     appends caller-provided nodal fields (e.g. prolonged coarse minimizers)
     to the start list.
 
-    An integrand with a dual_radius r (raw density r |sym A|) is certified
-    (_multistart, _dual_bound) from the stress and gradient of each
-    certified point's own gradient pass, and its diagnostics then hold the
-    best lower_bound found and the gap, value - lower_bound.
+    An integrand with a dual_datum (c, m) (raw density c(x) sqrt(m^2 +
+    |sym A|^2)) is certified (_multistart, _dual_bound) from the field,
+    stress and gradient of each certified point's own gradient pass, with
+    c read at the points the kernel read (the frozen point under
+    freeze_x), and its diagnostics then hold the best lower_bound found
+    and the gap, value - lower_bound.
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
@@ -653,7 +701,10 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     starts = _starts(datum[free].ravel(), spec, extra)
     plan = _plan(grid, grid.conn, grid.n_nodes, len(starts))
     dofs = np.flatnonzero(np.repeat(free, 2))  # the free entries of a flattened field
-    r = f.dual_radius
+    dual = f.dual_datum
+    if dual is not None and callable(dual[0]):  # the radii (Q, E) at the kernel's points
+        X = plan[2][0] if spec.freeze_x is None else np.broadcast_to(spec.freeze_x, plan[2][0].shape)
+        dual = (np.ascontiguousarray(dual[0](X).reshape(-1, len(grid.Nval)).T), dual[1])
 
     def fg(X):
         U = datum.reshape(1, -1).repeat(len(X), axis=0)
@@ -661,7 +712,7 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
         e, grad = energy_and_grad(grid, U.reshape(len(X), -1, 2), f, spec.freeze_x, plan)
 
         def grad_free(rows):
-            if r is None:
+            if dual is None:
                 return grad(rows).reshape(len(rows), -1).take(dofs, axis=1)
             G, stress = grad(rows, stress=True)
             return G.reshape(len(rows), -1).take(dofs, axis=1), stress
@@ -676,12 +727,13 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     corrections = {}  # each run's last CG correction, its next warm start
 
     def certify(k, x, g, stress):
-        value = raw_energy(grid, field(x), f, freeze_x=spec.freeze_x)
-        bound, corrections[k] = _dual_bound(grid, plan, dofs, datum, r, stress, g,
+        U = field(x)
+        value = raw_energy(grid, U, f, freeze_x=spec.freeze_x)
+        bound, corrections[k] = _dual_bound(grid, plan, dofs, datum, dual, U, stress, g,
                                             corrections.get(k))
         return value, bound
 
-    res, diag = _multistart(fg, starts, spec, None if r is None else certify)
+    res, diag = _multistart(fg, starts, spec, None if dual is None else certify)
     Ubest = field(res["x"])
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)

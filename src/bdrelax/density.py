@@ -132,7 +132,7 @@ def abs_sym(mu: float = 1e-6) -> Integrand:
         return np.zeros_like(V), S / root[:, None, None]
 
     f = Integrand(name="abs-sym", value=value, grad=grad, raw=raw,
-                  convex=True, one_homogeneous=True, sym_only=True, mu=mu, dual_radius=1.0)
+                  convex=True, one_homogeneous=True, sym_only=True, mu=mu, dual_datum=(1.0, 0.0))
     return replace(f, recession_exact=f)
 
 
@@ -153,7 +153,8 @@ def sqrt1plus_sym() -> Integrand:
         return np.zeros_like(V), S / root[:, None, None]
 
     return Integrand(name="sqrt1plus-sym", value=value, grad=grad, raw=value,
-                     convex=True, sym_only=True, recession_exact=abs_sym(mu=1e-6))
+                     convex=True, sym_only=True, recession_exact=abs_sym(mu=1e-6),
+                     dual_datum=(1.0, 1.0))
 
 
 def mueller_h(A) -> float:
@@ -265,7 +266,7 @@ def laminate_a(mu_reg: float = 1e-2) -> Integrand:
     """Unit-periodic laminate (2 + cos 2 pi x1) * sqrt(mu^2 + |sym A|^2).
 
     The coefficient depends on x alone, so it is formed once per point
-    array (_kept)."""
+    array (_kept); it is also the radius of the dual datum (coef, mu)."""
 
     strain = _sym_root(mu_reg * mu_reg)
 
@@ -281,7 +282,7 @@ def laminate_a(mu_reg: float = 1e-2) -> Integrand:
         return np.zeros_like(np.asarray(V, dtype=float)), (coef(X) / root)[:, None, None] * S
 
     return Integrand(name=f"laminate-a({mu_reg:g})", value=value, grad=grad, raw=value,
-                     convex=True, sym_only=True)
+                     convex=True, sym_only=True, dual_datum=(coef, mu_reg))
 
 
 def truncated_neg_sym_sq() -> Integrand:

@@ -4,6 +4,8 @@ module both run exactly these functions.
 """
 
 import math
+import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -146,8 +148,11 @@ def check_homogenization() -> tuple[bool, str]:
     target = integrand_evaluator(f0)((0.0, 0.0), (0.0, 0.0), B)
     worst = max(abs(v - target) for _, v in est2.samples)
     ok = rel <= 0.02 and worst <= 1e-5
+    stops = ", ".join(f"T={T} stopped on {d['reason']}, rel gap "
+                      + (f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a")
+                      for T, d in dir_est.diagnostics.items())
     return ok, (f"laminate periodic {per:.6f} vs dirichlet extrapolated "
-                f"{dir_est.extrapolated:.6f} (rel {rel:.3%}, tol 2%); "
+                f"{dir_est.extrapolated:.6f} (rel {rel:.3%}, tol 2%; {stops}); "
                 f"convex exactness max err {worst:.2e} (tol 1e-5)")
 
 
@@ -250,10 +255,13 @@ CHECKS = [
 
 
 def run_all() -> bool:
-    """Run every check, print one ACCEPTANCE line each; True when all pass."""
+    """Run every check, print one ACCEPTANCE line each and write its wall
+    time to stderr; True when all pass."""
     all_ok = True
     for num, name, fn in CHECKS:
+        start = time.perf_counter()
         ok, detail = fn()
         all_ok = all_ok and ok
         print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'} {name}: {detail}")
+        print(f"selftest {num:2d} {name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
     return all_ok

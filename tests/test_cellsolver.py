@@ -403,35 +403,41 @@ def test_uncertified_run_matches_serial():
     assert diag["gap"] > 1e-5 * sol.value
 
 
-def _affine_stress(A, U_of):
-    """The stress and free nodal gradient of abs-sym on the affine datum A y
-    at mesh 8, from the kernel's gradient pass at U_of(datum, free)."""
+def _affine_stress(A, U_of, f):
+    """The field, stress and free nodal gradient of f on the affine datum
+    A y at mesh 8, from the kernel's gradient pass at U_of(datum, free)."""
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8)
     grid = Grid(spec.box, spec.mesh)
     datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
     plan = _plan(grid, grid.conn, grid.n_nodes, 1)
-    _, grad = energy_and_grad(grid, U_of(datum, free)[None], abs_sym(mu=1e-6), plan=plan)
+    U = U_of(datum, free)
+    _, grad = energy_and_grad(grid, U[None], f, plan=plan)
     G, (stress,) = grad([0], stress=True)
     dofs = np.flatnonzero(np.repeat(free, 2))
-    return grid, plan, dofs, datum, stress, G.reshape(-1)[dofs]
+    return grid, plan, dofs, datum, U, stress, G.reshape(-1)[dofs]
 
 
 def test_dual_bound_on_affine_data():
-    # quadrature Jensen: no bound exceeds the affine energy |sym A|, and the
-    # smoothed stress of the affine field certifies it to rounding
+    # quadrature Jensen: no bound exceeds the affine energy (|sym A| for
+    # abs-sym, sqrt(1 + |sym A|^2) for sqrt1plus-sym, whose affine field is
+    # optimal too), and the stress of the affine field certifies it to
+    # rounding: by the unweighted equilibration for m = 0 and the
+    # Hessian-weighted one for m > 0
     A = rand_sym()
-    grid, plan, dofs, datum, stress, g = _affine_stress(A, lambda U, free: U)
-    bound, _ = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g)
-    assert bound == pytest.approx(frob(A), rel=1e-9)
-    for seed in range(3):
-        noise = np.random.default_rng(seed).normal(size=(grid.n_nodes, 2))
-        grid, plan, dofs, datum, stress, g = _affine_stress(
-            A, lambda U, free: U + np.where(free[:, None], 0.1 * noise, 0.0))
-        bound, y = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g)
-        assert bound <= frob(A) * (1 + 1e-12) and bound > 0
-        # a warm start from the correction solves the same system
-        again, _ = _dual_bound(grid, plan, dofs, datum, 1.0, stress, g, y)
-        assert again == pytest.approx(bound, rel=1e-9)
+    for f, energy in ((abs_sym(mu=1e-6), frob(A)),
+                      (sqrt1plus_sym(), math.sqrt(1.0 + frob(A) ** 2))):
+        grid, plan, dofs, datum, U, stress, g = _affine_stress(A, lambda U, free: U, f)
+        bound, _ = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g)
+        assert bound == pytest.approx(energy, rel=1e-9)
+        for seed in range(3):
+            noise = np.random.default_rng(seed).normal(size=(grid.n_nodes, 2))
+            grid, plan, dofs, datum, U, stress, g = _affine_stress(
+                A, lambda U, free: U + np.where(free[:, None], 0.1 * noise, 0.0), f)
+            bound, y = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g)
+            assert bound <= energy * (1 + 1e-12) and bound > 0
+            # a warm start from the correction solves the same system
+            again, _ = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g, y)
+            assert again == pytest.approx(bound, rel=1e-9)
 
 
 def test_certified_samples_bound_their_values():
@@ -464,13 +470,19 @@ def test_gradient_only_at_start_and_accepted_points():
             return fn(*args)
         return wrapped
 
-    f0 = abs_sym(mu=1e-6)
-    f = replace(f0, value=counted("value", f0.value), grad=counted("grad", f0.grad))
+    # and the certificate calls neither: it reads the strains and the dual
+    # datum (c, m), here of a jump cell of abs-sym and of a laminate cube
     e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    spec = CellSpec(boundary=JumpData(np.zeros(2), e2, e1), mesh=8, frame=frame_for_normal(e1))
-    diag = solve_ld(spec, f).diagnostics
-    assert diag["nfev"] > diag["iters"] + 1  # some trial points were rejected
-    assert calls == {"value": diag["nfev"], "grad": diag["iters"] + 1}
+    cells = [(abs_sym(mu=1e-6),
+              CellSpec(boundary=JumpData(np.zeros(2), e2, e1), mesh=8, frame=frame_for_normal(e1))),
+             (laminate_a(), CellSpec(boundary=AffineData(np.outer(e1, e1), np.zeros(2)), mesh=8))]
+    for f0, spec in cells:
+        calls.update(value=0, grad=0)
+        f = replace(f0, value=counted("value", f0.value), grad=counted("grad", f0.grad))
+        diag = solve_ld(spec, f).diagnostics
+        assert diag["reason"] == "gap"
+        assert diag["nfev"] > diag["iters"] + 1  # some trial points were rejected
+        assert calls == {"value": diag["nfev"], "grad": diag["iters"] + 1}
 
 
 def test_lockstep_overflow_at_a_later_start():
@@ -656,28 +668,79 @@ def test_flag_checks():
     replace(liar, v_independent=False).check_flags()
 
 
-def test_dual_radius_check():
-    # a declared radius r must give raw = r |sym A|: a wrong one would
-    # certify a false lower bound
+def test_dual_datum_check():
+    # a declared datum (c, m) must give raw = c(x) sqrt(m^2 + |sym A|^2): a
+    # wrong one would certify a false lower bound
     f = abs_sym(mu=1e-6)
-    assert f.dual_radius == 1.0
-    with pytest.raises(ValueError, match="dualRadius"):
-        replace(f, dual_radius=1.5).check_flags()
-    with pytest.raises(ValueError, match="dualRadius"):
-        replace(laminate_a(), dual_radius=2.0).check_flags()
+    assert f.dual_datum == (1.0, 0.0)
+    with pytest.raises(ValueError, match="dualDatum"):
+        replace(f, dual_datum=(1.5, 0.0)).check_flags()
+    with pytest.raises(ValueError, match="dualDatum"):
+        replace(laminate_a(), dual_datum=(2.0, 0.0)).check_flags()
     scaled(f, 3.0).check_flags()
+    # the laminate's radius is its x-dependent coefficient: abs-sym's datum,
+    # a constant radius or a wrong m are all rejected
+    lam = laminate_a()
+    lam.check_flags()
+    c, m = lam.dual_datum
+    assert m == 1e-2 and callable(c)
+    for wrong in ((1.0, 0.0), (2.0, m), (c, 2 * m), (c, 0.0), (c, -m)):
+        with pytest.raises(ValueError, match="dualDatum"):
+            replace(lam, dual_datum=wrong).check_flags()
+    sqrt1plus_sym().check_flags()
+    for wrong in ((1.0, 0.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="dualDatum"):
+            replace(sqrt1plus_sym(), dual_datum=wrong).check_flags()
 
 
-def test_reparametrize_maps_the_dual_radius():
+def test_reparametrize_maps_the_dual_datum():
     f = abs_sym(mu=1e-6)
     g = reparametrize(f, c=0.5, s_A=0.25, v0=np.ones(2), eps_v=0.5)
-    assert g.dual_radius == 2.0 and g.recession_exact.dual_radius == 2.0
+    assert g.dual_datum == (2.0, 0.0) and g.recession_exact.dual_datum == (2.0, 0.0)
     g.check_flags()
-    assert scaled(f, 100.0).dual_radius == 100.0
-    assert reparametrize(f, A0=A0).dual_radius is None
-    assert reparametrize(mueller_h_integrand(), c=2.0).dual_radius is None
-    assert sqrt1plus_sym().dual_radius is None
-    assert sqrt1plus_sym().recession_exact.dual_radius == 1.0
+    assert scaled(f, 100.0).dual_datum == (100.0, 0.0)
+    assert reparametrize(f, A0=A0).dual_datum is None
+    assert reparametrize(mueller_h_integrand(), c=2.0).dual_datum is None
+    assert sqrt1plus_sym().dual_datum == (1.0, 1.0)
+    assert sqrt1plus_sym().recession_exact.dual_datum == (1.0, 0.0)
+    # the eps-scaled jump cell eps f(A / eps) of sqrt(1 + |sym A|^2) is
+    # sqrt(eps^2 + |sym A|^2): (c c0 / s_A, m s_A)
+    jump = reparametrize(sqrt1plus_sym(), c=0.25, s_A=0.25)
+    assert jump.dual_datum == (1.0, 0.25)
+    jump.check_flags()
+    lam = laminate_a()
+    g = reparametrize(lam, c=0.5, s_A=0.25)
+    (c, m), X = g.dual_datum, RNG.normal(size=(6, 2))
+    assert m == 0.25e-2 and np.array_equal(c(X), 2.0 * lam.dual_datum[0](X))
+    g.check_flags()
+    assert reparametrize(lam, A0=A0).dual_datum is None
+
+
+def test_frozen_laminate_cell_reads_c_at_the_frozen_point():
+    # under freeze_x the certificate reads the laminate's radius where the
+    # kernel reads its coefficient: at x0, where c = 1 is the coefficient's
+    # minimum. The same cell of an integrand that is handed the broadcast
+    # point with the radius c(x0) as a number stops on the same iteration
+    # with the same bound
+    lam, x0 = laminate_a(), np.array([0.5, 0.25])
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    spec = CellSpec(boundary=JumpData(np.zeros(2), e2, e1), mesh=8, frame=frame_for_normal(e1))
+    c0 = float(lam.dual_datum[0](x0[None])[0])
+    assert c0 == 1.0
+
+    def at_x0(fn):
+        return lambda X, V, A: fn(np.broadcast_to(x0, X.shape), V, A)
+
+    broadcast = replace(lam, value=at_x0(lam.value), grad=at_x0(lam.grad), raw=at_x0(lam.raw),
+                        dual_datum=(c0, lam.dual_datum[1]))
+    frozen = solve_ld(replace(spec, freeze_x=x0), lam)
+    want = solve_ld(spec, broadcast)
+    d, w = frozen.diagnostics, want.diagnostics
+    assert frozen.value == want.value
+    assert (d["iters"], d["nfev"], d["reason"]) == (w["iters"], w["nfev"], w["reason"])
+    assert d["reason"] == "gap"
+    assert d["lower_bound"] == pytest.approx(w["lower_bound"], rel=1e-12)
+    assert d["lower_bound"] <= frozen.value and d["gap"] <= 1e-5 * frozen.value
 
 
 # ---------------------------------------------------------------------------

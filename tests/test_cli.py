@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -200,10 +201,28 @@ def test_selftest_prints_one_line_per_check(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["ACCEPTANCE  1 PASS stub pass: fine",
                                          "ACCEPTANCE  2 FAIL stub fail: off by 1"]
-    assert captured.err == "solver failure: acceptance suite failed\n"
+    # each check's wall time goes to stderr, before the one failure line
+    err = captured.err.splitlines()
+    assert [re.sub(r" \d+\.\d{3} s$", " <t> s", line) for line in err] == [
+        "selftest  1 stub pass: <t> s", "selftest  2 stub fail: <t> s",
+        "solver failure: acceptance suite failed"]
     monkeypatch.setattr(selftest, "CHECKS", [passing])
     assert main(["selftest"]) == 0
     assert capsys.readouterr().out.splitlines() == ["ACCEPTANCE  1 PASS stub pass: fine"]
+
+
+def test_selftest_reports_the_laminate_stops_and_times_each_check(monkeypatch, capsys):
+    # check 06 for real: its ACCEPTANCE line names each laminate sample's
+    # stop reason and relative gap, and stderr holds its wall time alone
+    monkeypatch.setattr(selftest, "CHECKS", [c for c in selftest.CHECKS if c[0] == 6])
+    assert main(["selftest"]) == 0
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert line.startswith("ACCEPTANCE  6 PASS homogenization cross-formula: laminate periodic ")
+    stops = re.findall(r"T=(\d) stopped on (\w+), rel gap (\S+?)[,)]", line)
+    assert [(T, reason) for T, reason, _ in stops] == [("1", "gap"), ("2", "gap"), ("4", "gap")]
+    assert all(0.0 <= float(gap) <= 1e-5 for _, _, gap in stops)
+    assert re.fullmatch(r"selftest  6 homogenization cross-formula: \d+\.\d{3} s\n", captured.err)
 
 
 def test_mueller_command(tmp_path, capsys):
