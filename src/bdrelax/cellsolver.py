@@ -11,11 +11,11 @@ grid with 2x2 Gauss quadrature, so affine competitors are reproduced
 exactly. An optional orthonormal frame rotates the grid, which is how the
 oriented cubes for jump-type boundary data are realized.
 
-Reported values use the raw (unsmoothed) bulk integrand at the minimizer
-of the smoothed energy, whose smoothing mu is in the diagnostics. Surface
-integrands have no raw form: the SBD surface term is the smoothed one, at
-most mu times the total facet length (2m + 2 on the unit cell at mesh m)
-below the raw one for density.g_odot, and exact for density.g_penalty.
+Reported values use the raw (unsmoothed) bulk and surface integrands at
+the minimizer of the smoothed energy, whose smoothing mu is in the
+diagnostics, so a cell value is an upper bound on the raw discrete
+infimum; a duality gap brackets it from below where the integrands
+declare their conjugates (_dual_bound, _sbd_bound).
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Box, gauss_rule, segment_midpoints
 from .minimize import lbfgs_steps
-from .tensor import frob, frob_sq, sym
+from .tensor import frob, frob_sq, odot, sym
 
 
 class BadSpec(ValueError):
@@ -142,11 +142,46 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
 
 @dataclass(frozen=True)
 class SurfaceIntegrand:
-    """Facet energy g(x, v-, v+, nu) with derivatives in the traces."""
+    """Facet energy g(x, v-, v+, nu) with derivatives in the traces.
+
+    value/grad/raw take batched arguments X (m,2), VM (m,2), VP (m,2) and
+    unit normals NU (m,2). `raw` is the unsmoothed density the SBD cell
+    reports, at or above the smoothed `value`; `grad` returns (dg/dv-,
+    dg/dv+) of the smoothed density. `dual_datum` (r, k), r, k >= 0,
+    declares raw = r |J (.) nu| + k |J|^2 for the jump J = v+ - v-: at a
+    traction sigma nu, sigma symmetric, the conjugate is 0 for |sigma| <= r
+    and at most (|sigma| - r)^2 |sigma nu|^2 / (4 k |sigma|^2) above (+inf
+    for k = 0), and solve_sbd then certifies its runs with a duality gap
+    (_sbd_bound).
+    """
 
     name: str
     value: object  # (X, VM, VP, NU) -> (m,)
     grad: object  # -> (dVM, dVP)
+    raw: object
+    dual_datum: tuple | None = None
+
+    def check_flags(self) -> None:
+        """Sampled validation at 16 seeded Gaussian points and unit normals,
+        to a relative tolerance of 1e-9: the raw density is finite, >= 0 and
+        not below the smoothed one, and a declared dual_datum matches it (a
+        wrong one would certify a false lower bound)."""
+        rng, tol = np.random.default_rng(0), 1e-9
+        X, VM, VP, NU = (rng.normal(size=(16, 2)) for _ in range(4))
+        NU /= np.sqrt((NU * NU).sum(axis=1))[:, None]
+        base = self.raw(X, VM, VP, NU)
+        scale = 1 + np.max(np.abs(base))
+        if not np.all(np.isfinite(base)) or np.any(base < -tol):
+            raise ValueError(f"surface integrand {self.name}: raw values must be finite and >= 0")
+        if np.any(self.value(X, VM, VP, NU) > base + tol * scale):
+            raise ValueError(f"surface integrand {self.name}: smoothed value above raw")
+        if self.dual_datum is not None:
+            r, k = self.dual_datum
+            J = VP - VM
+            target = r * frob(odot(J, NU)) + k * (J * J).sum(axis=1)
+            if r < 0 or k < 0 or np.max(np.abs(base - target)) > tol * scale:
+                raise ValueError(f"surface integrand {self.name}: dualDatum (r = {r:g}, "
+                                 f"k = {k:g}) violated")
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +658,15 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
     wins, ties going to the lowest seed. Returns the winning L-BFGS result
     and the cell diagnostics.
 
-    With `certify`, grad(rows) returns the gradients and a stress per row,
-    and at iterations 32, 64, 128, ... each run's accepted point gets
-    certify(k, x, g, stress) = (its raw value, a lower bound on the cell's
-    discrete infimum or None). A run ends with reason "gap" once its value
-    minus the best bound of the solve, which the diagnostics hold as
-    lower_bound, is at most GAP_TOL times the value. No other run, and no
-    trajectory up to that point, changes. A run's stop reason is then
-    "gtol", "gap", "max_iters" or "line_search_stall".
+    With `certify`, grad(rows) returns the gradients and a stress per row
+    (None where certify reads none), and at iterations 32, 64, 128, ...
+    each run's accepted point gets certify(k, x, g, stress) = (its raw
+    value, a lower bound on the cell's discrete infimum or None). A run
+    ends with reason "gap" once its value minus the best bound of the
+    solve, which the diagnostics hold as lower_bound, is at most GAP_TOL
+    times the value. No other run, and no trajectory up to that point,
+    changes. A run's stop reason is then "gtol", "gap", "max_iters" or
+    "line_search_stall".
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
@@ -798,38 +834,47 @@ class SBDField:
     values: np.ndarray  # (E, 4, 2) per-element nodal values
 
 
-def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
-    """The SBD objective U -> (bulk (K,), surface (K,), grad) of a stack U
-    (K, 8E) of per-element nodal values, K at most spec.solver.multistarts:
-    Q1 bulk quadrature plus a midpoint rule on every facet, where grad(rows)
-    forms the gradients (len(rows), 8E) of the listed rows (ascending).
-
-    One facet table holds the interior vertical facets (nu = +e1 in
+def _sbd_facets(grid: Grid, spec: CellSpec) -> tuple:
+    """The SBD facet table: the interior vertical facets (nu = +e1 in
     reference coordinates, minus side left), the interior horizontal ones
     (nu = +e2, minus side below), then the boundary facets (left and right
-    per row, bottom and top per column, outward normals). Each row has two
-    minus-side slots 4 e + local, a normal, a length and a midpoint;
-    interior rows also have two plus-side slots, boundary rows take the
-    datum at the midpoint as their plus trace. A call makes one kernel and
-    one g1.value call over all K rows, grad one g1.grad call over the rows
-    asked, and each row's result is bit for bit that of a stack of one.
-    """
-    m, E = grid.mesh, grid.mesh ** 2
-    eid = np.arange(E).reshape(m, m)  # [ex, ey]
+    per row, bottom and top per column, outward normals). Returns minus
+    (n, 2), the two minus-side slots 4 e + local of every row; plus (ni, 2),
+    those of the interior rows; nu (n, 2), length (n,) and mid (n, 2), the
+    physical normals, lengths and midpoints; and datum (n - ni, 2), the
+    boundary datum at the boundary rows' midpoints, their plus trace."""
+    m = grid.mesh
+    eid = np.arange(m * m).reshape(m, m)  # [ex, ey]
     vert, horz = eid[:-1].ravel(), eid[:, :-1].ravel()  # minus elements of interior facets
     plus = np.concatenate([4 * (vert[:, None] + m) + [0, 2], 4 * (horz[:, None] + 1) + [0, 1]])
     minus = np.concatenate([
         4 * vert[:, None] + [1, 3], 4 * horz[:, None] + [2, 3],
         np.stack([4 * eid[0, :, None] + [0, 2], 4 * eid[-1, :, None] + [1, 3]], 1).reshape(-1, 2),
         np.stack([4 * eid[:, 0, None] + [0, 1], 4 * eid[:, -1, None] + [2, 3]], 1).reshape(-1, 2)])
-    ni, n = len(plus), len(minus)
+    ni = len(plus)
     axis = np.repeat([0, 1, 0, 1], [ni // 2, ni // 2, 2 * m, 2 * m])
     sign = np.concatenate([np.ones(ni, dtype=int), np.tile([-1, 1], 2 * m)])
     nu = sign[:, None] * grid.R[:, axis].T
     length = grid.h[1 - axis]
     node = grid.conn.ravel()  # node of slot 4 e + local
     mid = 0.5 * (grid.nodes[node[minus[:, 0]]] + grid.nodes[node[minus[:, 1]]])
-    datum = spec.boundary.value(mid[ni:])
+    return minus, plus, nu, length, mid, spec.boundary.value(mid[ni:])
+
+
+def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
+    """The SBD objective U -> (bulk (K,), surface (K,), grad) of a stack U
+    (K, 8E) of per-element nodal values, K at most spec.solver.multistarts:
+    Q1 bulk quadrature plus a midpoint rule on every row of the facet table
+    (_sbd_facets), where grad(rows) forms the gradients (len(rows), 8E) of
+    the listed rows (ascending); objective(U, raw=True) gives the raw bulk
+    and surface energies and no grad. Boundary rows take the datum at the
+    midpoint as their plus trace. A call makes one kernel and one g1.value
+    (or g1.raw) call over all K rows, grad one g1.grad call over the rows
+    asked, and each row's result is bit for bit that of a stack of one.
+    """
+    E = grid.mesh ** 2
+    minus, plus, nu, length, mid, datum = _sbd_facets(grid, spec)
+    ni, n = len(plus), len(minus)
     X = mid if spec.freeze_x is None else np.broadcast_to(spec.freeze_x, mid.shape)
     # every slot lies on exactly two facets: a stable sort of the slots,
     # listed interior minus, interior plus, then boundary, gives each slot
@@ -844,15 +889,17 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     own = _plan(grid, np.arange(4 * E).reshape(E, 4), 4 * E, K_max)
     Xs, nus = np.tile(X, (K_max, 1)), np.tile(nu, (K_max, 1))
 
-    def objective(U):
+    def objective(U, raw=False):
         K, V = len(U), U.reshape(len(U), 4 * E, 2)
-        bulk, bulk_grad = _q1_quadrature(grid, V, own, f1, spec.freeze_x)
+        bulk, bulk_grad = _q1_quadrature(grid, V, own, f1, spec.freeze_x, raw=raw)
         vm = 0.5 * (V.take(minus[:, 0], 1) + V.take(minus[:, 1], 1))
         vp = np.concatenate([0.5 * (V.take(plus[:, 0], 1) + V.take(plus[:, 1], 1)),
                              np.broadcast_to(datum, (K, n - ni, 2))], axis=1)
-        w = g1.value(Xs[:K * n], vm.reshape(-1, 2), vp.reshape(-1, 2),
-                     nus[:K * n]).reshape(K, n) * length
+        w = (g1.raw if raw else g1.value)(Xs[:K * n], vm.reshape(-1, 2), vp.reshape(-1, 2),
+                                          nus[:K * n]).reshape(K, n) * length
         surf = w[:, :ni].sum(axis=1) + w[:, ni:].sum(axis=1)
+        if raw:
+            return bulk, surf, None
 
         def grad(asked):
             R = len(asked)
@@ -870,34 +917,88 @@ def _sbd_objective(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegra
     return objective
 
 
+def _sbd_bound(grid: Grid, spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand):
+    """A lower bound on the raw discrete SBD energy of every per-element Q1
+    field, from the dual datum (c, m) of f1 (Integrand) and (r, k) of g1
+    (SurfaceIntegrand), or None where either declares none.
+
+    For every such field u and constant symmetric sigma,
+      sum_q w sigma : grad u_q + sum_interior len sigma nu . [u](mid)
+        + sum_boundary len sigma nu . (datum - u)(mid) = sigma : M,
+    M = sym sum_boundary len datum(mid) (x) nu, exactly: 2x2 Gauss
+    integrates the Q1 gradient and the midpoint rule the linear traces.
+    Fenchel-Young at every quadrature point and facet with sigma = s M / |M|
+    (the constant-stress point of the limit-analysis dual) gives
+      E(u) >= phi(s) = s |M| + sum_q w m sqrt(c_q^2 - s^2)
+                       - (s - r)_+^2 sum_f len |M nu_f|^2 / (4 k |M|^2)
+    for 0 <= s <= min_q c_q (and s <= r for k = 0), with c_q read where the
+    kernel reads f1. phi is concave, and a ternary search maximizes it.
+    """
+    if f1.dual_datum is None or g1.dual_datum is None:
+        return None
+    (c, m), (r, k) = f1.dual_datum, g1.dual_datum
+    _, plus, nu, length, _, datum = _sbd_facets(grid, spec)
+    X = grid.qp.reshape(-1, 2)
+    if callable(c):
+        c = c(X if spec.freeze_x is None else spec.freeze_x[None])
+    c = np.broadcast_to(c, len(X))
+    M = sym(np.einsum("f,fi,fj->ij", length[len(plus):], datum, nu[len(plus):]))
+    size = float(frob(M))
+    if size == 0.0:
+        return 0.0
+    Mnu = nu @ M / size
+    penalty = float(length @ (Mnu * Mnu).sum(axis=1)) / (4 * k) if k > 0 else 0.0
+
+    def phi(s):
+        bulk = grid.wq * m * np.sqrt(c * c - s * s).sum()
+        return s * size + bulk - max(s - r, 0.0) ** 2 * penalty
+
+    lo, hi = 0.0, min(float(c.min()), math.inf if k > 0 else r)
+    s_max = hi
+    for _ in range(100):  # ternary search: (2/3)^100 of the interval is left
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        lo, hi = (a, hi) if phi(a) < phi(b) else (lo, b)
+    return float(max(phi(lo), phi(s_max)))
+
+
 def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSolution:
     """Minimize bulk quadrature plus midpoint-rule facet surface energy over
     element-wise Q1 fields; the boundary datum enters through the surface
-    term on boundary facets. The argmin is an SBDField.
+    term on boundary facets. The argmin is an SBDField, and the value is
+    the raw bulk plus the raw surface energy (f1.raw, g1.raw) there, an
+    upper bound on the raw discrete infimum.
 
-    The value is the raw bulk energy plus the smoothed surface term
-    g1.value: for g_odot it lies below the raw one by at most mu times the
-    total facet length (2m + 2 on the unit cell at mesh m, so 2.6e-5 at
-    mesh 12 with mu = 1e-6), for g_penalty it is exact.
+    Where f1 and g1 both declare a dual datum, the runs are certified
+    (_multistart) against one bound computed once per solve (_sbd_bound):
+    a run ends on "gap" once its raw value at iteration 32, 64, 128, ... is
+    within GAP_TOL of it, and the diagnostics hold that lower_bound and the
+    gap, value - lower_bound. Every other run keeps its serial trajectory.
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     E = grid.mesh ** 2
     objective = _sbd_objective(grid, spec, f1, g1)
+    bound = _sbd_bound(grid, spec, f1, g1)
 
     def fg(X):
         bulk, surf, grad = objective(X)
-        return bulk + surf, grad
+        if bound is None:
+            return bulk + surf, grad
+        return bulk + surf, lambda rows: (grad(rows), [None] * len(rows))
+
+    def raw_value(x):
+        (bulk,), (surf,), _ = objective(x[None], raw=True)
+        return float(bulk + surf)
 
     # side-aware datum interpolant: evaluate at nodes nudged toward the
     # element center, so discontinuous data land on facets, not inside cells
     corners = grid.nodes[grid.conn]  # (E, 4, 2)
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
     x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
-    res, diag = _multistart(fg, _starts(x0, spec), spec)
-    V = res["x"].reshape(1, 4 * E, 2)
-    _, (surf,), _ = objective(V)
-    own = _plan(grid, np.arange(4 * E).reshape(E, 4), 4 * E, 1)
-    (raw_bulk,), _ = _q1_quadrature(grid, V, own, f1, spec.freeze_x, raw=True)
-    return CellSolution(value=float(raw_bulk + surf), value_smoothed=res["f"],
-                        argmin=SBDField(grid=grid, values=V.reshape(E, 4, 2)),
+    res, diag = _multistart(fg, _starts(x0, spec), spec,
+                            None if bound is None else lambda k, x, g, _: (raw_value(x), bound))
+    value = raw_value(res["x"])
+    if bound is not None:
+        diag.update(lower_bound=bound, gap=value - bound)
+    return CellSolution(value=value, value_smoothed=res["f"],
+                        argmin=SBDField(grid=grid, values=res["x"].reshape(E, 4, 2)),
                         diagnostics={**diag, "mu": f1.mu})

@@ -334,10 +334,15 @@ def vmin_abs(mu: float = 1e-6) -> Integrand:
 
 
 def g_odot(mu: float = 1e-6) -> SurfaceIntegrand:
-    """g = |(v+ - v-) (.) nu| for unit nu, smoothed by mu."""
+    """g = |(v+ - v-) (.) nu| for unit nu, smoothed by mu. Its dual datum is
+    the odot-radius 1: the conjugate is 0 at every traction sigma nu with
+    sigma symmetric and |sigma| <= 1, as sigma nu . J = sigma : (J (.) nu)."""
 
     def _q(D, NU):
         return 0.5 * ((D * D).sum(axis=-1) + ((D * NU).sum(axis=-1)) ** 2)
+
+    def raw(X, VM, VP, NU):
+        return np.sqrt(_q(VP - VM, NU))
 
     def value(X, VM, VP, NU):
         return _smooth_norm(_q(VP - VM, NU), mu)
@@ -349,11 +354,13 @@ def g_odot(mu: float = 1e-6) -> SurfaceIntegrand:
         dD = 0.5 * (D + dn[:, None] * NU) / root[:, None]
         return -dD, dD
 
-    return SurfaceIntegrand(name="odot-norm", value=value, grad=grad)
+    return SurfaceIntegrand(name="odot-norm", value=value, grad=grad, raw=raw,
+                            dual_datum=(1.0, 0.0))
 
 
 def g_penalty(c: float = 1e4) -> SurfaceIntegrand:
-    """Quadratic jump penalty c |v+ - v-|^2 (suppresses facet jumps)."""
+    """Quadratic jump penalty c |v+ - v-|^2 (suppresses facet jumps); it
+    is its own raw density, and its conjugate is |tau|^2 / 4c."""
 
     def value(X, VM, VP, NU):
         D = VP - VM
@@ -363,7 +370,8 @@ def g_penalty(c: float = 1e4) -> SurfaceIntegrand:
         D = VP - VM
         return -2.0 * c * D, 2.0 * c * D
 
-    return SurfaceIntegrand(name=f"penalty({c:g})", value=value, grad=grad)
+    return SurfaceIntegrand(name=f"penalty({c:g})", value=value, grad=grad, raw=value,
+                            dual_datum=(0.0, c))
 
 
 _REGISTRY = {

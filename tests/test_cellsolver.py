@@ -10,12 +10,13 @@ import pytest
 from bdrelax import cellsolver
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
                                 Integrand, JumpData, SolverParams, _dual_bound, _plan,
-                                _q1_quadrature, _sbd_objective, energy_and_grad,
+                                _q1_quadrature, _sbd_bound, _sbd_objective, energy_and_grad,
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
-from bdrelax.density import (_REGISTRY, A0, abs_sym, g_odot, g_penalty, get_integrand,
-                             laminate_a, mueller_f_eps, mueller_h_integrand, scaled, sqrt1plus_sym,
-                             truncated_neg_sym_sq, vmin_abs)
+from bdrelax.density import (_REGISTRY, _SURFACE_REGISTRY, A0, abs_sym, g_odot, g_penalty,
+                             get_integrand, get_surface_integrand, laminate_a, mueller_f_eps,
+                             mueller_h_integrand, scaled, sqrt1plus_sym, truncated_neg_sym_sq,
+                             vmin_abs)
 from bdrelax.geometry import Box
 from bdrelax.minimize import SolverError, lbfgs_steps, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
@@ -357,11 +358,8 @@ def test_lockstep_matches_serial_periodic():
     assert sol.value == _q1_quadrature(grid, W[None], plan, f_A, raw=True)[0][0]
 
 
-def test_lockstep_matches_serial_sbd():
-    f1, g1 = abs_sym(mu=1e-6), g_odot()
-    sp = SolverParams(multistarts=3, seed=0, max_iters=150)
-    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
-    sol = solve_sbd(spec, f1, g1)
+def _sbd_serial_setup(spec, f1, g1):
+    """The single-row SBD objective and the datum-interpolant start x0."""
     grid = Grid(spec.box, spec.mesh)
     objective = _sbd_objective(grid, spec, f1, g1)
 
@@ -371,10 +369,42 @@ def test_lockstep_matches_serial_sbd():
 
     corners = grid.nodes[grid.conn]
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
-    x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
+    return fg_row, spec.boundary.value(nudged.reshape(-1, 2)).ravel()
+
+
+def test_lockstep_matches_serial_sbd():
+    # the surface declares no dual datum, so no run is certified (the A0
+    # affine start of the declared odot-norm closes its gap at iteration 32)
+    f1, g1 = abs_sym(mu=1e-6), replace(g_odot(), dual_datum=None)
+    sp = SolverParams(multistarts=3, seed=0, max_iters=150)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
+    sol = solve_sbd(spec, f1, g1)
+    fg_row, x0 = _sbd_serial_setup(spec, f1, g1)
     starts = _serial_starts(x0, sp, frob(A0))
     best = _assert_lockstep_matches_serial(sol, fg_row, starts, sp.max_iters)
     assert np.array_equal(sol.argmin.values.ravel(), best["x"])
+
+
+def test_certified_sbd_run_matches_serial_up_to_its_stop():
+    # with the declared odot-norm, each start follows its serial trajectory
+    # bit for bit up to the iteration it stops on: a run that closes its gap
+    # ends at the point a serial run capped at that iteration ends at
+    f1, g1 = abs_sym(mu=1e-6), g_odot()
+    sp = SolverParams(multistarts=3, seed=0, max_iters=150)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
+    sol = solve_sbd(spec, f1, g1)
+    fg_row, x0 = _sbd_serial_setup(spec, f1, g1)
+    starts = _serial_starts(x0, sp, frob(A0))
+    reasons = [reason for _, _, reason in sol.diagnostics["starts"]]
+    assert reasons[0] == "gap" and sol.diagnostics["starts"][0][0] == 32
+    for k, (x, (iters, nfev, reason)) in enumerate(zip(starts, sol.diagnostics["starts"])):
+        run = minimize_lbfgs(fg_row, x, max_iters=iters)
+        assert (run["iters"], run["nfev"]) == (iters, nfev)
+        assert run["f"] == sol.diagnostics["start_values"][k]
+        assert run["reason"] == (reason if reason != "gap" else "max_iters")
+        if k == sol.diagnostics["seed"]:
+            assert np.array_equal(sol.argmin.values.ravel(), run["x"])
+            assert sol.value_smoothed == run["f"]
 
 
 def test_uncertified_run_matches_serial():
@@ -859,30 +889,112 @@ def test_sbd_objective_bit_identical_to_seed(mesh, nu):
 def test_sbd_one_surface_call_per_round():
     # the starts of an SBD cell run in lockstep: each round values the
     # pending points of all active starts with one g1.value call (the
-    # rounds are the most values any start took), plus one at the argmin
+    # rounds are the most values any start took); the raw surface energy is
+    # read for one row at each certificate (iteration 32 here) and at the
+    # argmin
     g = g_odot()
-    calls = []
+    calls = {"value": [], "raw": []}
 
-    def value(X, VM, VP, NU):
-        calls.append(len(X))
-        return g.value(X, VM, VP, NU)
+    def counted(name):
+        fn = getattr(g, name)
+
+        def wrapped(X, VM, VP, NU):
+            calls[name].append(len(X))
+            return fn(X, VM, VP, NU)
+        return wrapped
 
     spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6,
                     solver=SolverParams(multistarts=3, max_iters=40))
-    sol = solve_sbd(spec, abs_sym(mu=1e-6), replace(g, value=value))
+    sol = solve_sbd(spec, abs_sym(mu=1e-6), replace(g, value=counted("value"), raw=counted("raw")))
     nfev = [n for _, n, _ in sol.diagnostics["starts"]]
-    assert len(calls) == max(nfev) + 1
     n_facets = 2 * 6 * 5 + 4 * 6
-    assert calls[0] == 3 * n_facets and calls[-1] == n_facets
+    assert len(calls["value"]) == max(nfev) and calls["value"][0] == 3 * n_facets
+    certified = sum(iters >= 32 for iters, _, _ in sol.diagnostics["starts"])
+    assert certified > 0 and calls["raw"] == [n_facets] * (certified + 1)
 
 
 def test_sbd_penalty_limit_matches_ld():
+    # the stiff penalty's conjugate |tau|^2 / 4c puts the bound 2.25e-6
+    # below |sym A|: the clean start closes its gap at the first certificate
     f1 = abs_sym(mu=1e-6)
     A = np.array([[0.8, 0.1], [0.1, -0.2]])
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8)
     ld = solve_ld(spec, f1)
     sbd = solve_sbd(spec, f1, g_penalty(1e6))
     assert abs(sbd.value - ld.value) <= 1e-4
+    diag = sbd.diagnostics
+    assert (diag["iters"], diag["reason"]) == (32, "gap")
+    assert diag["lower_bound"] <= sbd.value <= frob(A) * (1 + 1e-12)
+    assert diag["gap"] == sbd.value - diag["lower_bound"] <= 1e-5 * sbd.value
+
+
+def test_sbd_clean_affine_start_ends_on_gap():
+    # the clean start of this cell is the exact minimizer |sym A| = 0.6 and
+    # used to run to max_iters; it now ends on the first certificate, whose
+    # bound is |sym A| itself, and the reported raw value lies above it
+    A = np.array([[0.3, 0.1], [0.1, -0.5]])
+    spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=4,
+                    solver=SolverParams(multistarts=3, seed=5))
+    sol = solve_sbd(spec, abs_sym(mu=1e-6), g_odot())
+    diag = sol.diagnostics
+    assert diag["starts"][0][::2] == (32, "gap")
+    assert (diag["seed"], diag["reason"]) == (5, "gap")
+    assert diag["lower_bound"] == pytest.approx(frob(A), rel=1e-12)
+    assert diag["lower_bound"] <= sol.value <= frob(A) * (1 + 1e-5)
+
+
+@pytest.mark.parametrize("nu", [None, (0.6, 0.8)], ids=["axis", "0.6-0.8"])
+def test_sbd_bound_is_below_every_field(nu):
+    # the constant-stress bound holds for every per-element Q1 field: the
+    # datum interpolant and random fields around it, for bulk densities
+    # with m = 0 and m > 0 (the laminate's x-dependent radius, also frozen)
+    # and both surface declarations; on an axis jump of abs-sym*100 with
+    # odot-norm it is |dv (.) nu| to rounding
+    frame = None if nu is None else frame_for_normal(nu)
+    normal = np.array([1.0, 0.0]) if nu is None else frame[:, 0]
+    dv = np.array([0.3, 1.0])
+    rng = np.random.default_rng(3)
+    for data in (AffineData(rand_sym(), [0.2, 0.0]), JumpData(np.zeros(2), dv, normal)):
+        for fx in (None, np.array([0.3, -0.1])):
+            spec = CellSpec(boundary=data, mesh=5, frame=frame, freeze_x=fx,
+                            solver=SolverParams(multistarts=4))  # a stack of 4 fields
+            grid = Grid(spec.box, spec.mesh, frame)
+            _, x0 = _sbd_serial_setup(spec, abs_sym(), g_odot())
+            fields = [x0] + [x0 + t * rng.normal(size=x0.shape) for t in (1e-3, 0.1, 1.0)]
+            for f1 in (scaled(abs_sym(), 100.0), laminate_a(), sqrt1plus_sym()):
+                for g1 in (g_odot(), g_penalty(10.0)):
+                    bound = _sbd_bound(grid, spec, f1, g1)
+                    objective = _sbd_objective(grid, spec, f1, g1)
+                    raw = [b + s for b, s in zip(*objective(np.array(fields), raw=True)[:2])]
+                    assert bound > 0 and min(raw) >= bound * (1 - 1e-12)
+    spec = CellSpec(boundary=JumpData(np.zeros(2), dv, normal), mesh=5, frame=frame)
+    bound = _sbd_bound(Grid(spec.box, 5, frame), spec, scaled(abs_sym(), 100.0), g_odot())
+    assert bound == pytest.approx(frob(odot(dv, normal)), rel=1e-14)
+    assert _sbd_bound(Grid(spec.box, 5, frame), spec, vmin_abs(), g_odot()) is None
+    assert _sbd_bound(Grid(spec.box, 5, frame), spec, abs_sym(),
+                      replace(g_odot(), dual_datum=None)) is None
+
+
+def test_surface_declaration_check():
+    # a declared surface datum (r, k) must give raw = r |J (.) nu| + k |J|^2
+    # and a smoothed value at or below raw: a wrong one would certify a
+    # false lower bound
+    for name in _SURFACE_REGISTRY:
+        get_surface_integrand(name).check_flags()
+    odot_norm, penalty = g_odot(), g_penalty(10.0)
+    penalty.check_flags()
+    assert odot_norm.dual_datum == (1.0, 0.0) and penalty.dual_datum == (0.0, 10.0)
+    assert penalty.raw is penalty.value
+    for g, wrong in ((odot_norm, (2.0, 0.0)), (odot_norm, (0.0, 1.0)), (odot_norm, (1.0, 1e-3)),
+                     (penalty, (0.0, 20.0)), (penalty, (1.0, 0.0)), (penalty, (-1.0, 10.0))):
+        with pytest.raises(ValueError, match="dualDatum"):
+            replace(g, dual_datum=wrong).check_flags()
+    with pytest.raises(ValueError, match="above raw"):
+        replace(odot_norm, value=lambda X, VM, VP, NU: odot_norm.raw(X, VM, VP, NU) + 1e-3
+                ).check_flags()
+    with pytest.raises(ValueError, match="finite"):
+        replace(penalty, raw=lambda X, VM, VP, NU: -penalty.raw(X, VM, VP, NU)).check_flags()
+    replace(odot_norm, dual_datum=None).check_flags()
 
 
 def test_sbd_flat_crack_jump_data():

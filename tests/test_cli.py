@@ -361,6 +361,26 @@ def test_json_identical_across_processes(tmp_path):
         assert b'"config-hash"' in outs[0][0] and b'"config-hash"' in outs[0][1]
 
 
+def test_sbd_jump_identical_across_processes_and_converged(tmp_path):
+    # the SBD cell of the jump-bulk-cells benchmark: it ends on a certified
+    # gap, so the estimate is converged, and two processes write the same
+    # bytes
+    env = {**os.environ, "PYTHONPATH": str(Path(bdrelax.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), "jump",
+            "--integrand", "abs-sym*100", "--sbd", "--g1", "odot", "--v-plus", "0,1",
+            "--nu", "1,0", "--mesh", "12", "--eps-schedule", "1"]
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(argv, env=env, capture_output=True, check=True, timeout=120)
+        outs.append([proc.stdout] + [(tmp_path / name).read_bytes()
+                                     for name in ("jump.json", "jump.csv")])
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0][0])
+    assert payload["converged"] is True
+    assert payload["extrapolated"] == pytest.approx(2 ** -0.5, rel=1e-5)
+    assert b'"converged": true' in outs[0][1]
+
+
 def test_abbreviated_flag_beats_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"eps-schedule": "1,0.5"}))

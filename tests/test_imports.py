@@ -26,9 +26,10 @@ def test_no_unused_imports(path):
 
 def test_solver_internals_stay_in_cellsolver():
     """Only cellsolver.py imports the L-BFGS minimizer, the Q1 element
-    kernel and the duality-gap certificate: every cell problem is solved
-    and certified through its multistart driver."""
-    private = {"minimize_lbfgs", "lbfgs_steps", "_q1_quadrature", "_dual_bound"}
+    kernel and the duality-gap certificates of the conforming and the SBD
+    cells: every cell problem is solved and certified through its
+    multistart driver."""
+    private = {"minimize_lbfgs", "lbfgs_steps", "_q1_quadrature", "_dual_bound", "_sbd_bound"}
     offenders = []
     for path in SRC:
         if path.name == "cellsolver.py":
@@ -59,6 +60,30 @@ def test_no_threads_outside_util():
                 names.update(node.module.split("."))
             offenders += [f"{path.name}:{node.lineno}: {n}" for n in sorted(names & banned)]
     assert not offenders, f"thread pools named outside util.py: {offenders}"
+
+
+def test_conjugates_are_declared_in_density():
+    """The conjugates are data of single integrands: every dual_datum
+    written out as a tuple, bulk (c, m) or surface (r, k), is in density.py,
+    each SurfaceIntegrand there declares one, and the bounds that read them
+    are defined in cellsolver.py alone."""
+    offenders, surfaces, bounds = [], [], {}
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_dual_bound", "_sbd_bound"):
+                bounds.setdefault(node.name, []).append(path.name)
+            if not isinstance(node, ast.Call):
+                continue
+            declared = [kw for kw in node.keywords
+                        if kw.arg == "dual_datum" and isinstance(kw.value, ast.Tuple)]
+            if declared and path.name != "density.py":
+                offenders.append(f"{path.name}:{node.lineno}: dual_datum=(...)")
+            if (path.name == "density.py" and isinstance(node.func, ast.Name)
+                    and node.func.id == "SurfaceIntegrand"):
+                surfaces.append(bool(declared))
+    assert not offenders, f"conjugates declared outside density.py: {offenders}"
+    assert surfaces and all(surfaces), "a surface integrand of the corpus declares no dual_datum"
+    assert bounds == {"_dual_bound": ["cellsolver.py"], "_sbd_bound": ["cellsolver.py"]}
 
 
 def test_integrand_corpus_stays_in_density():
