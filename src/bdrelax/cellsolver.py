@@ -15,7 +15,8 @@ Reported values use the raw (unsmoothed) bulk and surface integrands at
 the minimizer of the smoothed energy, whose smoothing mu is in the
 diagnostics, so a cell value is an upper bound on the raw discrete
 infimum; a duality gap brackets it from below where the integrands
-declare their conjugates (_dual_bound, _sbd_bound).
+declare their conjugates (_dual_bound, _sbd_bound), and a primal-dual loop
+(_pdhg) finishes the |sym A| cells whose gap L-BFGS does not close.
 """
 
 import math
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Box, gauss_rule, segment_midpoints
-from .minimize import lbfgs_steps
+from .minimize import EndRun, lbfgs_steps
 from .tensor import frob, frob_sq, odot, sym
 
 
@@ -549,17 +550,121 @@ def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
 GAP_TOL = 1e-5  # a certified run ends once value - lower bound <= GAP_TOL * value
 FIRST_CERTIFICATE = 32  # runs are certified at iterations 32, 64, 128, ...
 CG_TOL = 1e-12  # relative residual of the equilibrating CG solve
+PDHG_MAX_ITERS = 10_000  # iteration cap of the primal-dual finish (_pdhg)
+PDHG_CHECK = 100  # the primal-dual finish is certified every PDHG_CHECK iterations
 
 
-def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, dual: tuple,
-                U: np.ndarray, stress: np.ndarray, g: np.ndarray, y=None):
+class _SymStrain:
+    """The symmetric strain operator K: u -> sym grad u at the kernel's
+    quadrature points, for Q1 fields on `grid` whose free entries (those of
+    the interior nodes in a flattened field) are `dofs`, gathered and
+    scattered through the first copy of a plan (_plan).
+
+    - strains(U) is K by the kernel's own arithmetic (_q1_strains), whose
+      bits the certificate pairs with the kernel's stresses;
+    - K(Uf) is the same map as one product per element with Bc, the strains
+      of the 8 unit fields of one element, and KT(S) = sum_q w Bc^T S_q is
+      its weighted scatter onto the free entries. Both hold a stress in the
+      components (s11, s22, sqrt2 s12), so that S : e is a dot product and
+      |S| a Euclidean norm; comps and tensor convert;
+    - Ke = sum_q w B_q^T B_q is the 8x8 stiffness that every element of the
+      uniform grid shares, and solve runs CG on the assembled operator;
+    - norm_sq estimates |K|^2, the top eigenvalue of that operator.
+    """
+
+    def __init__(self, grid: Grid, plan: tuple, dofs: np.ndarray):
+        self.grid, self.dofs, self.n = grid, dofs, grid.n_nodes
+        self.gather, self.scatter = plan[0][:1], plan[1][0]
+        one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
+        self.B = self.strains(np.eye(8).reshape(8, 4, 2), one)  # (Q, k, j, 8)
+        self.Ke = _q1_scatter(grid, self.B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
+        self.Bc = self.comps(self.B).reshape(-1, 8)  # (3 Q, 8)
+        self.slots = np.ascontiguousarray(self.scatter.reshape(-1, 8).T)  # (8, E) flat entries
+
+    def strains(self, U: np.ndarray, index=None) -> np.ndarray:
+        """sym grad (Q, k, j, E), symmetric: also (Q, j, k, E), of a stack U
+        (1, n, 2) or, through `index`, of other nodal slots."""
+        G = _q1_strains(self.grid, U, self.gather if index is None else index)[1]
+        return 0.5 * (G + G.transpose(0, 2, 1, 3))
+
+    def K(self, Uf: np.ndarray) -> np.ndarray:
+        return (self.Bc @ Uf.take(self.slots)).reshape(3, -1)
+
+    def KT(self, S: np.ndarray) -> np.ndarray:
+        back = self.grid.wq * (self.Bc.T @ S.reshape(len(self.Bc), -1))  # (8, E)
+        return np.bincount(self.slots.ravel(), back.ravel(), minlength=2 * self.n)[self.dofs]
+
+    def comps(self, stress: np.ndarray) -> np.ndarray:
+        """The components (3, Q E) of symmetric stresses (Q, j, k, E)."""
+        return np.stack([stress[:, 0, 0], stress[:, 1, 1],
+                         math.sqrt(2.0) * stress[:, 0, 1]]).reshape(3, -1)
+
+    def tensor(self, S: np.ndarray) -> np.ndarray:
+        """The stresses (Q, j, k, E) of components S (3, Q E)."""
+        S11, S22, S12 = S.reshape(3, len(self.grid.Nval), -1)
+        S12 = S12 / math.sqrt(2.0)
+        return np.stack([np.stack([S11, S12], 1), np.stack([S12, S22], 1)], 1)
+
+    def _stiffness(self, y: np.ndarray, Ke, Uy: np.ndarray) -> np.ndarray:
+        Uy[self.dofs] = y
+        Ue = Uy.reshape(self.n, 2).take(self.gather[0], axis=0).reshape(-1, 8)  # (E, 8)
+        KUe = Ue @ Ke if Ke.ndim == 2 else np.einsum("ei,eij->ej", Ue, Ke)
+        return np.bincount(self.scatter.ravel(), KUe.ravel(), minlength=2 * self.n)[self.dofs]
+
+    def solve(self, g: np.ndarray, y=None, Ke=None):
+        """CG on the assembled sum_e Ue^T Ke Ue over the free entries, with
+        the shared Ke (Ke None) or one matrix (E, 8, 8) per element and a
+        Jacobi preconditioner, for the right side g from y (or 0) to a
+        relative residual of CG_TOL. Returns (y, the correction field (n, 2)
+        or None where CG stops short of CG_TOL)."""
+        shared = Ke is None
+        if shared:
+            Ke = self.Ke
+        else:
+            inv_diag = 1.0 / np.bincount(self.scatter.ravel(),
+                                         np.diagonal(Ke, axis1=1, axis2=2).ravel(),
+                                         minlength=2 * self.n)[self.dofs]
+        Uy = np.zeros(2 * self.n)
+        y = np.zeros(len(g)) if y is None else y.copy()
+        res = g - self._stiffness(y, Ke, Uy)
+        p = res.copy() if shared else res * inv_diag
+        rz, stop = res.dot(p), (CG_TOL * CG_TOL) * g.dot(g)
+        for _ in range(2 * len(g)):
+            if res.dot(res) <= stop:
+                break
+            Kp = self._stiffness(p, Ke, Uy)
+            alpha = rz / p.dot(Kp)
+            y += alpha * p
+            res -= alpha * Kp
+            z = res if shared else res * inv_diag
+            rz, rz_old = res.dot(z), rz
+            p = z + (rz / rz_old) * p
+        else:
+            return y, None
+        Uy[self.dofs] = y
+        return y, Uy.reshape(1, self.n, 2)
+
+    @cached_property
+    def norm_sq(self) -> float:
+        """|K|^2 from the free entries to sum_q w |.|^2: 50 power steps on
+        the shared stiffness from a seeded Gaussian field."""
+        y, Uy, lam = np.random.default_rng(0).normal(size=len(self.dofs)), np.zeros(2 * self.n), 0.0
+        for _ in range(50):
+            y /= math.sqrt(y.dot(y))
+            Ky = self._stiffness(y, self.Ke, Uy)
+            lam, y = y.dot(Ky), Ky
+        return float(lam)
+
+
+def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
+                stress: np.ndarray, g: np.ndarray, y=None):
     """A lower bound on the discrete infimum of sum_q w f_q(sym grad u_q),
     f_q(S) = c_q sqrt(m^2 + |S|^2), over Q1 fields u equal to `datum` (n, 2)
     at the boundary nodes, from a run's field U (n, 2), the stresses
-    (Q, j, k, E) = df/dA, |stress_q| <= c_q, and the free entries `dofs` of
-    the nodal gradient g = sum_q w B^T stress that its gradient pass formed.
-    `dual` is (c, m): c a number or the radii c_q (Q, E) at the points the
-    kernel read, and m >= 0.
+    (Q, j, k, E) = df/dA, |stress_q| <= c_q, and the free entries of the
+    nodal gradient g = sum_q w B^T stress that its gradient pass formed,
+    through the operator `op` (_SymStrain). `dual` is (c, m): c a number or
+    the radii c_q (Q, E) at the points the kernel read, and m >= 0.
 
     1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w H_q[e(y)] : e(y),
        e(y) = sym grad y, over fields y vanishing at the boundary nodes
@@ -582,55 +687,22 @@ def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, du
 
     Returns (bound, y), with bound None where CG stops short of CG_TOL.
     """
-    gather, scatter, _ = plan
-    n, (c, m) = grid.n_nodes, dual
-
-    def sym_strain(U, index):  # sym grad (Q, k, j, E), symmetric: also (Q, j, k, E)
-        G = _q1_strains(grid, U, index)[1]
-        return 0.5 * (G + G.transpose(0, 2, 1, 3))
-
-    one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
-    B = sym_strain(np.eye(8).reshape(8, 4, 2), one)  # (Q, k, j, 8)
-    if m == 0:
-        Ke = _q1_scatter(grid, B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
-    else:
+    grid, (c, m) = op.grid, dual
+    Ke = None
+    if m > 0:
         Q, E = len(grid.Nval), len(grid.conn)
-        B = B.reshape(Q, 4, 8)
-        S = sym_strain(U[None], gather).reshape(Q, 4, E)
+        B = op.B.reshape(Q, 4, 8)
+        S = op.strains(U[None]).reshape(Q, 4, E)
         rho2 = m * m + (S * S).sum(axis=1)
         a = c / np.sqrt(rho2)  # (Q, E)
         b = np.einsum("qci,qce->qei", B, S)  # B_q^T S_q
         BtB = np.einsum("qci,qcj->qij", B, B).reshape(Q, 64)
         Ke = (a.T @ BtB).reshape(E, 8, 8) - np.einsum("qei,qej->eij", (a / rho2)[..., None] * b, b)
         Ke *= grid.wq
-        inv_diag = 1.0 / np.bincount(scatter[0].ravel(), np.diagonal(Ke, axis1=1, axis2=2).ravel(),
-                                     minlength=2 * n)[dofs]
-    Uy = np.zeros(2 * n)
-
-    def K(y):
-        Uy[dofs] = y
-        Ue = Uy.reshape(n, 2).take(gather[0], axis=0).reshape(-1, 8)  # (E, 8)
-        KUe = Ue @ Ke if m == 0 else np.einsum("ei,eij->ej", Ue, Ke)
-        return np.bincount(scatter[0].ravel(), KUe.ravel(), minlength=2 * n)[dofs]
-
-    y = np.zeros(len(g)) if y is None else y.copy()
-    res = g - K(y)
-    p = res.copy() if m == 0 else res * inv_diag
-    rz, stop = res.dot(p), (CG_TOL * CG_TOL) * g.dot(g)
-    for _ in range(2 * len(g)):
-        if res.dot(res) <= stop:
-            break
-        Kp = K(p)
-        alpha = rz / p.dot(Kp)
-        y += alpha * p
-        res -= alpha * Kp
-        z = res if m == 0 else res * inv_diag
-        rz, rz_old = res.dot(z), rz
-        p = z + (rz / rz_old) * p
-    else:
+    y, Uy = op.solve(g, y, Ke)
+    if Uy is None:
         return None, y
-    Uy[dofs] = y
-    D = sym_strain(Uy.reshape(1, n, 2), gather)
+    D = op.strains(Uy)
     if m == 0:
         tau = stress - D
     else:
@@ -639,14 +711,70 @@ def _dual_bound(grid: Grid, plan: tuple, dofs: np.ndarray, datum: np.ndarray, du
             Q, 2, 2, E)
     size = np.sqrt((tau * tau).sum(axis=(1, 2)))  # (Q, E)
     s = c / max(size.max(), c) if np.ndim(c) == 0 else 1.0 / max((size / c).max(), 1.0)
-    work = (tau * _q1_strains(grid, datum[None], gather)[1]).sum()
+    work = (tau * _q1_strains(grid, datum[None], op.gather)[1]).sum()
     bound = grid.wq * s * work
     if m > 0:
         bound += grid.wq * m * np.sqrt(np.maximum(c * c - (s * size) ** 2, 0.0)).sum()
     return bound, y
 
 
-def _multistart(fg, starts: list, spec: CellSpec, certify=None):
+def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarray, scale: float,
+          raw_value, best: float, y=None) -> tuple:
+    """The primal-dual finish of a cell whose raw density is c(x) |sym A|:
+    PDHG (Chambolle and Pock, J. Math. Imaging Vision 40, 2011) on the
+    saddle point min_u max_{|sigma_q| <= c_q} sum_q w sigma_q : sym grad u_q
+    over Q1 fields u equal to `datum` at the boundary nodes, started from a
+    run's field U (n, 2) and stress (Q, j, k, E), with c a number or the
+    radii (Q, E) and op the cell's _SymStrain. Each iteration makes one dual
+    step, sigma <- the projection of sigma + s K(2 u - u_previous) onto the
+    balls |sigma_q| <= c_q, and one primal step, u <- u - t K^T sigma, with
+    s t |K|^2 = 0.99^2 and t / s = (scale / max c)^2 / (2 h1 h2): scaling
+    the datum by a, or c by l, scales the field by a, or the stress by l,
+    and leaves the iterates those of the unscaled cell with t / s times a^2,
+    or divided by l^2; the field is measured per node, each node standing
+    for h1 h2 of area. The factor 1/2 was the best of 1, 2 and 4 on
+    diagonal, rotated and axis jump cells at meshes 8 to 32, and max c beat
+    mean c on an x-dependent c. The loop reads no integrand.
+
+    Every PDHG_CHECK iterations it certifies the field of lowest energy so
+    far: its raw_value(U) against the best of `best` and _dual_bound at
+    sigma, from the CG correction y. It ends on "gap" once the value is
+    within GAP_TOL of that bound, or on "max_iters" after PDHG_MAX_ITERS.
+    Returns (field, bound, reason, iterations, y).
+    """
+    dofs, c_q = op.dofs, np.reshape(c, -1)  # c_q at the (q, e) points of a stress's components
+    ratio = (scale / float(c_q.max())) ** 2 / (2.0 * op.grid.h[0] * op.grid.h[1])
+    t, s = 0.99 * math.sqrt(ratio / op.norm_sq), 0.99 / math.sqrt(ratio * op.norm_sq)
+    Uf, sigma = U.ravel().copy(), op.comps(stress)
+    e = e_prev = op.K(Uf)
+    low, U_low = math.inf, Uf
+    for it in range(1, PDHG_MAX_ITERS + 1):
+        step = e + e
+        step -= e_prev
+        step *= s
+        sigma += step
+        size = np.sqrt((sigma * sigma).sum(axis=0))
+        size /= c_q
+        sigma /= np.maximum(size, 1.0, out=size)
+        g = op.KT(sigma)
+        Uf = Uf.copy()
+        Uf[dofs] -= t * g
+        e_prev, e = e, op.K(Uf)
+        energy = (c_q * np.sqrt((e * e).sum(axis=0))).sum()
+        if energy < low:
+            low, U_low = energy, Uf
+        if it % PDHG_CHECK == 0:
+            U_best = U_low.reshape(-1, 2)
+            value = raw_value(U_best)
+            bound, y = _dual_bound(op, datum, (c, 0.0), U_best, op.tensor(sigma), g, y)
+            if bound is not None:
+                best = max(best, bound)
+            if value - best <= GAP_TOL * value:
+                return U_best, best, "gap", it, y
+    return U_best, best, "max_iters", PDHG_MAX_ITERS, y
+
+
+def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None):
     """Minimize fg, which maps stacked points X (K, d) to values (K,) and a
     grad(rows) giving the gradients (len(rows), d) of the listed rows, from
     each of `starts` in lockstep on one thread (spec.solver.jobs has no
@@ -655,8 +783,8 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
     runs that then ask for the gradient of that point (at their start and at
     an accepted step) get it from one grad call. Rows do not interact, so
     each start follows its serial trajectory. The lowest smoothed energy
-    wins, ties going to the lowest seed. Returns the winning L-BFGS result
-    and the cell diagnostics.
+    wins, ties going to the lowest seed. Returns the winning result and the
+    cell diagnostics.
 
     With `certify`, grad(rows) returns the gradients and a stress per row
     (None where certify reads none), and at iterations 32, 64, 128, ...
@@ -664,13 +792,22 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
     value, a lower bound on the cell's discrete infimum or None). A run
     ends with reason "gap" once its value minus the best bound of the
     solve, which the diagnostics hold as lower_bound, is at most GAP_TOL
-    times the value. No other run, and no trajectory up to that point,
-    changes. A run's stop reason is then "gtol", "gap", "max_iters" or
-    "line_search_stall".
+    times the value. With `finish`, a run whose gap (value minus best bound)
+    is not at most half its previous certificate's is handed off there:
+    finish(k, x, stress, best bound) = (its final point, a bound, its reason
+    "gap" or "max_iters", its iterations, which the diagnostics hold as
+    pdhg_iters), and the run's smoothed value there comes from one fg call.
+    Once a run has ended on "gap", every active run whose last accepted
+    point would lose the selection to it ends at that point in the same
+    round, with reason "superseded": by the bound, no start can end more
+    than GAP_TOL below the certified value. Up to its end, every run
+    follows its serial trajectory. A run's stop reason is then "gtol",
+    "gap", "superseded", "max_iters" or "line_search_stall".
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
     grads_sent, best = [0] * len(runs), -math.inf  # a run's gradients count its iterations
+    accepted, gaps, pdhg_iters = [math.inf] * len(runs), {}, [0] * len(runs)
 
     def send(k, msg):
         try:
@@ -685,7 +822,10 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
             F, grad = fg(X)
             for k, f in zip(active, F):
                 send(k, float(f))
+                if points[k] is None:
+                    accepted[k] = float(f)
             asked = [i for i, k in enumerate(active) if points[k] is None]
+            handoffs = []
             if asked:
                 G, stresses = grad(asked) if certify else (grad(asked), [None] * len(asked))
                 for i, g, stress in zip(asked, G, stresses):
@@ -695,10 +835,29 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
                         value, bound = certify(k, X[i], g, stress)
                         if bound is not None:
                             best = max(best, bound)
-                        if value - best <= GAP_TOL * value:
+                        gap, previous = value - best, gaps.get(k, math.inf)
+                        gaps[k] = gap
+                        if gap <= GAP_TOL * value:
                             g = (g, "gap")
+                        elif finish is not None and gap > 0.5 * previous:
+                            g = (g, "handoff")
+                            handoffs.append((k, X[i], stress))
                     send(k, g)
             del grad  # the strains it holds go before the next round builds its own
+            for k, x, stress in handoffs:
+                x, bound, reason, pdhg_iters[k] = finish(k, x, stress, best)
+                best = max(best, bound)
+                results[k].update(x=x, f=float(fg(x[None])[0][0]), reason=reason,
+                                  converged=reason == "gap")
+            closed = [k for k, r in enumerate(results) if r is not None and r["reason"] == "gap"]
+            if closed:
+                r = min(closed, key=lambda k: (results[k]["f"], k))
+                for k in active:
+                    if results[k] is None and (accepted[k], k) > (results[r]["f"], r):
+                        try:
+                            runs[k].throw(EndRun("superseded"))
+                        except StopIteration as stop:
+                            results[k] = stop.value
             active = [k for k in active if results[k] is None]
     k_best = min(range(len(results)), key=lambda k: results[k]["f"])
     res = results[k_best]
@@ -707,6 +866,8 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None):
             "grad_tol": res["grad_tol"], "seed": spec.solver.seed + k_best,
             "start_values": [r["f"] for r in results],
             "starts": [(r["iters"], r["nfev"], r["reason"]) for r in results]}
+    if finish is not None:
+        diag["pdhg_iters"] = pdhg_iters
     if best > -math.inf:
         diag["lower_bound"] = best
     return res, diag
@@ -761,15 +922,24 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
         return U
 
     corrections = {}  # each run's last CG correction, its next warm start
+    op = None if dual is None else _SymStrain(grid, plan, dofs)
+
+    def raw_value(U):
+        return raw_energy(grid, U, f, freeze_x=spec.freeze_x)
 
     def certify(k, x, g, stress):
         U = field(x)
-        value = raw_energy(grid, U, f, freeze_x=spec.freeze_x)
-        bound, corrections[k] = _dual_bound(grid, plan, dofs, datum, dual, U, stress, g,
-                                            corrections.get(k))
-        return value, bound
+        bound, corrections[k] = _dual_bound(op, datum, dual, U, stress, g, corrections.get(k))
+        return raw_value(U), bound
 
-    res, diag = _multistart(fg, starts, spec, None if dual is None else certify)
+    def finish(k, x, stress, best):
+        U, bound, reason, iters, corrections[k] = _pdhg(
+            op, datum, dual[0], field(x), stress, spec.boundary.scale, raw_value, best,
+            corrections.get(k))
+        return U[free].ravel(), bound, reason, iters
+
+    res, diag = _multistart(fg, starts, spec, None if dual is None else certify,
+                            finish if dual is not None and dual[1] == 0 else None)
     Ubest = field(res["x"])
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)

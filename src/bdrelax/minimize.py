@@ -21,6 +21,11 @@ class SolverError(RuntimeError):
     pass
 
 
+class EndRun(Exception):
+    """Thrown into an lbfgs_steps run that waits for the value of a trial
+    point: the run ends at its last accepted point with the reason args[0]."""
+
+
 def lbfgs_steps(x0, max_iters: int = 2000):
     """L-BFGS by reverse communication, value first: yields each point to
     evaluate and receives its value by send; yields None when it needs the
@@ -30,7 +35,9 @@ def lbfgs_steps(x0, max_iters: int = 2000):
     the gradient norm falls to grad_tol = 1e-8 * (initial norm + 1). In
     place of the gradient of an accepted point the caller may send the pair
     (gradient, reason), which ends the run at that point with that reason
-    (the cell driver sends "gap" once a duality gap certifies the point).
+    (the cell driver sends "gap" once a duality gap certifies the point),
+    and it may throw EndRun(reason) in place of a trial point's value, which
+    ends the run at its last accepted point.
 
     A non-finite value or gradient at x0 raises SolverError("integrand
     overflow"); a non-finite value at a trial point shortens the step.
@@ -82,7 +89,11 @@ def lbfgs_steps(x0, max_iters: int = 2000):
         x_new, g_new = x, g
         while step >= MIN_STEP:
             x_try = x + step * d
-            f_try = yield x_try
+            try:
+                f_try = yield x_try
+            except EndRun as end:
+                stop = end.args[0]
+                break
             nfev += 1
             if not math.isfinite(f_try):
                 step *= BACKTRACK
@@ -94,6 +105,8 @@ def lbfgs_steps(x0, max_iters: int = 2000):
             step *= BACKTRACK
         else:
             break  # line search stalled
+        if stop is not None:
+            break
         if isinstance(g_new, tuple):
             g_new, stop = g_new
 

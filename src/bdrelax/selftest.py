@@ -114,22 +114,25 @@ def check_jump_recession() -> tuple[bool, str]:
     recession slopes of sqrt(1+|.|^2) reach |sym A| within 1e-3."""
     f = abs_sym(mu=1e-6)
     pairs = [
-        ((0.0, 1.0), (1.0, 0.0)),
-        ((1.0, 0.0), (1.0, 0.0)),
-        ((0.0, 1.0), (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))),
+        ("e2", (0.0, 1.0), "e1", (1.0, 0.0)),
+        ("e1", (1.0, 0.0), "e1", (1.0, 0.0)),
+        ("e2", (0.0, 1.0), "diag", (1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))),
     ]
-    worst_rel = 0.0
-    for dv, nu in pairs:
+    worst_rel, stops = 0.0, []
+    for dv_name, dv, nu_name, nu in pairs:
         target = frob(odot(np.asarray(dv), np.asarray(nu)))
         est = jump_density(f, (0.0, 0.0), (0.0, 0.0), dv, nu, eps_schedule=(1.0,), mesh=32)
         worst_rel = max(worst_rel, abs(est.extrapolated - target) / target)
+        d = est.diagnostics[1.0]
+        stops.append(f"dv={dv_name} nu={nu_name} stopped on {d['reason']}, rel gap "
+                     + (f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a"))
     rng = np.random.default_rng(5)
     B = rng.normal(size=(2, 2))
     A = 0.5 * (B + B.T)
     est_rec = recession(integrand_evaluator(sqrt1plus_sym()), (0.0, 0.0), (0.0, 0.0), A)
     rec_err = abs(est_rec.extrapolated - frob(sym(A)))
     ok = worst_rel <= 0.05 and rec_err <= 1e-3
-    return ok, (f"jump rel err {worst_rel:.3%} (tol 5%), "
+    return ok, (f"jump rel err {worst_rel:.3%} (tol 5%; {', '.join(stops)}), "
                 f"recession err {rec_err:.2e} (tol 1e-3)")
 
 

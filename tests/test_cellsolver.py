@@ -9,7 +9,7 @@ import pytest
 
 from bdrelax import cellsolver
 from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplacement,
-                                Integrand, JumpData, SolverParams, _dual_bound, _plan,
+                                Integrand, JumpData, SolverParams, _dual_bound, _plan, _SymStrain,
                                 _q1_quadrature, _sbd_bound, _sbd_objective, energy_and_grad,
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
@@ -18,7 +18,7 @@ from bdrelax.density import (_REGISTRY, _SURFACE_REGISTRY, A0, abs_sym, g_odot, 
                              mueller_h_integrand, scaled, sqrt1plus_sym, truncated_neg_sym_sq,
                              vmin_abs)
 from bdrelax.geometry import Box
-from bdrelax.minimize import SolverError, lbfgs_steps, minimize_lbfgs
+from bdrelax.minimize import EndRun, SolverError, lbfgs_steps, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
 
 RNG = np.random.default_rng(0)
@@ -63,6 +63,23 @@ def test_caller_ends_a_run_with_its_reason():
         res = stop.value
     assert res["reason"] == "gap" and res["converged"] and res["iters"] == 2
     assert np.array_equal(res["x"], x_end) and res["grad_norm"] == np.linalg.norm(H @ x_end)
+    # throwing EndRun(reason) in place of a trial point's value ends the run
+    # at its last accepted point, and the thrown trial is not counted
+    steps = lbfgs_steps(np.array([3.0, -5.0]))
+    x, grads, nfev = next(steps), 0, 0
+    try:
+        while True:
+            if grads == 3:
+                steps.throw(EndRun("superseded"))
+            msg, nfev = steps.send(0.5 * x @ H @ x), nfev + 1
+            if msg is None:
+                x_end, grads = x, grads + 1
+                msg = steps.send(H @ x)
+            x = msg
+    except StopIteration as stop:
+        res = stop.value
+    assert res["reason"] == "superseded" and res["converged"] and res["iters"] == 2
+    assert np.array_equal(res["x"], x_end) and res["nfev"] == nfev
 
 
 def test_convex_affine_exactness():
@@ -387,8 +404,9 @@ def test_lockstep_matches_serial_sbd():
 
 def test_certified_sbd_run_matches_serial_up_to_its_stop():
     # with the declared odot-norm, each start follows its serial trajectory
-    # bit for bit up to the iteration it stops on: a run that closes its gap
-    # ends at the point a serial run capped at that iteration ends at
+    # bit for bit up to the iteration it stops on: a run that closes its gap,
+    # or that another run's certificate supersedes, ends at the point a
+    # serial run capped at that iteration ends at
     f1, g1 = abs_sym(mu=1e-6), g_odot()
     sp = SolverParams(multistarts=3, seed=0, max_iters=150)
     spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=6, solver=sp)
@@ -401,16 +419,26 @@ def test_certified_sbd_run_matches_serial_up_to_its_stop():
         run = minimize_lbfgs(fg_row, x, max_iters=iters)
         assert (run["iters"], run["nfev"]) == (iters, nfev)
         assert run["f"] == sol.diagnostics["start_values"][k]
-        assert run["reason"] == (reason if reason != "gap" else "max_iters")
+        assert run["reason"] == (reason if reason not in ("gap", "superseded") else "max_iters")
         if k == sol.diagnostics["seed"]:
             assert np.array_equal(sol.argmin.values.ravel(), run["x"])
             assert sol.value_smoothed == run["f"]
 
 
-def test_uncertified_run_matches_serial():
-    # the diagonal jump cell: L-BFGS is 6.3e-4 above the discrete infimum
-    # after 200 iterations, so the certificates at iterations 32, 64 and 128
-    # close nothing and the run follows its serial trajectory bit for bit
+def test_uncertified_run_matches_serial(monkeypatch):
+    # the diagonal jump cell: the certificate at iteration 64 does not halve
+    # the gap of iteration 32, so the run is handed to the primal-dual finish
+    # there. Up to the handoff it follows its serial trajectory bit for bit,
+    # and the finish starts from that point and its own stress, then closes
+    # the gap below the value L-BFGS reaches in all 200 iterations.
+    handoffs = []
+    pdhg = cellsolver._pdhg
+
+    def recorded(op, datum, c, U, stress, *args):
+        handoffs.append((U.copy(), stress.copy()))
+        return pdhg(op, datum, c, U, stress, *args)
+
+    monkeypatch.setattr(cellsolver, "_pdhg", recorded)
     nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
     sp = SolverParams(max_iters=200)
     spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=8,
@@ -426,16 +454,95 @@ def test_uncertified_run_matches_serial():
         e, gradU = energy_and_grad(grid, U, f)
         return e, gradU[free].ravel()
 
-    best = _assert_lockstep_matches_serial(sol, fg_row, [datum[free].ravel()], sp.max_iters)
-    assert best["reason"] == "max_iters"
     diag = sol.diagnostics
+    (iters, nfev, reason), = diag["starts"]
+    assert (iters, reason) == (64, "gap") and diag["reason"] == "gap" and diag["seed"] == 0
+    prefix = minimize_lbfgs(fg_row, datum[free].ravel(), max_iters=iters)
+    assert (prefix["iters"], prefix["nfev"]) == (iters, nfev) == (diag["iters"], diag["nfev"])
+    (U0, stress0), = handoffs
+    assert np.array_equal(U0[free].ravel(), prefix["x"]) and np.array_equal(U0[~free], datum[~free])
+    _, grad = energy_and_grad(grid, U0[None], f, plan=_plan(grid, grid.conn, grid.n_nodes, 1))
+    assert np.array_equal(stress0, grad([0], stress=True)[1][0])
+    assert diag["pdhg_iters"][0] > 0
     assert diag["lower_bound"] <= sol.value and diag["gap"] == sol.value - diag["lower_bound"]
-    assert diag["gap"] > 1e-5 * sol.value
+    assert diag["gap"] <= 1e-5 * sol.value
+    smoothed, _ = energy_and_grad(grid, sol.argmin.values, f)
+    assert sol.value_smoothed == diag["start_values"][0] == smoothed
+    full = minimize_lbfgs(fg_row, datum[free].ravel(), max_iters=sp.max_iters)
+    U_full = datum.copy()
+    U_full[free] = full["x"].reshape(-1, 2)
+    assert full["reason"] == "max_iters"
+    assert sol.value < raw_energy(grid, U_full, f)
+
+
+def test_pdhg_finish_brackets_the_diagonal_cell(monkeypatch):
+    # the benchmark's diagonal cell at mesh 16: the finish ends on a proven
+    # 1e-5 gap below the 0.89552 L-BFGS reaches in 2,000 iterations, on an
+    # admissible field whose raw energy is the reported value, and its loop
+    # calls neither the smoothed value nor the gradient of the integrand
+    calls = {"inside": False, "value": 0, "grad": 0}
+    pdhg = cellsolver._pdhg
+
+    def flagged(*args):
+        calls["inside"] = True
+        try:
+            return pdhg(*args)
+        finally:
+            calls["inside"] = False
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += calls["inside"]
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(cellsolver, "_pdhg", flagged)
+    f0 = abs_sym(mu=1e-6)
+    f = replace(f0, value=counted("value", f0.value), grad=counted("grad", f0.grad))
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=16,
+                    frame=frame_for_normal(nu))
+    sol = solve_ld(spec, f)
+    diag = sol.diagnostics
+    assert diag["reason"] == "gap" and diag["pdhg_iters"][0] > 0
+    assert diag["lower_bound"] <= sol.value <= diag["lower_bound"] * (1 + 1e-5)
+    assert sol.value < 0.8875
+    grid = sol.argmin.grid
+    assert raw_energy(grid, sol.argmin.values, f0, exact_sum=True) == pytest.approx(sol.value,
+                                                                                  rel=1e-14)
+    datum = spec.boundary.value(grid.nodes)
+    assert np.array_equal(sol.argmin.values[grid.boundary_mask], datum[grid.boundary_mask])
+    assert (calls["value"], calls["grad"]) == (0, 0)
+
+
+def test_pdhg_finish_with_an_x_dependent_radius():
+    # (2 + cos 2 pi x1) |sym A| declares the radius c(x) with m = 0: the
+    # finish projects each stress onto its own ball and closes the gap of
+    # the diagonal cell, which L-BFGS leaves open
+    f0 = abs_sym(mu=1e-6)
+
+    def c(X):
+        return 2.0 + np.cos(2.0 * np.pi * X[:, 0])
+
+    f = replace(f0, name="laminated-abs-sym", recession_exact=None, dual_datum=(c, 0.0),
+                value=lambda X, V, A: c(X) * f0.value(X, V, A),
+                grad=lambda X, V, A: (np.zeros_like(V), c(X)[:, None, None] * f0.grad(X, V, A)[1]),
+                raw=lambda X, V, A: c(X) * f0.raw(X, V, A))
+    f.check_flags()
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=8,
+                    frame=frame_for_normal(nu))
+    sol = solve_ld(spec, f)
+    diag = sol.diagnostics
+    assert diag["reason"] == "gap" and diag["pdhg_iters"][0] > 0
+    assert diag["lower_bound"] <= sol.value <= diag["lower_bound"] * (1 + 1e-5)
+    assert sol.value == raw_energy(sol.argmin.grid, sol.argmin.values, f)
 
 
 def _affine_stress(A, U_of, f):
-    """The field, stress and free nodal gradient of f on the affine datum
-    A y at mesh 8, from the kernel's gradient pass at U_of(datum, free)."""
+    """The strain operator, datum, field, stress and free nodal gradient of
+    f on the affine datum A y at mesh 8, from the kernel's gradient pass at
+    U_of(datum, free)."""
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8)
     grid = Grid(spec.box, spec.mesh)
     datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
@@ -444,7 +551,7 @@ def _affine_stress(A, U_of, f):
     _, grad = energy_and_grad(grid, U[None], f, plan=plan)
     G, (stress,) = grad([0], stress=True)
     dofs = np.flatnonzero(np.repeat(free, 2))
-    return grid, plan, dofs, datum, U, stress, G.reshape(-1)[dofs]
+    return _SymStrain(grid, plan, dofs), datum, U, stress, G.reshape(-1)[dofs]
 
 
 def test_dual_bound_on_affine_data():
@@ -456,17 +563,17 @@ def test_dual_bound_on_affine_data():
     A = rand_sym()
     for f, energy in ((abs_sym(mu=1e-6), frob(A)),
                       (sqrt1plus_sym(), math.sqrt(1.0 + frob(A) ** 2))):
-        grid, plan, dofs, datum, U, stress, g = _affine_stress(A, lambda U, free: U, f)
-        bound, _ = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g)
+        op, datum, U, stress, g = _affine_stress(A, lambda U, free: U, f)
+        bound, _ = _dual_bound(op, datum, f.dual_datum, U, stress, g)
         assert bound == pytest.approx(energy, rel=1e-9)
         for seed in range(3):
-            noise = np.random.default_rng(seed).normal(size=(grid.n_nodes, 2))
-            grid, plan, dofs, datum, U, stress, g = _affine_stress(
+            noise = np.random.default_rng(seed).normal(size=(op.n, 2))
+            op, datum, U, stress, g = _affine_stress(
                 A, lambda U, free: U + np.where(free[:, None], 0.1 * noise, 0.0), f)
-            bound, y = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g)
+            bound, y = _dual_bound(op, datum, f.dual_datum, U, stress, g)
             assert bound <= energy * (1 + 1e-12) and bound > 0
             # a warm start from the correction solves the same system
-            again, _ = _dual_bound(grid, plan, dofs, datum, f.dual_datum, U, stress, g, y)
+            again, _ = _dual_bound(op, datum, f.dual_datum, U, stress, g, y)
             assert again == pytest.approx(bound, rel=1e-9)
 
 
@@ -931,13 +1038,17 @@ def test_sbd_penalty_limit_matches_ld():
 def test_sbd_clean_affine_start_ends_on_gap():
     # the clean start of this cell is the exact minimizer |sym A| = 0.6 and
     # used to run to max_iters; it now ends on the first certificate, whose
-    # bound is |sym A| itself, and the reported raw value lies above it
+    # bound is |sym A| itself, and the reported raw value lies above it. The
+    # two perturbed starts, which ran to max_iters after it, end in the same
+    # round, each at its last accepted point
     A = np.array([[0.3, 0.1], [0.1, -0.5]])
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=4,
                     solver=SolverParams(multistarts=3, seed=5))
     sol = solve_sbd(spec, abs_sym(mu=1e-6), g_odot())
     diag = sol.diagnostics
     assert diag["starts"][0][::2] == (32, "gap")
+    assert [(nfev, reason) for _, nfev, reason in diag["starts"][1:]] == [
+        (diag["starts"][0][1], "superseded")] * 2
     assert (diag["seed"], diag["reason"]) == (5, "gap")
     assert diag["lower_bound"] == pytest.approx(frob(A), rel=1e-12)
     assert diag["lower_bound"] <= sol.value <= frob(A) * (1 + 1e-5)

@@ -212,17 +212,25 @@ def test_selftest_prints_one_line_per_check(monkeypatch, capsys):
 
 
 def test_selftest_reports_the_laminate_stops_and_times_each_check(monkeypatch, capsys):
-    # check 06 for real: its ACCEPTANCE line names each laminate sample's
-    # stop reason and relative gap, and stderr holds its wall time alone
-    monkeypatch.setattr(selftest, "CHECKS", [c for c in selftest.CHECKS if c[0] == 6])
+    # checks 05 and 06 for real: their ACCEPTANCE lines name each jump cell's
+    # and each laminate sample's stop reason and relative gap, and stderr
+    # holds their wall times alone
+    monkeypatch.setattr(selftest, "CHECKS", [c for c in selftest.CHECKS if c[0] in (5, 6)])
     assert main(["selftest"]) == 0
     captured = capsys.readouterr()
-    (line,) = captured.out.splitlines()
+    jump, line = captured.out.splitlines()
+    assert jump.startswith("ACCEPTANCE  5 PASS jump/recession consistency: jump rel err ")
+    cells = re.findall(r"dv=(\w+) nu=(\w+) stopped on (\w+), rel gap (\S+?)[,)]", jump)
+    assert [cell[:3] for cell in cells] == [("e2", "e1", "gap"), ("e1", "e1", "gap"),
+                                            ("e2", "diag", "gap")]
+    assert all(0.0 <= float(gap) <= 1e-5 for *_, gap in cells)
+    assert float(re.search(r"jump rel err (\S+)%", jump).group(1)) < 1.2
     assert line.startswith("ACCEPTANCE  6 PASS homogenization cross-formula: laminate periodic ")
     stops = re.findall(r"T=(\d) stopped on (\w+), rel gap (\S+?)[,)]", line)
     assert [(T, reason) for T, reason, _ in stops] == [("1", "gap"), ("2", "gap"), ("4", "gap")]
     assert all(0.0 <= float(gap) <= 1e-5 for _, _, gap in stops)
-    assert re.fullmatch(r"selftest  6 homogenization cross-formula: \d+\.\d{3} s\n", captured.err)
+    assert re.fullmatch(r"selftest  5 jump/recession consistency: \d+\.\d{3} s\n"
+                        r"selftest  6 homogenization cross-formula: \d+\.\d{3} s\n", captured.err)
 
 
 def test_mueller_command(tmp_path, capsys):
@@ -458,14 +466,27 @@ def test_homogenize_command(tmp_path, capsys):
 
 
 def test_jump_command_reports_an_unconverged_solver(tmp_path, capsys):
-    # the diagonal cell stops at max_iters=2000, 0.028 above |dv (.) nu|:
-    # however small the spread, the estimate is not converged
-    code, _ = run_cli(tmp_path, "jump", "--v-plus", "0,1",
+    # mueller-h declares no conjugate, and its diagonal cell stops at
+    # max_iters=2000: however small the spread, the estimate is not converged
+    code, _ = run_cli(tmp_path, "jump", "--integrand", "mueller-h", "--v-plus", "0,1",
                       "--nu", "0.7071067811865476,0.7071067811865476",
                       "--mesh", "16", "--eps-schedule", "1")
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["converged"] is False and payload["spread"] == 0.0
+
+
+def test_diagonal_jump_command_converges_on_a_certified_gap(tmp_path, capsys):
+    # the abs-sym diagonal cell stopped at max_iters=2000, 0.028 above
+    # |dv (.) nu|; the primal-dual finish now closes its gap, so `converged`
+    # is earned, and the sample lies within 1e-5 of the discrete infimum
+    code, _ = run_cli(tmp_path, "jump", "--v-plus", "0,1",
+                      "--nu", "0.7071067811865476,0.7071067811865476",
+                      "--mesh", "16", "--eps-schedule", "1")
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is True and payload["spread"] == 0.0
+    assert 0.88725 < payload["extrapolated"] < 0.88727
 
 
 def test_jump_command_sbd(tmp_path, capsys):

@@ -26,10 +26,11 @@ def test_no_unused_imports(path):
 
 def test_solver_internals_stay_in_cellsolver():
     """Only cellsolver.py imports the L-BFGS minimizer, the Q1 element
-    kernel and the duality-gap certificates of the conforming and the SBD
-    cells: every cell problem is solved and certified through its
-    multistart driver."""
-    private = {"minimize_lbfgs", "lbfgs_steps", "_q1_quadrature", "_dual_bound", "_sbd_bound"}
+    kernel, the symmetric strain operator, the primal-dual finish and the
+    duality-gap certificates of the conforming and the SBD cells: every cell
+    problem is solved and certified through its multistart driver."""
+    private = {"minimize_lbfgs", "lbfgs_steps", "_q1_quadrature", "_dual_bound", "_sbd_bound",
+               "_SymStrain", "_pdhg"}
     offenders = []
     for path in SRC:
         if path.name == "cellsolver.py":
