@@ -48,7 +48,9 @@ class Integrand:
     `dual_datum` (c, m) declares raw = c(x) sqrt(m^2 + |sym A|^2), with c a
     positive number or an x-only function of the points (m,) and m >= 0;
     the conjugate is -m sqrt(c^2 - |tau|^2) on |tau| <= c, and solve_ld
-    then certifies its runs with a duality gap (_dual_bound).
+    then certifies its runs with a duality gap (_dual_bound). `floor` is a
+    number c with raw >= c everywhere, which gives solve_ld the lower bound
+    c |box|.
     """
 
     name: str
@@ -62,12 +64,13 @@ class Integrand:
     mu: float = 0.0
     recession_exact: "Integrand | None" = None
     dual_datum: tuple | None = None
+    floor: float | None = None
 
     def check_flags(self) -> None:
         """Sampled validation of the declared structure flags at 16 seeded
         Gaussian points, to a relative tolerance of 1e-9. The Q1 kernel
         relies on v_independent: it hands such an integrand a zero V, and a
-        wrong dual_datum would certify a false lower bound."""
+        wrong dual_datum or floor would certify a false lower bound."""
         rng, tol = np.random.default_rng(0), 1e-9
         X, V, A = rng.normal(size=(16, 2)), rng.normal(size=(16, 2)), rng.normal(size=(16, 2, 2))
         base = self.raw(X, V, A)
@@ -90,6 +93,8 @@ class Integrand:
             target = c * np.sqrt(m * m + frob_sq(sym(A)))
             if m < 0 or np.any(c <= 0) or np.max(np.abs(base - target)) > tol * np.max(target):
                 raise ValueError(f"integrand {self.name}: dualDatum (c, m = {m:g}) violated")
+        if self.floor is not None and np.any(base < self.floor - tol * (1 + np.max(np.abs(base)))):
+            raise ValueError(f"integrand {self.name}: floor {self.floor:g} violated")
 
 
 def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
@@ -101,7 +106,7 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
     offset. Flags are those of f0; the exact recession, where f0 has one,
     is (c / s_A) f0^inf(x, v0 + eps_v w, A). A dual datum (c0, m) becomes
     (c c0 / s_A, m s_A), and an offset A0 drops it (the density is no
-    longer of that form).
+    longer of that form); a floor becomes c floor, with or without A0.
     """
     if c <= 0 or s_A <= 0:
         raise ValueError("scale must be positive")
@@ -138,7 +143,9 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
         c0, m = dual
         c1 = (lambda X: c_A * c0(X)) if callable(c0) else c_A * c0
         dual = None if A0 is not None else (c1, m * s_A)
-    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_datum=dual)
+    floor = None if f0.floor is None else c * f0.floor
+    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_datum=dual,
+                   floor=floor)
 
 
 @dataclass(frozen=True)
@@ -774,7 +781,7 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
     return U_best, best, "max_iters", PDHG_MAX_ITERS, y
 
 
-def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None):
+def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, floor=None):
     """Minimize fg, which maps stacked points X (K, d) to values (K,) and a
     grad(rows) giving the gradients (len(rows), d) of the listed rows, from
     each of `starts` in lockstep on one thread (spec.solver.jobs has no
@@ -797,23 +804,34 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None):
     finish(k, x, stress, best bound) = (its final point, a bound, its reason
     "gap" or "max_iters", its iterations, which the diagnostics hold as
     pdhg_iters), and the run's smoothed value there comes from one fg call.
-    Once a run has ended on "gap", every active run whose last accepted
-    point would lose the selection to it ends at that point in the same
-    round, with reason "superseded": by the bound, no start can end more
-    than GAP_TOL below the certified value. Up to its end, every run
-    follows its serial trajectory. A run's stop reason is then "gtol",
-    "gap", "superseded", "max_iters" or "line_search_stall".
+    With `floor` = (a lower bound, raw: x -> the raw value of a point), the
+    best bound starts there, and a run that ends on its own closes as a
+    certified one does when raw(x) minus the best bound is at most GAP_TOL
+    times that value plus 1e-12 x datum scale x |box|; its reason stays.
+    Once a run has closed, every active run whose last accepted point
+    would lose the selection to it ends at that point in the same round,
+    with reason "superseded": by the bound, no start can end more than
+    GAP_TOL below the closed value. Up to its end, every run follows its
+    serial trajectory. A run's stop reason is then "gtol", "gap",
+    "superseded", "max_iters" or "line_search_stall".
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
     grads_sent, best = [0] * len(runs), -math.inf  # a run's gradients count its iterations
-    accepted, gaps, pdhg_iters = [math.inf] * len(runs), {}, [0] * len(runs)
+    accepted, gaps, pdhg_iters, closed = [math.inf] * len(runs), {}, [0] * len(runs), []
+    if floor is not None:
+        best, raw = floor
+        atol = 1e-12 * spec.boundary.scale * spec.box.volume
 
     def send(k, msg):
         try:
             points[k] = runs[k].send(msg)
         except StopIteration as stop:
             results[k] = stop.value
+
+    def closes(r):  # its raw value is within GAP_TOL of the best bound
+        value = raw(r["x"])
+        return value - best <= GAP_TOL * value + atol
 
     active = list(range(len(runs)))
     with np.errstate(over="ignore", invalid="ignore"):  # lbfgs_steps judges non-finite values
@@ -849,7 +867,8 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None):
                 best = max(best, bound)
                 results[k].update(x=x, f=float(fg(x[None])[0][0]), reason=reason,
                                   converged=reason == "gap")
-            closed = [k for k, r in enumerate(results) if r is not None and r["reason"] == "gap"]
+            closed += [k for k in active if results[k] is not None and (
+                results[k]["reason"] == "gap" or floor is not None and closes(results[k]))]
             if closed:
                 r = min(closed, key=lambda k: (results[k]["f"], k))
                 for k in active:
@@ -888,7 +907,9 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     stress and gradient of each certified point's own gradient pass, with
     c read at the points the kernel read (the frozen point under
     freeze_x), and its diagnostics then hold the best lower_bound found
-    and the gap, value - lower_bound.
+    and the gap, value - lower_bound. An integrand with a floor c (raw >= c)
+    has the lower bound c |box|, against which a run that ends on its own
+    closes the solve (_multistart).
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
@@ -938,8 +959,9 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
             corrections.get(k))
         return U[free].ravel(), bound, reason, iters
 
+    floor = None if f.floor is None else (f.floor * spec.box.volume, lambda x: raw_value(field(x)))
     res, diag = _multistart(fg, starts, spec, None if dual is None else certify,
-                            finish if dual is not None and dual[1] == 0 else None)
+                            finish if dual is not None and dual[1] == 0 else None, floor)
     Ubest = field(res["x"])
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)

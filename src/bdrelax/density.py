@@ -181,7 +181,8 @@ def _h_pieces(A):
 
 
 def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
-    """mueller_h as a full-gradient Integrand (depends on the skew part)."""
+    """mueller_h as a full-gradient Integrand (depends on the skew part),
+    with the floor 0."""
 
     def raw(X, V, A):
         l1, l2, l3, l4 = _h_pieces(A)
@@ -191,18 +192,19 @@ def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
         return np.sqrt(t * t + mu * mu)
 
     @_kept
-    def roots(A):  # the roots of the four pieces
-        return [_root(t) for t in _h_pieces(A)]
+    def terms(A):  # the four pieces, their roots, the smoothed |l3| and |l4| and the root of a - b
+        pieces = _h_pieces(A)
+        roots = [_root(t) for t in pieces]
+        a, b = roots[2] - mu, roots[3] - mu
+        return pieces, roots, a, b, _root(a - b)
 
     def value(X, V, A):
-        r1, r2, r3, r4 = roots(A)
-        a, b = r3 - mu, r4 - mu
-        return (r1 - mu) + (r2 - mu) + 0.5 * (a + b - (_root(a - b) - mu))
+        _, (r1, r2, _, _), a, b, root_ab = terms(A)
+        return (r1 - mu) + (r2 - mu) + 0.5 * (a + b - (root_ab - mu))
 
     def grad(X, V, A):
-        (l1, l2, l3, l4), (r1, r2, r3, r4) = _h_pieces(A), roots(A)
-        a, b = r3 - mu, r4 - mu
-        t = (a - b) / _root(a - b)
+        (l1, l2, l3, l4), (r1, r2, r3, r4), a, b, root_ab = terms(A)
+        t = (a - b) / root_ab
         da = 0.5 * (1.0 - t) * (l3 / r3)
         db = 0.5 * (1.0 + t) * (l4 / r4)
         d1, d2 = l1 / r1, l2 / r2
@@ -215,7 +217,7 @@ def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
 
     f = Integrand(name="mueller-h", value=value, grad=grad, raw=raw,
                   convex=False, one_homogeneous=True, sym_only=False,
-                  v_independent=True, mu=mu)
+                  v_independent=True, mu=mu, floor=0.0)
     return replace(f, recession_exact=f)
 
 

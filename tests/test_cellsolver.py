@@ -15,8 +15,8 @@ from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplac
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
 from bdrelax.density import (_REGISTRY, _SURFACE_REGISTRY, A0, abs_sym, g_odot, g_penalty,
                              get_integrand, get_surface_integrand, laminate_a, mueller_f_eps,
-                             mueller_h_integrand, scaled, sqrt1plus_sym, truncated_neg_sym_sq,
-                             vmin_abs)
+                             mueller_h_integrand, scaled, sq_envelope, sqrt1plus_sym,
+                             truncated_neg_sym_sq, vmin_abs)
 from bdrelax.geometry import Box
 from bdrelax.minimize import EndRun, SolverError, lbfgs_steps, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
@@ -80,6 +80,50 @@ def test_caller_ends_a_run_with_its_reason():
         res = stop.value
     assert res["reason"] == "superseded" and res["converged"] and res["iters"] == 2
     assert np.array_equal(res["x"], x_end) and res["nfev"] == nfev
+
+
+H2 = np.array([[4.0, 1.0], [1.0, 2.0]])
+
+
+def _edge_run(value, grad, max_iters=6):
+    """lbfgs_steps from (3, -5) on 1/2 x.H2 x, with value(x, n) and
+    grad(x, n) given the point and the count n of their own calls."""
+    calls = {value: 0, grad: 0}
+
+    def call(fn, x):
+        calls[fn] += 1
+        return fn(x, calls[fn])
+
+    steps = lbfgs_steps(np.array([3.0, -5.0]), max_iters)
+    x = next(steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _multistart
+        try:
+            while True:
+                msg = steps.send(call(value, x))
+                x = steps.send(call(grad, x)) if msg is None else msg
+        except StopIteration as stop:
+            return stop.value
+
+
+def test_lbfgs_edge_paths():
+    # an uphill gradient stalls at iteration 0; an inf trial value halves the
+    # step; a gradient scaled by 1e148 at the second accepted point overflows
+    # the two-loop recursion to an ascent direction, restarts from steepest
+    # descent and then stalls; a plain run ends on max_iters
+    def value(x, n):
+        return 0.5 * x @ H2 @ x
+
+    def grad(x, n):
+        return H2 @ x
+
+    runs = [_edge_run(value, lambda x, n: -(H2 @ x)),
+            _edge_run(lambda x, n: math.inf if n == 2 else value(x, n), grad),
+            _edge_run(value, lambda x, n: H2 @ x * (1e148 if n == 3 else 1.0)),
+            _edge_run(value, grad)]
+    assert [(r["iters"], r["nfev"], r["reason"]) for r in runs] == [
+        (0, 51, "line_search_stall"), (6, 8, "gtol"), (2, 3, "line_search_stall"),
+        (6, 7, "max_iters")]
+    assert [r["converged"] for r in runs] == [False, True, False, False]
 
 
 def test_convex_affine_exactness():
@@ -351,6 +395,26 @@ def test_lockstep_matches_serial_ld():
     assert np.array_equal(sol.argmin.values, U)
     assert sol.value == raw_energy(grid, U, f, freeze_x=spec.freeze_x)
     assert {r for _, _, r in sol.diagnostics["starts"]} == {"gtol", "max_iters"}
+
+
+def test_lockstep_trajectories_pinned():
+    # the solve of test_lockstep_matches_serial_ld as recorded before the
+    # floor went in: an integrand with a floor keeps each start's stop, work
+    # and value while no run closes on it
+    sp = SolverParams(multistarts=8, seed=0, max_iters=200)
+    spec = CellSpec(boundary=AffineData(A0, np.zeros(2)), mesh=8, solver=sp,
+                    freeze_x=np.zeros(2))
+    extra = np.random.default_rng(7).normal(size=(Grid(spec.box, spec.mesh).n_nodes, 2))
+    sol = solve_ld(spec, mueller_h_integrand(), extra_starts=[extra])
+    assert sol.diagnostics["starts"] == [
+        (0, 1, "gtol"), (200, 217, "max_iters"), (200, 219, "max_iters"), (200, 220, "max_iters"),
+        (200, 219, "max_iters"), (200, 220, "max_iters"), (200, 217, "max_iters"),
+        (200, 222, "max_iters"), (200, 215, "max_iters")]
+    assert sol.diagnostics["start_values"] == [
+        1.9999990000002503, 1.9999990000016057, 1.9999990000002867, 1.9999990000014094,
+        1.9999990000003325, 1.9999990419715, 1.9999990000125805, 1.9999991215532558,
+        1.999999000000325]
+    assert sol.value == 2.0
 
 
 def test_lockstep_matches_serial_periodic():
@@ -1033,6 +1097,34 @@ def test_sbd_penalty_limit_matches_ld():
     assert (diag["iters"], diag["reason"]) == (32, "gap")
     assert diag["lower_bound"] <= sbd.value <= frob(A) * (1 + 1e-12)
     assert diag["gap"] == sbd.value - diag["lower_bound"] <= 1e-5 * sbd.value
+
+
+def test_floor_datum_is_checked_and_reparametrized():
+    # a floor c (raw >= c) is sampled like the other declarations, scales
+    # with c and, being pointwise, survives an offset A0
+    f = mueller_h_integrand()
+    assert f.floor == 0.0
+    f.check_flags()
+    with pytest.raises(ValueError, match="floor"):
+        replace(f, floor=5.0).check_flags()
+    assert reparametrize(f, c=3.0, A0=A0).floor == 0.0
+    assert reparametrize(replace(f, floor=0.25), c=2.0, s_A=5.0, A0=A0).floor == 0.5
+    assert reparametrize(abs_sym(), c=2.0).floor is None
+
+
+def test_floor_closes_the_identity_cell_in_its_first_round():
+    # h >= 0 and the clean start of Qh(Id) ends on gtol at iteration 0 with
+    # a raw value of about 4e-16, within the absolute part of the floor's
+    # test: no other start runs past the round in which it closed, and
+    # every perturbed start ends there at its start point
+    est = sq_envelope(mueller_h_integrand(), np.eye(2), mesh_schedule=(8, 16))
+    for mesh, diag in est.diagnostics.items():
+        starts = diag["starts"]
+        assert starts[0] == (0, 1, "gtol") and diag["seed"] == 0
+        assert all(nfev <= starts[0][1] for _, nfev, _ in starts)
+        assert starts[1:8] == [(0, 1, "superseded")] * 7
+        assert diag["lower_bound"] == 0.0 and 0.0 <= diag["gap"] < 1e-15
+    assert all(0.0 <= v < 1e-10 for _, v in est.samples)
 
 
 def test_sbd_clean_affine_start_ends_on_gap():

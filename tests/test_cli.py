@@ -359,7 +359,9 @@ def test_json_identical_across_processes(tmp_path):
              ["jump.json", "jump.csv"]),
             (["--multistarts", "2", "homogenize", "--integrand", "laminate-a", "--A", "1,0;0,0",
               "--T-schedule", "1", "--mesh", "8", "--formula", "periodic"],
-             ["homogenize.json"])):
+             ["homogenize.json"]),
+            # 8 starts at mesh 4, then those 8 and the prolonged one at mesh 8
+            (["mueller", "--matrix", "A0", "--mesh", "4,8"], ["mueller.json", "mueller.csv"])):
         argv = [sys.executable, "-m", "bdrelax.cli", "--out", str(tmp_path), *command]
         outs = []
         for _ in range(2):
