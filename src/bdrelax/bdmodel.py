@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .geometry import Box, box_plane_segment, box_quadrature, clip_halfplane, polygon_area
+from .geometry import Box, box_integral, box_plane_segment, clip_halfplane, polygon_area
 from .tensor import frob, odot, sym
 
 
@@ -646,15 +646,16 @@ def tv_mass(u: StructuredBD, box: Box, ac_cells: int = 64) -> Mass:
 
     The box is taken open, and any atom hyperplane coinciding with a box
     face raises BoundaryChargedBox (the open/closed box masses differ).
-    A non-affine smooth part enters as one quadrature term.
+    A non-affine smooth part enters as one quadrature term, run in fixed
+    blocks of points (box_integral): memory is bounded by the block, not by
+    ac_cells^2, and the value equals the full-array sum bit for bit.
     """
     _check_boundary_charge(u, box, "boundary-charged box")
     affine = isinstance(u.smooth, SmoothAffine)
     out = _mass(u, box.center, _as_fraction(box.volume) if affine else None,
                 lambda nu, c: _as_fraction(box_plane_segment(box, nu, float(c))))
     if not affine:
-        pts, w = box_quadrature(box, cells=ac_cells, npts=3)
-        val = float(np.sum(w * frob(u.e_ac(pts))))
+        val = box_integral(box, ac_cells, 3, lambda X: frob(u.e_ac(X)))
         if val > 0.0:
             out.add(("ac-quad",), Fraction(1), val)
     return out

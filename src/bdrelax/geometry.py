@@ -132,8 +132,11 @@ def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS[npts]
 
 
-def box_quadrature(box: Box, cells: int, npts: int = 2):
-    """Tensor Gauss rule over the box: (points (m,2), weights (m,))."""
+QUAD_BLOCK = 8192  # points per block of box_integral
+
+
+def _tensor_axes(box: Box, cells: int, npts: int):
+    """Nodes and weights of the tensor Gauss rule along each axis."""
     if cells < 1:
         raise ValueError(f"quadrature cells per axis must be >= 1, got {cells}")
     g, w = gauss_rule(npts)
@@ -142,12 +145,40 @@ def box_quadrature(box: Box, cells: int, npts: int = 2):
     mids = lo[None, :] + (np.arange(cells)[:, None] + 0.5) * h[None, :]
     x1 = (mids[:, 0][:, None] + 0.5 * h[0] * g[None, :]).ravel()
     x2 = (mids[:, 1][:, None] + 0.5 * h[1] * g[None, :]).ravel()
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
     w1 = np.tile(0.5 * h[0] * w, cells)
     w2 = np.tile(0.5 * h[1] * w, cells)
-    W = (w1[:, None] * w2[None, :]).ravel()
-    return pts, W
+    return x1, x2, w1, w2
+
+
+def _tensor_rows(x1, x2, w1, w2):
+    """Points (m,2) and weights (m,) of the rows x1 of the tensor grid."""
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+    pts = np.stack([X1.ravel(), X2.ravel()], axis=1)
+    return pts, (w1[:, None] * w2[None, :]).ravel()
+
+
+def box_quadrature(box: Box, cells: int, npts: int = 2):
+    """Tensor Gauss rule over the box: (points (m,2), weights (m,))."""
+    return _tensor_rows(*_tensor_axes(box, cells, npts))
+
+
+def box_integral(box: Box, cells: int, npts: int, density) -> float:
+    """Tensor Gauss quadrature of the batched density(points (m,2)) -> (m,)
+    over the box, evaluated QUAD_BLOCK points at a time.
+
+    Each block writes its weighted values into one vector that is summed
+    once, so the result equals float(np.sum(w * density(pts))) on the full
+    box_quadrature arrays bit for bit, while the density's temporaries are
+    bounded by the block rather than by the (cells * npts)^2 points.
+    """
+    x1, x2, w1, w2 = _tensor_axes(box, cells, npts)
+    rows = max(1, QUAD_BLOCK // len(x2))
+    out = np.empty(len(x1) * len(x2))
+    for i in range(0, len(x1), rows):
+        pts, w = _tensor_rows(x1[i:i + rows], x2, w1[i:i + rows], w2)
+        start = i * len(x2)
+        out[start:start + len(w)] = w * density(pts)
+    return float(np.sum(out))
 
 
 def segment_midpoints(p, q, panels: int):

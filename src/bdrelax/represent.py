@@ -9,7 +9,7 @@ import numpy as np
 
 from .bdmodel import StructuredBD, _check_boundary_charge
 from .cellsolver import Integrand
-from .geometry import Box, box_plane_chord, box_quadrature, segment_midpoints
+from .geometry import Box, box_integral, box_plane_chord, segment_midpoints
 from .tensor import odot
 
 
@@ -35,10 +35,13 @@ def assemble(u: StructuredBD, box: Box, f, g, finf, quad: int = 64) -> Represent
     jump   = integral of g(x, u-, u+, nu) over the jump planes in the box,
     cantor = integral of finf(x, u(x), polar) against the singular-profile
              atoms, with u at an atom taken as the two-sided midpoint.
+
+    The bulk quadrature runs in fixed blocks of points (box_integral):
+    memory is bounded by the block, not by quad^2, and the value equals the
+    full-array sum bit for bit.
     """
     _check_boundary_charge(u, box, "boundary-charged box")
-    pts, w = box_quadrature(box, cells=quad, npts=2)
-    bulk = float(np.sum(w * f(pts, u.value(pts), u.e_ac(pts))))
+    bulk = box_integral(box, quad, 2, lambda X: f(X, u.value(X), u.e_ac(X)))
     jump = cantor = 0.0
     for atom in u.atoms():
         chord = box_plane_chord(box, atom.n, float(atom.c)) if atom.norm > 0.0 else None
@@ -129,11 +132,11 @@ class MollifiedField:
 
 def mollified_energy(u: StructuredBD, f0: Integrand, width: float, box: Box,
                      quad: int = 512) -> float:
-    """Direct quadrature of f0(x, u_h(x), e(u_h)(x)) over the box."""
+    """Direct quadrature of f0(x, u_h(x), e(u_h)(x)) over the box, in fixed
+    blocks of points (box_integral): memory is bounded by the block, not by
+    quad^2, and the value equals the full-array sum bit for bit."""
     mol = MollifiedField(u, width)
-    pts, w = box_quadrature(box, cells=quad, npts=1)
-    vals = f0.raw(pts, mol.value(pts), mol.e_field(pts))
-    return float(np.sum(w * vals))
+    return box_integral(box, quad, 1, lambda X: f0.raw(X, mol.value(X), mol.e_field(X)))
 
 
 def relaxation_upper_check(u: StructuredBD, f0: Integrand, levels, box: Box) -> dict:
@@ -142,7 +145,9 @@ def relaxation_upper_check(u: StructuredBD, f0: Integrand, levels, box: Box) -> 
 
     Meaningful for convex, v-independent, one-homogeneous f0, where the
     relaxed densities are f0 itself, its value on the jump direction, and
-    its value on the polar.
+    its value on the polar. Both quadratures run in fixed blocks of points:
+    memory is bounded by the block, not by the 512^2 points of a level, and
+    the values equal the full-array sums bit for bit.
     """
     if not (f0.convex and f0.v_independent and f0.one_homogeneous):
         raise ValueError("relaxation check requires a convex, v-independent, "

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bdrelax.geometry import (Box, box_halfplane_area, box_plane_chord, box_plane_segment,
-                              box_quadrature, clip_halfplane, polygon_area,
+from bdrelax import geometry
+from bdrelax.bdmodel import StructuredBD
+from bdrelax.geometry import (Box, box_halfplane_area, box_integral, box_plane_chord,
+                              box_plane_segment, box_quadrature, clip_halfplane, polygon_area,
                               segment_midpoints, segment_panels)
 
 
@@ -60,6 +62,41 @@ def test_quadrature_exactness():
     val = np.sum(w * pts[:, 0] ** 3 * pts[:, 1] ** 2)
     exact = (2.0 ** 4 / 4.0) * (2.0 / 3.0)
     assert val == pytest.approx(exact, rel=1e-13)
+
+
+_AFFINE = StructuredBD.affine(np.random.default_rng(11).normal(size=(2, 2)), (0.3, -0.7))
+_STAIR = StructuredBD.staircase(depth=5, total_mass=1, support=(0, 1))
+
+
+@pytest.mark.parametrize("u", [_AFFINE, _STAIR], ids=["affine", "staircase"])
+@pytest.mark.parametrize("cells,npts", [(1, 1), (1, 3), (5, 2), (81, 1), (100, 3), (243, 1)])
+def test_box_integral_equals_full_array_sum(u, cells, npts):
+    # 1, 5x2 and 81 points per axis fit in one block; 100x3 and 243 end on a
+    # block that is not full; the density goes through BLAS matmuls
+    b = Box(lo=(-0.25, -0.5), hi=(1.25, 0.5))
+
+    def density(X):
+        v = u.value(X)
+        return np.sqrt((v * v).sum(axis=1)) + (v @ np.array([[0.3, -1.1], [0.7, 0.2]]))[:, 0]
+
+    pts, w = box_quadrature(b, cells=cells, npts=npts)
+    assert box_integral(b, cells, npts, density) == float(np.sum(w * density(pts)))
+
+
+def test_box_integral_block_size_invariant(monkeypatch):
+    b = Box(lo=(0.1, -0.37), hi=(0.9, 0.61))
+    pts, w = box_quadrature(b, cells=96, npts=2)
+    ref = float(np.sum(w * _AFFINE.value(pts)[:, 1]))
+    for block in (1, 1000, 4096, 8191, 8192, 8193, 10 ** 6):
+        monkeypatch.setattr(geometry, "QUAD_BLOCK", block)
+        assert box_integral(b, 96, 2, lambda X: _AFFINE.value(X)[:, 1]) == ref
+
+
+def test_box_integral_rejects_zero_cells():
+    b = Box.cube((0.0, 0.0), 1.0)
+    for fn in (lambda: box_quadrature(b, cells=0), lambda: box_integral(b, 0, 1, np.ones_like)):
+        with pytest.raises(ValueError, match="cells per axis must be >= 1, got 0"):
+            fn()
 
 
 def test_segment_panels_split():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,20 @@ def test_mollified_jump_ramp():
     # the strain integrates back to the jump content (hat has unit mass)
     e = mollified_energy(u, F0, 0.125, BOX, quad=512)
     assert e == pytest.approx(2 ** -0.5, rel=1e-3)
+
+
+def test_mollified_energy_memory_bounded_by_the_block():
+    # 512^2 points at once held (262144, 2, 2) strain stacks of 8 MB each,
+    # a 30 MB peak; blocked quadrature keeps one 2 MB weighted-value vector
+    u = StructuredBD.two_constant((0.0, 0.0), E2, E1)
+    mollified_energy(u, F0, 0.125, BOX, quad=8)  # warm caches outside the window
+    tracemalloc.start()
+    try:
+        mollified_energy(u, F0, 0.125, BOX, quad=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_relaxation_upper_check_sequences():
