@@ -565,15 +565,14 @@ class _SymStrain:
     """The symmetric strain operator K: u -> sym grad u at the kernel's
     quadrature points, for Q1 fields on `grid` whose free entries (those of
     the interior nodes in a flattened field) are `dofs`, gathered and
-    scattered through the first copy of a plan (_plan).
+    scattered through the first copy of a plan (_plan). A stress is held in
+    the components (3, Q E) (s11, s22, sqrt2 s12), so that S : e is a dot
+    product and |S| a Euclidean norm; comps converts the kernel's stresses.
 
-    - strains(U) is K by the kernel's own arithmetic (_q1_strains), whose
-      bits the certificate pairs with the kernel's stresses;
-    - K(Uf) is the same map as one product per element with Bc, the strains
-      of the 8 unit fields of one element, and KT(S) = sum_q w Bc^T S_q is
-      its weighted scatter onto the free entries. Both hold a stress in the
-      components (s11, s22, sqrt2 s12), so that S : e is a dot product and
-      |S| a Euclidean norm; comps and tensor convert;
+    - Bc (3 Q, 8) holds the strains of the 8 unit fields of one element,
+      which the kernel's strain half (_q1_strains) forms once here;
+      K(Uf) = Bc U_e is one product per element of a flattened field and
+      KT(S) = sum_q w Bc^T S_q its weighted scatter onto the free entries;
     - Ke = sum_q w B_q^T B_q is the 8x8 stiffness that every element of the
       uniform grid shares, and solve runs CG on the assembled operator;
     - norm_sq estimates |K|^2, the top eigenvalue of that operator.
@@ -581,18 +580,13 @@ class _SymStrain:
 
     def __init__(self, grid: Grid, plan: tuple, dofs: np.ndarray):
         self.grid, self.dofs, self.n = grid, dofs, grid.n_nodes
-        self.gather, self.scatter = plan[0][:1], plan[1][0]
+        self.gather, self.scatter = plan[0][0], plan[1][0]
         one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
-        self.B = self.strains(np.eye(8).reshape(8, 4, 2), one)  # (Q, k, j, 8)
-        self.Ke = _q1_scatter(grid, self.B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
-        self.Bc = self.comps(self.B).reshape(-1, 8)  # (3 Q, 8)
+        G = _q1_strains(grid, np.eye(8).reshape(8, 4, 2), one)[1]
+        B = 0.5 * (G + G.transpose(0, 2, 1, 3))  # (Q, k, j, 8), symmetric
+        self.Ke = _q1_scatter(grid, B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
+        self.Bc = self.comps(B).reshape(-1, 8)  # (3 Q, 8)
         self.slots = np.ascontiguousarray(self.scatter.reshape(-1, 8).T)  # (8, E) flat entries
-
-    def strains(self, U: np.ndarray, index=None) -> np.ndarray:
-        """sym grad (Q, k, j, E), symmetric: also (Q, j, k, E), of a stack U
-        (1, n, 2) or, through `index`, of other nodal slots."""
-        G = _q1_strains(self.grid, U, self.gather if index is None else index)[1]
-        return 0.5 * (G + G.transpose(0, 2, 1, 3))
 
     def K(self, Uf: np.ndarray) -> np.ndarray:
         return (self.Bc @ Uf.take(self.slots)).reshape(3, -1)
@@ -606,15 +600,9 @@ class _SymStrain:
         return np.stack([stress[:, 0, 0], stress[:, 1, 1],
                          math.sqrt(2.0) * stress[:, 0, 1]]).reshape(3, -1)
 
-    def tensor(self, S: np.ndarray) -> np.ndarray:
-        """The stresses (Q, j, k, E) of components S (3, Q E)."""
-        S11, S22, S12 = S.reshape(3, len(self.grid.Nval), -1)
-        S12 = S12 / math.sqrt(2.0)
-        return np.stack([np.stack([S11, S12], 1), np.stack([S12, S22], 1)], 1)
-
     def _stiffness(self, y: np.ndarray, Ke, Uy: np.ndarray) -> np.ndarray:
         Uy[self.dofs] = y
-        Ue = Uy.reshape(self.n, 2).take(self.gather[0], axis=0).reshape(-1, 8)  # (E, 8)
+        Ue = Uy.reshape(self.n, 2).take(self.gather, axis=0).reshape(-1, 8)  # (E, 8)
         KUe = Ue @ Ke if Ke.ndim == 2 else np.einsum("ei,eij->ej", Ue, Ke)
         return np.bincount(self.scatter.ravel(), KUe.ravel(), minlength=2 * self.n)[self.dofs]
 
@@ -622,8 +610,8 @@ class _SymStrain:
         """CG on the assembled sum_e Ue^T Ke Ue over the free entries, with
         the shared Ke (Ke None) or one matrix (E, 8, 8) per element and a
         Jacobi preconditioner, for the right side g from y (or 0) to a
-        relative residual of CG_TOL. Returns (y, the correction field (n, 2)
-        or None where CG stops short of CG_TOL)."""
+        relative residual of CG_TOL. Returns (y, the flattened correction
+        field (2 n) or None where CG stops short of CG_TOL)."""
         shared = Ke is None
         if shared:
             Ke = self.Ke
@@ -649,7 +637,7 @@ class _SymStrain:
         else:
             return y, None
         Uy[self.dofs] = y
-        return y, Uy.reshape(1, self.n, 2)
+        return y, Uy
 
     @cached_property
     def norm_sq(self) -> float:
@@ -664,30 +652,29 @@ class _SymStrain:
 
 
 def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
-                stress: np.ndarray, g: np.ndarray, y=None):
+                stress: np.ndarray, y=None):
     """A lower bound on the discrete infimum of sum_q w f_q(sym grad u_q),
     f_q(S) = c_q sqrt(m^2 + |S|^2), over Q1 fields u equal to `datum` (n, 2)
-    at the boundary nodes, from a run's field U (n, 2), the stresses
-    (Q, j, k, E) = df/dA, |stress_q| <= c_q, and the free entries of the
-    nodal gradient g = sum_q w B^T stress that its gradient pass formed,
-    through the operator `op` (_SymStrain). `dual` is (c, m): c a number or
-    the radii c_q (Q, E) at the points the kernel read, and m >= 0.
+    at the boundary nodes, from a run's field U (n, 2) and any stress
+    (3, Q E) in the components of the operator `op` (_SymStrain): the bound
+    equilibrates whatever stress it is given, so it is valid for every one.
+    `dual` is (c, m): c a number or the radii c_q (Q, E) at the points the
+    kernel read, and m >= 0.
 
     1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w H_q[e(y)] : e(y),
        e(y) = sym grad y, over fields y vanishing at the boundary nodes
-       solves K y = g from y (the previous correction, or 0) to a relative
-       residual of CG_TOL, so tau = stress - H[e(y)] does no work on any
-       such field. For m = 0, H is the identity and K is applied through
-       the one 8x8 matrix that every element of the uniform grid has (the
-       kernel's strain and scatter halves on the unit fields of one
-       element). For m > 0, H_q is the Hessian of f_q at the run's strain
-       S_q, H[D] = (c / rho)(D - S (S : D) / rho^2) with
+       solves K y = KT(stress) from y (the previous correction, or 0) to a
+       relative residual of CG_TOL, so tau = stress - H[e(y)] does no work
+       on any such field. For m = 0, H is the identity and K is applied
+       through the one 8x8 matrix that every element of the uniform grid
+       has. For m > 0, H_q is the Hessian of f_q at the run's strain
+       S_q = K(U), H[D] = (c / rho)(D - S (S : D) / rho^2) with
        rho = sqrt(m^2 + |S|^2), so tau is the run's stress after one Newton
        step; K is assembled as one 8x8 matrix per element and solved with
        a Jacobi preconditioner. Any positive definite H leaves tau
        equilibrated: it makes the bound tight, not valid;
     2. scale tau into the balls |tau_q| <= c_q by one factor s;
-    3. return sum_q w [s tau : grad u_D + m sqrt(c_q^2 - s^2 |tau_q|^2)],
+    3. return sum_q w [s tau : e(datum) + m sqrt(c_q^2 - s^2 |tau_q|^2)],
        which equals sum_q w [s tau : sym grad u - f_q*(s tau)] <= sum_q w
        f_q(sym grad u) for every admissible u, f_q*(tau) =
        -m sqrt(c_q^2 - |tau|^2) being the conjugate (Fenchel-Young).
@@ -695,31 +682,25 @@ def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
     Returns (bound, y), with bound None where CG stops short of CG_TOL.
     """
     grid, (c, m) = op.grid, dual
+    Q, E = len(grid.Nval), len(grid.conn)
     Ke = None
     if m > 0:
-        Q, E = len(grid.Nval), len(grid.conn)
-        B = op.B.reshape(Q, 4, 8)
-        S = op.strains(U[None]).reshape(Q, 4, E)
-        rho2 = m * m + (S * S).sum(axis=1)
+        B = op.Bc.reshape(3, Q, 8)
+        S = op.K(U.ravel()).reshape(3, Q, E)
+        rho2 = m * m + (S * S).sum(axis=0)
         a = c / np.sqrt(rho2)  # (Q, E)
-        b = np.einsum("qci,qce->qei", B, S)  # B_q^T S_q
-        BtB = np.einsum("qci,qcj->qij", B, B).reshape(Q, 64)
+        b = np.einsum("cqi,cqe->qei", B, S)  # B_q^T S_q
+        BtB = np.einsum("cqi,cqj->qij", B, B).reshape(Q, 64)
         Ke = (a.T @ BtB).reshape(E, 8, 8) - np.einsum("qei,qej->eij", (a / rho2)[..., None] * b, b)
         Ke *= grid.wq
-    y, Uy = op.solve(g, y, Ke)
+    y, Uy = op.solve(op.KT(stress), y, Ke)
     if Uy is None:
         return None, y
-    D = op.strains(Uy)
-    if m == 0:
-        tau = stress - D
-    else:
-        D = D.reshape(Q, 4, E)
-        tau = stress - (a[:, None] * (D - S * ((S * D).sum(axis=1) / rho2)[:, None])).reshape(
-            Q, 2, 2, E)
-    size = np.sqrt((tau * tau).sum(axis=(1, 2)))  # (Q, E)
+    D = op.K(Uy).reshape(3, Q, E)
+    tau = stress.reshape(3, Q, E) - (D if m == 0 else a * (D - S * ((S * D).sum(axis=0) / rho2)))
+    size = np.sqrt((tau * tau).sum(axis=0))  # (Q, E)
     s = c / max(size.max(), c) if np.ndim(c) == 0 else 1.0 / max((size / c).max(), 1.0)
-    work = (tau * _q1_strains(grid, datum[None], op.gather)[1]).sum()
-    bound = grid.wq * s * work
+    bound = grid.wq * s * (tau.reshape(3, -1) * op.K(datum.ravel())).sum()
     if m > 0:
         bound += grid.wq * m * np.sqrt(np.maximum(c * c - (s * size) ** 2, 0.0)).sum()
     return bound, y
@@ -731,28 +712,30 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
     PDHG (Chambolle and Pock, J. Math. Imaging Vision 40, 2011) on the
     saddle point min_u max_{|sigma_q| <= c_q} sum_q w sigma_q : sym grad u_q
     over Q1 fields u equal to `datum` at the boundary nodes, started from a
-    run's field U (n, 2) and stress (Q, j, k, E), with c a number or the
-    radii (Q, E) and op the cell's _SymStrain. Each iteration makes one dual
-    step, sigma <- the projection of sigma + s K(2 u - u_previous) onto the
-    balls |sigma_q| <= c_q, and one primal step, u <- u - t K^T sigma, with
-    s t |K|^2 = 0.99^2 and t / s = (scale / max c)^2 / (2 h1 h2): scaling
-    the datum by a, or c by l, scales the field by a, or the stress by l,
-    and leaves the iterates those of the unscaled cell with t / s times a^2,
-    or divided by l^2; the field is measured per node, each node standing
-    for h1 h2 of area. The factor 1/2 was the best of 1, 2 and 4 on
-    diagonal, rotated and axis jump cells at meshes 8 to 32, and max c beat
-    mean c on an x-dependent c. The loop reads no integrand.
+    run's field U (n, 2) and stress (3, Q E) in the components of op, the
+    cell's _SymStrain, with c a number or the radii (Q, E). Each iteration
+    makes one dual step, sigma <- the projection of sigma + s K(2 u -
+    u_previous) onto the balls |sigma_q| <= c_q, and one primal step,
+    u <- u - t K^T sigma, with s t |K|^2 = 0.99^2 and t / s =
+    (scale / max c)^2 / (2 h1 h2): scaling the datum by a, or c by l,
+    scales the field by a, or the stress by l, and leaves the iterates those
+    of the unscaled cell with t / s times a^2, or divided by l^2; the field
+    is measured per node, each node standing for h1 h2 of area. The factor
+    1/2 was the best of 1, 2 and 4 on diagonal, rotated and axis jump cells
+    at meshes 8 to 32, and max c beat mean c on an x-dependent c. The loop
+    reads no integrand.
 
     Every PDHG_CHECK iterations it certifies the field of lowest energy so
     far: its raw_value(U) against the best of `best` and _dual_bound at
-    sigma, from the CG correction y. It ends on "gap" once the value is
-    within GAP_TOL of that bound, or on "max_iters" after PDHG_MAX_ITERS.
-    Returns (field, bound, reason, iterations, y).
+    sigma, from the CG correction y; the bound equilibrates sigma itself,
+    so the iterate needs no pairing with a gradient. It ends on "gap" once
+    the value is within GAP_TOL of that bound, or on "max_iters" after
+    PDHG_MAX_ITERS. Returns (field, bound, reason, iterations, y).
     """
     dofs, c_q = op.dofs, np.reshape(c, -1)  # c_q at the (q, e) points of a stress's components
     ratio = (scale / float(c_q.max())) ** 2 / (2.0 * op.grid.h[0] * op.grid.h[1])
     t, s = 0.99 * math.sqrt(ratio / op.norm_sq), 0.99 / math.sqrt(ratio * op.norm_sq)
-    Uf, sigma = U.ravel().copy(), op.comps(stress)
+    Uf, sigma = U.ravel().copy(), stress.copy()
     e = e_prev = op.K(Uf)
     low, U_low = math.inf, Uf
     for it in range(1, PDHG_MAX_ITERS + 1):
@@ -763,9 +746,8 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
         size = np.sqrt((sigma * sigma).sum(axis=0))
         size /= c_q
         sigma /= np.maximum(size, 1.0, out=size)
-        g = op.KT(sigma)
         Uf = Uf.copy()
-        Uf[dofs] -= t * g
+        Uf[dofs] -= t * op.KT(sigma)
         e_prev, e = e, op.K(Uf)
         energy = (c_q * np.sqrt((e * e).sum(axis=0))).sum()
         if energy < low:
@@ -773,7 +755,7 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
         if it % PDHG_CHECK == 0:
             U_best = U_low.reshape(-1, 2)
             value = raw_value(U_best)
-            bound, y = _dual_bound(op, datum, (c, 0.0), U_best, op.tensor(sigma), g, y)
+            bound, y = _dual_bound(op, datum, (c, 0.0), U_best, sigma, y)
             if bound is not None:
                 best = max(best, bound)
             if value - best <= GAP_TOL * value:
@@ -795,8 +777,9 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
 
     With `certify`, grad(rows) returns the gradients and a stress per row
     (None where certify reads none), and at iterations 32, 64, 128, ...
-    each run's accepted point gets certify(k, x, g, stress) = (its raw
-    value, a lower bound on the cell's discrete infimum or None). A run
+    each run's accepted point gets certify(k, x, stress) = (its raw value,
+    a lower bound on the cell's discrete infimum or None), a bound that
+    equilibrates the stress it is handed and so needs no gradient. A run
     ends with reason "gap" once its value minus the best bound of the
     solve, which the diagnostics hold as lower_bound, is at most GAP_TOL
     times the value. With `finish`, a run whose gap (value minus best bound)
@@ -850,7 +833,7 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
                     k = active[i]
                     it, grads_sent[k] = grads_sent[k], grads_sent[k] + 1
                     if certify and it >= FIRST_CERTIFICATE and it & (it - 1) == 0:
-                        value, bound = certify(k, X[i], g, stress)
+                        value, bound = certify(k, X[i], stress)
                         if bound is not None:
                             best = max(best, bound)
                         gap, previous = value - best, gaps.get(k, math.inf)
@@ -903,13 +886,15 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     to the start list.
 
     An integrand with a dual_datum (c, m) (raw density c(x) sqrt(m^2 +
-    |sym A|^2)) is certified (_multistart, _dual_bound) from the field,
-    stress and gradient of each certified point's own gradient pass, with
-    c read at the points the kernel read (the frozen point under
-    freeze_x), and its diagnostics then hold the best lower_bound found
-    and the gap, value - lower_bound. An integrand with a floor c (raw >= c)
-    has the lower bound c |box|, against which a run that ends on its own
-    closes the solve (_multistart).
+    |sym A|^2)) is certified (_multistart, _dual_bound) from the field of
+    each certified point and the stress of its own gradient pass, which
+    certify and finish convert into the components of _SymStrain (a pass
+    that is not certified converts nothing); the bound equilibrates
+    whatever stress it is given. c is read at the points the kernel read
+    (the frozen point under freeze_x), and the diagnostics then hold the
+    best lower_bound found and the gap, value - lower_bound. An integrand
+    with a floor c (raw >= c) has the lower bound c |box|, against which a
+    run that ends on its own closes the solve (_multistart).
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
@@ -948,14 +933,15 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     def raw_value(U):
         return raw_energy(grid, U, f, freeze_x=spec.freeze_x)
 
-    def certify(k, x, g, stress):
+    def certify(k, x, stress):
         U = field(x)
-        bound, corrections[k] = _dual_bound(op, datum, dual, U, stress, g, corrections.get(k))
+        bound, corrections[k] = _dual_bound(op, datum, dual, U, op.comps(stress),
+                                            corrections.get(k))
         return raw_value(U), bound
 
     def finish(k, x, stress, best):
         U, bound, reason, iters, corrections[k] = _pdhg(
-            op, datum, dual[0], field(x), stress, spec.boundary.scale, raw_value, best,
+            op, datum, dual[0], field(x), op.comps(stress), spec.boundary.scale, raw_value, best,
             corrections.get(k))
         return U[free].ravel(), bound, reason, iters
 
@@ -1187,7 +1173,7 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSoluti
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
     x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
     res, diag = _multistart(fg, _starts(x0, spec), spec,
-                            None if bound is None else lambda k, x, g, _: (raw_value(x), bound))
+                            None if bound is None else lambda k, x, _: (raw_value(x), bound))
     value = raw_value(res["x"])
     if bound is not None:
         diag.update(lower_bound=bound, gap=value - bound)

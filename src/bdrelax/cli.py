@@ -146,6 +146,15 @@ def _emit_estimate(args, command: str, est) -> None:
           [[k, v] for k, v in est.samples])
 
 
+def _corpus(lookup, spec: str):
+    """lookup(spec), get_integrand or get_surface_integrand, with an unknown
+    id a ValidationError: a KeyError raised anywhere else is a bug."""
+    try:
+        return lookup(spec)
+    except KeyError as exc:
+        raise ValidationError(exc.args[0]) from exc
+
+
 def _solver_params(args) -> SolverParams:
     return SolverParams(multistarts=args.multistarts, seed=args.seed, jobs=args.jobs)
 
@@ -177,7 +186,7 @@ def _table_constants(tab) -> list:
 
 
 def cmd_density(args) -> None:
-    f0 = get_integrand(args.integrand)
+    f0 = _corpus(get_integrand, args.integrand)
     est = bulk_density(f0, parse_vector(args.x0), parse_vector(args.v),
                        parse_matrix(args.A), eps_schedule=parse_schedule(args.eps_schedule),
                        mesh=args.mesh, solver=_solver_params(args))
@@ -185,7 +194,7 @@ def cmd_density(args) -> None:
 
 
 def cmd_sq(args) -> None:
-    f0 = get_integrand(args.integrand)
+    f0 = _corpus(get_integrand, args.integrand)
     meshes = tuple(int(m) for m in args.mesh.split(","))
     est = sq_envelope(f0, parse_matrix(args.A), mesh_schedule=meshes,
                       x0=parse_vector(args.x0), solver=_solver_params(args))
@@ -194,11 +203,11 @@ def cmd_sq(args) -> None:
 
 def cmd_jump(args) -> None:
     if args.sbd:
-        f1 = get_integrand(args.integrand)
-        g1 = get_surface_integrand(args.g1)
+        f1 = _corpus(get_integrand, args.integrand)
+        g1 = _corpus(get_surface_integrand, args.g1)
         f0 = (f1, g1)
     else:
-        f0 = get_integrand(args.integrand)
+        f0 = _corpus(get_integrand, args.integrand)
     est = jump_density(f0, parse_vector(args.x0), parse_vector(args.v_minus),
                        parse_vector(args.v_plus), parse_vector(args.nu),
                        eps_schedule=parse_schedule(args.eps_schedule), mesh=args.mesh,
@@ -207,14 +216,14 @@ def cmd_jump(args) -> None:
 
 
 def cmd_recession(args) -> None:
-    f0 = get_integrand(args.integrand)
+    f0 = _corpus(get_integrand, args.integrand)
     est = recession(integrand_evaluator(f0), parse_vector(args.x0), parse_vector(args.v),
                     parse_matrix(args.A), t_schedule=parse_schedule(args.t_schedule))
     _emit_estimate(args, "recession", est)
 
 
 def cmd_homogenize(args) -> None:
-    f0 = get_integrand(args.integrand)
+    f0 = _corpus(get_integrand, args.integrand)
     Ts = tuple(int(t) for t in args.T_schedule.split(","))
     spec = HomogSpec(f0=f0, A=parse_matrix(args.A), T_schedule=Ts,
                      mesh_per_period=args.mesh, solver=_solver_params(args))
@@ -244,7 +253,7 @@ def cmd_represent(args) -> None:
     u = _load_bd_spec(args.bd_spec)
     box = parse_box(args.box)
     if args.density_source == "analytic":
-        f, g, finf = densities_from_integrand(get_integrand(args.integrand))
+        f, g, finf = densities_from_integrand(_corpus(get_integrand, args.integrand))
     else:
         if args.table is None:
             raise ValidationError("--density-source table needs --table")
@@ -423,7 +432,7 @@ def main(argv=None) -> int:
         configure_logging(args.log)
         args.fn(args)
         return 0
-    except (KeyError, ValueError) as exc:  # every validation error is a ValueError
+    except ValueError as exc:  # every validation error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

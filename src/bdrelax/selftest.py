@@ -109,6 +109,13 @@ def check_mueller_suite() -> tuple[bool, str]:
     return ok, detail if ok else "; ".join(msgs)
 
 
+def _stop_note(label: str, d: dict) -> str:
+    """'<label> stopped on <reason>, rel gap <gap / value>' of a cell's
+    diagnostics d, with 'n/a' for an uncertified cell."""
+    rel = f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a"
+    return f"{label} stopped on {d['reason']}, rel gap {rel}"
+
+
 def check_jump_recession() -> tuple[bool, str]:
     """Jump cell values match the symmetrized-dyad norm within 5 percent;
     recession slopes of sqrt(1+|.|^2) reach |sym A| within 1e-3."""
@@ -123,9 +130,7 @@ def check_jump_recession() -> tuple[bool, str]:
         target = frob(odot(np.asarray(dv), np.asarray(nu)))
         est = jump_density(f, (0.0, 0.0), (0.0, 0.0), dv, nu, eps_schedule=(1.0,), mesh=32)
         worst_rel = max(worst_rel, abs(est.extrapolated - target) / target)
-        d = est.diagnostics[1.0]
-        stops.append(f"dv={dv_name} nu={nu_name} stopped on {d['reason']}, rel gap "
-                     + (f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a"))
+        stops.append(_stop_note(f"dv={dv_name} nu={nu_name}", est.diagnostics[1.0]))
     rng = np.random.default_rng(5)
     B = rng.normal(size=(2, 2))
     A = 0.5 * (B + B.T)
@@ -151,9 +156,7 @@ def check_homogenization() -> tuple[bool, str]:
     target = integrand_evaluator(f0)((0.0, 0.0), (0.0, 0.0), B)
     worst = max(abs(v - target) for _, v in est2.samples)
     ok = rel <= 0.02 and worst <= 1e-5
-    stops = ", ".join(f"T={T} stopped on {d['reason']}, rel gap "
-                      + (f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a")
-                      for T, d in dir_est.diagnostics.items())
+    stops = ", ".join(_stop_note(f"T={T}", d) for T, d in dir_est.diagnostics.items())
     return ok, (f"laminate periodic {per:.6f} vs dirichlet extrapolated "
                 f"{dir_est.extrapolated:.6f} (rel {rel:.3%}, tol 2%; {stops}); "
                 f"convex exactness max err {worst:.2e} (tol 1e-5)")

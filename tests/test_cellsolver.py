@@ -499,7 +499,7 @@ def test_uncertified_run_matches_serial(monkeypatch):
     pdhg = cellsolver._pdhg
 
     def recorded(op, datum, c, U, stress, *args):
-        handoffs.append((U.copy(), stress.copy()))
+        handoffs.append((op, U.copy(), stress.copy()))
         return pdhg(op, datum, c, U, stress, *args)
 
     monkeypatch.setattr(cellsolver, "_pdhg", recorded)
@@ -523,10 +523,10 @@ def test_uncertified_run_matches_serial(monkeypatch):
     assert (iters, reason) == (64, "gap") and diag["reason"] == "gap" and diag["seed"] == 0
     prefix = minimize_lbfgs(fg_row, datum[free].ravel(), max_iters=iters)
     assert (prefix["iters"], prefix["nfev"]) == (iters, nfev) == (diag["iters"], diag["nfev"])
-    (U0, stress0), = handoffs
+    (op, U0, stress0), = handoffs
     assert np.array_equal(U0[free].ravel(), prefix["x"]) and np.array_equal(U0[~free], datum[~free])
     _, grad = energy_and_grad(grid, U0[None], f, plan=_plan(grid, grid.conn, grid.n_nodes, 1))
-    assert np.array_equal(stress0, grad([0], stress=True)[1][0])
+    assert np.array_equal(stress0, op.comps(grad([0], stress=True)[1][0]))
     assert diag["pdhg_iters"][0] > 0
     assert diag["lower_bound"] <= sol.value and diag["gap"] == sol.value - diag["lower_bound"]
     assert diag["gap"] <= 1e-5 * sol.value
@@ -604,8 +604,8 @@ def test_pdhg_finish_with_an_x_dependent_radius():
 
 
 def _affine_stress(A, U_of, f):
-    """The strain operator, datum, field, stress and free nodal gradient of
-    f on the affine datum A y at mesh 8, from the kernel's gradient pass at
+    """The strain operator, datum, field and component stress of f on the
+    affine datum A y at mesh 8, from the kernel's gradient pass at
     U_of(datum, free)."""
     spec = CellSpec(boundary=AffineData(A, np.zeros(2)), mesh=8)
     grid = Grid(spec.box, spec.mesh)
@@ -613,9 +613,9 @@ def _affine_stress(A, U_of, f):
     plan = _plan(grid, grid.conn, grid.n_nodes, 1)
     U = U_of(datum, free)
     _, grad = energy_and_grad(grid, U[None], f, plan=plan)
-    G, (stress,) = grad([0], stress=True)
-    dofs = np.flatnonzero(np.repeat(free, 2))
-    return _SymStrain(grid, plan, dofs), datum, U, stress, G.reshape(-1)[dofs]
+    _, (stress,) = grad([0], stress=True)
+    op = _SymStrain(grid, plan, np.flatnonzero(np.repeat(free, 2)))
+    return op, datum, U, op.comps(stress)
 
 
 def test_dual_bound_on_affine_data():
@@ -627,18 +627,52 @@ def test_dual_bound_on_affine_data():
     A = rand_sym()
     for f, energy in ((abs_sym(mu=1e-6), frob(A)),
                       (sqrt1plus_sym(), math.sqrt(1.0 + frob(A) ** 2))):
-        op, datum, U, stress, g = _affine_stress(A, lambda U, free: U, f)
-        bound, _ = _dual_bound(op, datum, f.dual_datum, U, stress, g)
+        op, datum, U, stress = _affine_stress(A, lambda U, free: U, f)
+        bound, _ = _dual_bound(op, datum, f.dual_datum, U, stress)
         assert bound == pytest.approx(energy, rel=1e-9)
         for seed in range(3):
             noise = np.random.default_rng(seed).normal(size=(op.n, 2))
-            op, datum, U, stress, g = _affine_stress(
+            op, datum, U, stress = _affine_stress(
                 A, lambda U, free: U + np.where(free[:, None], 0.1 * noise, 0.0), f)
-            bound, y = _dual_bound(op, datum, f.dual_datum, U, stress, g)
+            bound, y = _dual_bound(op, datum, f.dual_datum, U, stress)
             assert bound <= energy * (1 + 1e-12) and bound > 0
             # a warm start from the correction solves the same system
-            again, _ = _dual_bound(op, datum, f.dual_datum, U, stress, g, y)
+            again, _ = _dual_bound(op, datum, f.dual_datum, U, stress, y)
             assert again == pytest.approx(bound, rel=1e-9)
+
+
+def test_dual_bound_is_valid_for_any_stress():
+    # the certificate equilibrates the stress it is handed, so no pairing
+    # with a field or a gradient is needed: a stress of one field read with
+    # another field's U, the average of two runs' stresses (a restart) and
+    # a seeded random stress each bound the raw energy of every admissible
+    # field from below, on the diagonal jump cell (m = 0) and on a laminate
+    # cube, whose x-dependent radius and m > 0 take the Hessian path
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    e1 = np.array([1.0, 0.0])
+    cells = [(abs_sym(mu=1e-6), CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu),
+                                         mesh=8, frame=frame_for_normal(nu))),
+             (laminate_a(), CellSpec(boundary=AffineData(np.outer(e1, e1), np.zeros(2)), mesh=8))]
+    for f, spec in cells:
+        argmin = solve_ld(spec, f).argmin.values
+        grid = Grid(spec.box, spec.mesh, frame=spec.frame)
+        datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
+        noise = np.random.default_rng(1).normal(size=datum.shape)
+        noisy = datum + np.where(free[:, None], 0.3 * spec.boundary.scale * noise, 0.0)
+        plan = _plan(grid, grid.conn, grid.n_nodes, 3)
+        op = _SymStrain(grid, plan, np.flatnonzero(np.repeat(free, 2)))
+        c, m = f.dual_datum
+        if callable(c):  # the radii (Q, E) at the kernel's points
+            c = np.ascontiguousarray(c(plan[2][0]).reshape(-1, len(grid.Nval)).T)
+        fields = np.stack([datum, noisy, argmin])
+        _, grad = energy_and_grad(grid, fields, f, plan=plan)
+        stresses = [op.comps(stress) for stress in grad([0, 1, 2], stress=True)[1]]
+        random = np.random.default_rng(2).normal(size=stresses[0].shape)
+        raws = [raw_energy(grid, U, f) for U in fields]
+        for U, stress in ((noisy, stresses[2]), (argmin, 0.5 * (stresses[0] + stresses[2])),
+                          (datum, random)):
+            bound, _ = _dual_bound(op, datum, (c, m), U, stress)
+            assert bound is not None and all(bound <= r for r in raws)
 
 
 def test_certified_samples_bound_their_values():

@@ -124,6 +124,26 @@ def test_validation_errors(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_unknown_ids_exit_2_and_other_key_errors_do_not(tmp_path, capsys, monkeypatch):
+    # an unknown integrand or SBD surface id is a validation error with one
+    # error line, free of KeyError's quotes; a KeyError raised inside a
+    # command is a bug and reaches the caller instead of reading as exit 2
+    for argv, what in ((["sq", "--integrand", "nope", "--A", "1,0;0,1"], "integrand"),
+                       (["jump", "--sbd", "--g1", "nope", "--v-plus", "0,1", "--nu", "1,0"],
+                        "surface integrand")):
+        code, out = run_cli(tmp_path, *argv)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unknown {what} id 'nope'; known: [")
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("bdrelax.cli.recession", broken)
+    with pytest.raises(KeyError, match="internal"):
+        run_cli(tmp_path, "recession", "--A", "1,0;0,1")
+
+
 @pytest.mark.parametrize("argv,err", [
     (["jump", "--v-plus", "0,1", "--nu", "nan,0", "--mesh", "4", "--eps-schedule", "1"],
      "cannot parse vector 'nan,0' (expect 'a,b')"),

@@ -87,6 +87,27 @@ def test_conjugates_are_declared_in_density():
     assert bounds == {"_dual_bound": ["cellsolver.py"], "_sbd_bound": ["cellsolver.py"]}
 
 
+def test_certificate_applies_one_strain_form():
+    """In cellsolver.py only the element kernel _q1_quadrature and
+    _SymStrain.__init__ (which forms the unit-field strains Bc once) call the
+    kernel's strain half _q1_strains: the certificate and the primal-dual
+    finish apply the strain operator in one form, through Bc."""
+    callers = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "_q1_strains"):
+                callers.add(scope)
+            visit(child, scope)
+
+    visit(ast.parse((SRC[0].parent / "cellsolver.py").read_text(encoding="utf-8")), "")
+    assert callers == {"_q1_quadrature", "_SymStrain.__init__"}
+
+
 def test_integrand_corpus_stays_in_density():
     """Only density.py builds Integrand and SurfaceIntegrand values, and no
     module imports the corpus helper _smooth_norm: the corpus has one home
