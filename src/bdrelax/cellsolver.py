@@ -555,10 +555,10 @@ def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
 
 
 GAP_TOL = 1e-5  # a certified run ends once value - lower bound <= GAP_TOL * value
-FIRST_CERTIFICATE = 32  # runs are certified at iterations 32, 64, 128, ...
+FIRST_CERTIFICATE = 32  # certified at 32, 64, 128, ... and where the gap is predicted to close
 CG_TOL = 1e-12  # relative residual of the equilibrating CG solve
 PDHG_MAX_ITERS = 10_000  # iteration cap of the primal-dual finish (_pdhg)
-PDHG_CHECK = 100  # the primal-dual finish is certified every PDHG_CHECK iterations
+PDHG_CHECK = 100  # the primal-dual finish restarts at its averages and is certified this often
 
 
 class _SymStrain:
@@ -725,12 +725,15 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
     at meshes 8 to 32, and max c beat mean c on an x-dependent c. The loop
     reads no integrand.
 
-    Every PDHG_CHECK iterations it certifies the field of lowest energy so
-    far: its raw_value(U) against the best of `best` and _dual_bound at
-    sigma, from the CG correction y; the bound equilibrates sigma itself,
-    so the iterate needs no pairing with a gradient. It ends on "gap" once
-    the value is within GAP_TOL of that bound, or on "max_iters" after
-    PDHG_MAX_ITERS. Returns (field, bound, reason, iterations, y).
+    Every PDHG_CHECK iterations it restarts u and sigma at their averages
+    over the last PDHG_CHECK iterations (Applegate, Hinder, Lu and Lubin,
+    arXiv:2105.12715), the averaged field competes for the field of lowest
+    energy so far, and it certifies that field: its raw_value(U) against the
+    best of `best` and _dual_bound at the averaged sigma, from the CG
+    correction y; the bound equilibrates sigma itself, so the iterate needs
+    no pairing with a gradient. It ends on "gap" once the value is within
+    GAP_TOL of that bound, or on "max_iters" after PDHG_MAX_ITERS. Returns
+    (field, bound, reason, iterations, y).
     """
     dofs, c_q = op.dofs, np.reshape(c, -1)  # c_q at the (q, e) points of a stress's components
     ratio = (scale / float(c_q.max())) ** 2 / (2.0 * op.grid.h[0] * op.grid.h[1])
@@ -738,6 +741,7 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
     Uf, sigma = U.ravel().copy(), stress.copy()
     e = e_prev = op.K(Uf)
     low, U_low = math.inf, Uf
+    U_sum, sigma_sum = np.zeros(len(dofs)), np.zeros_like(sigma)
     for it in range(1, PDHG_MAX_ITERS + 1):
         step = e + e
         step -= e_prev
@@ -749,18 +753,39 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
         Uf = Uf.copy()
         Uf[dofs] -= t * op.KT(sigma)
         e_prev, e = e, op.K(Uf)
-        energy = (c_q * np.sqrt((e * e).sum(axis=0))).sum()
-        if energy < low:
-            low, U_low = energy, Uf
-        if it % PDHG_CHECK == 0:
-            U_best = U_low.reshape(-1, 2)
-            value = raw_value(U_best)
-            bound, y = _dual_bound(op, datum, (c, 0.0), U_best, sigma, y)
-            if bound is not None:
-                best = max(best, bound)
-            if value - best <= GAP_TOL * value:
-                return U_best, best, "gap", it, y
+        U_sum += Uf[dofs]
+        sigma_sum += sigma
+        fields = [(Uf, e)]
+        if it % PDHG_CHECK == 0:  # both restart at their averages over the last PDHG_CHECK
+            Uf = Uf.copy()
+            Uf[dofs], sigma = U_sum / PDHG_CHECK, sigma_sum / PDHG_CHECK
+            e = e_prev = op.K(Uf)
+            U_sum[:], sigma_sum[:] = 0.0, 0.0
+            fields.append((Uf, e))
+        for V, eV in fields:
+            energy = (c_q * np.sqrt((eV * eV).sum(axis=0))).sum()
+            if energy < low:
+                low, U_low = energy, V
+        if it % PDHG_CHECK:
+            continue
+        U_best = U_low.reshape(-1, 2)
+        value = raw_value(U_best)
+        bound, y = _dual_bound(op, datum, (c, 0.0), U_best, sigma, y)
+        if bound is not None:
+            best = max(best, bound)
+        if value - best <= GAP_TOL * value:
+            return U_best, best, "gap", it, y
     return U_best, best, "max_iters", PDHG_MAX_ITERS, y
+
+
+def _predicted_certificate(i0: int, g0: float, i1: int, g1: float, target: float):
+    """The multiple of FIRST_CERTIFICATE in (i1, 2 i1) where the geometric rate
+    of the gaps g0 at i0 and g1 at i1 reaches `target`, or None."""
+    if not 0.0 < target < g1 < g0 < math.inf:
+        return None
+    it = i1 + (i1 - i0) * math.log(target / g1) / math.log(g1 / g0)
+    it = max(i1 + FIRST_CERTIFICATE, FIRST_CERTIFICATE * math.ceil(it / FIRST_CERTIFICATE))
+    return it if it < 2 * i1 else None
 
 
 def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, floor=None):
@@ -779,11 +804,15 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
     (None where certify reads none), and at iterations 32, 64, 128, ...
     each run's accepted point gets certify(k, x, stress) = (its raw value,
     a lower bound on the cell's discrete infimum or None), a bound that
-    equilibrates the stress it is handed and so needs no gradient. A run
-    ends with reason "gap" once its value minus the best bound of the
+    equilibrates the stress it is handed and so needs no gradient. After
+    each of these doubling certificates a run is certified at most once
+    more before the next, at the iteration where the geometric rate of its
+    last two gaps reaches GAP_TOL times the value (_predicted_certificate).
+    A run ends with reason "gap" once its value minus the best bound of the
     solve, which the diagnostics hold as lower_bound, is at most GAP_TOL
     times the value. With `finish`, a run whose gap (value minus best bound)
-    is not at most half its previous certificate's is handed off there:
+    at a doubling certificate is not at most half its previous doubling
+    certificate's is handed off there:
     finish(k, x, stress, best bound) = (its final point, a bound, its reason
     "gap" or "max_iters", its iterations, which the diagnostics hold as
     pdhg_iters), and the run's smoothed value there comes from one fg call.
@@ -801,7 +830,8 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
     grads_sent, best = [0] * len(runs), -math.inf  # a run's gradients count its iterations
-    accepted, gaps, pdhg_iters, closed = [math.inf] * len(runs), {}, [0] * len(runs), []
+    accepted, pdhg_iters, closed = [math.inf] * len(runs), [0] * len(runs), []
+    gaps, lasts, predicted = {}, {}, {}  # per run: last doubling gap, last certificate, next one
     if floor is not None:
         best, raw = floor
         atol = 1e-12 * spec.boundary.scale * spec.box.volume
@@ -832,17 +862,23 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
                 for i, g, stress in zip(asked, G, stresses):
                     k = active[i]
                     it, grads_sent[k] = grads_sent[k], grads_sent[k] + 1
-                    if certify and it >= FIRST_CERTIFICATE and it & (it - 1) == 0:
+                    doubling = it >= FIRST_CERTIFICATE and it & (it - 1) == 0
+                    if certify and (doubling or it == predicted.get(k)):
                         value, bound = certify(k, X[i], stress)
                         if bound is not None:
                             best = max(best, bound)
-                        gap, previous = value - best, gaps.get(k, math.inf)
-                        gaps[k] = gap
+                        gap, last = value - best, lasts.get(k)
+                        lasts[k] = it, gap
                         if gap <= GAP_TOL * value:
                             g = (g, "gap")
-                        elif finish is not None and gap > 0.5 * previous:
+                        elif doubling and finish is not None and gap > 0.5 * gaps.get(k, math.inf):
                             g = (g, "handoff")
                             handoffs.append((k, X[i], stress))
+                        elif doubling:
+                            gaps[k] = gap
+                            if last is not None:
+                                predicted[k] = _predicted_certificate(*last, it, gap,
+                                                                      GAP_TOL * value)
                     send(k, g)
             del grad  # the strains it holds go before the next round builds its own
             for k, x, stress in handoffs:
@@ -1148,9 +1184,10 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSoluti
 
     Where f1 and g1 both declare a dual datum, the runs are certified
     (_multistart) against one bound computed once per solve (_sbd_bound):
-    a run ends on "gap" once its raw value at iteration 32, 64, 128, ... is
-    within GAP_TOL of it, and the diagnostics hold that lower_bound and the
-    gap, value - lower_bound. Every other run keeps its serial trajectory.
+    a run ends on "gap" once its raw value at a certified iteration (32, 64,
+    128, ... and where its gap is predicted to close) is within GAP_TOL of
+    it, and the diagnostics hold that lower_bound and the gap,
+    value - lower_bound. Every other run keeps its serial trajectory.
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     E = grid.mesh ** 2

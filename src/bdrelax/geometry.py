@@ -82,11 +82,6 @@ def clip_halfplane(poly: np.ndarray, nu, c: float) -> np.ndarray:
     return np.array(out) if out else np.zeros((0, 2))
 
 
-def box_halfplane_area(box: Box, nu, c: float) -> float:
-    """Area of box intersected with {x . nu <= c}."""
-    return polygon_area(clip_halfplane(box.corners(), nu, c))
-
-
 def box_plane_chord(box: Box, nu, c: float):
     """Endpoints of the chord {x . nu = c} inside the box, or None."""
     nu = np.asarray(nu, dtype=float)

@@ -104,15 +104,22 @@ def check_mueller_suite() -> tuple[bool, str]:
     if w["h_values"] != [0.0, 0.0] or not w["mean_is_A0"]:
         ok = False
         msgs.append("convex envelope witness failed")
+    stops = ", ".join(_stop_note(f"Qh({name}) mesh {mesh}", d)
+                      for name, est in (("Id", est_id), ("A0", est_a0))
+                      for mesh, d in est.diagnostics.items())
     detail = (f"h(Id)=0, h(A0)=2, Qh(Id) max {max(v for _, v in est_id.samples):.1e}, "
               f"Qh(A0) = {['%.4f' % v for v in vals]}, witness mean = A0")
-    return ok, detail if ok else "; ".join(msgs)
+    return ok, f"{detail if ok else '; '.join(msgs)} ({stops})"
 
 
 def _stop_note(label: str, d: dict) -> str:
     """'<label> stopped on <reason>, rel gap <gap / value>' of a cell's
-    diagnostics d, with 'n/a' for an uncertified cell."""
-    rel = f"{d['gap'] / (d['lower_bound'] + d['gap']):.1e}" if "gap" in d else "n/a"
+    diagnostics d, with 'n/a' for an uncertified cell; a zero value, whose
+    bound is then 0 as well, reads 0."""
+    rel = "n/a"
+    if "gap" in d:
+        value = d["lower_bound"] + d["gap"]
+        rel = f"{d['gap'] / value if value else 0.0:.1e}"
     return f"{label} stopped on {d['reason']}, rel gap {rel}"
 
 
@@ -174,7 +181,7 @@ def check_folding() -> tuple[bool, str]:
         worst_e = max(worst_e, abs(fold_energy(w, f) - fold_energy(wj, f)))
         worst_m = max(worst_m, abs(fold_emass(w) - fold_emass(wj)))
     ok = worst_e <= 1e-8 and worst_m == 0.0
-    return ok, f"energy gap {worst_e:.2e} (tol 1e-8), mass gap {worst_m:.2e} (exact)"
+    return ok, f"energy gap {worst_e:.2e} (tol 1e-8), mass gap {worst_m:.2e} (tol 0)"
 
 
 def check_blowup_algebra() -> tuple[bool, str]:

@@ -14,10 +14,11 @@ from bdrelax.cellsolver import (AffineData, BadSpec, CellSpec, Grid, GridDisplac
                                 frame_for_normal, m_continuity_check, prolong, raw_energy,
                                 reparametrize, solve_ld, solve_periodic, solve_sbd)
 from bdrelax.density import (_REGISTRY, _SURFACE_REGISTRY, A0, abs_sym, g_odot, g_penalty,
-                             get_integrand, get_surface_integrand, laminate_a, mueller_f_eps,
-                             mueller_h_integrand, scaled, sq_envelope, sqrt1plus_sym,
-                             truncated_neg_sym_sq, vmin_abs)
+                             get_integrand, get_surface_integrand, jump_density, laminate_a,
+                             mueller_f_eps, mueller_h_integrand, scaled, sq_envelope,
+                             sqrt1plus_sym, truncated_neg_sym_sq, vmin_abs)
 from bdrelax.geometry import Box
+from bdrelax.homog import HomogSpec, fhom_dirichlet
 from bdrelax.minimize import EndRun, SolverError, lbfgs_steps, minimize_lbfgs
 from bdrelax.tensor import frob, odot, sym
 
@@ -579,19 +580,25 @@ def test_pdhg_finish_brackets_the_diagonal_cell(monkeypatch):
     assert (calls["value"], calls["grad"]) == (0, 0)
 
 
-def test_pdhg_finish_with_an_x_dependent_radius():
-    # (2 + cos 2 pi x1) |sym A| declares the radius c(x) with m = 0: the
-    # finish projects each stress onto its own ball and closes the gap of
-    # the diagonal cell, which L-BFGS leaves open
+def _laminated_abs_sym():
+    """(2 + cos 2 pi x1) |sym A|, which declares the radius c(x) with m = 0."""
     f0 = abs_sym(mu=1e-6)
 
     def c(X):
         return 2.0 + np.cos(2.0 * np.pi * X[:, 0])
 
-    f = replace(f0, name="laminated-abs-sym", recession_exact=None, dual_datum=(c, 0.0),
-                value=lambda X, V, A: c(X) * f0.value(X, V, A),
-                grad=lambda X, V, A: (np.zeros_like(V), c(X)[:, None, None] * f0.grad(X, V, A)[1]),
-                raw=lambda X, V, A: c(X) * f0.raw(X, V, A))
+    return replace(f0, name="laminated-abs-sym", recession_exact=None, dual_datum=(c, 0.0),
+                   value=lambda X, V, A: c(X) * f0.value(X, V, A),
+                   grad=lambda X, V, A: (np.zeros_like(V),
+                                         c(X)[:, None, None] * f0.grad(X, V, A)[1]),
+                   raw=lambda X, V, A: c(X) * f0.raw(X, V, A))
+
+
+def test_pdhg_finish_with_an_x_dependent_radius():
+    # (2 + cos 2 pi x1) |sym A| declares the radius c(x) with m = 0: the
+    # finish projects each stress onto its own ball and closes the gap of
+    # the diagonal cell, which L-BFGS leaves open
+    f = _laminated_abs_sym()
     f.check_flags()
     nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
     spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=8,
@@ -601,6 +608,126 @@ def test_pdhg_finish_with_an_x_dependent_radius():
     assert diag["reason"] == "gap" and diag["pdhg_iters"][0] > 0
     assert diag["lower_bound"] <= sol.value <= diag["lower_bound"] * (1 + 1e-5)
     assert sol.value == raw_energy(sol.argmin.grid, sol.argmin.values, f)
+
+
+def test_restarted_finish_certifies_below_every_field_it_visits(monkeypatch):
+    # every PDHG_CHECK iterations the finish restarts both iterates at their
+    # averages over the last PDHG_CHECK iterations, and the averaged field
+    # is one more field the run visits: every certificate of the finish lies
+    # at or below the raw energy of each of them, on the diagonal cell at
+    # meshes 8 and 16 and on the x-dependent radius cell. The mesh-16 cell
+    # is the benchmark's, and closes after 900 iterations.
+    inside = {"pdhg": False, "bound": False}
+    fields, bounds = [], []
+    pdhg, dual_bound, K = cellsolver._pdhg, cellsolver._dual_bound, _SymStrain.K
+
+    def flagged(name, fn):
+        def wrapped(*args):
+            inside[name] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[name] = False
+        return wrapped
+
+    def recorded_bound(*args):
+        bound, y = flagged("bound", dual_bound)(*args)
+        if inside["pdhg"]:
+            bounds.append(bound)
+        return bound, y
+
+    def recorded_K(op, Uf):
+        if inside["pdhg"] and not inside["bound"]:
+            fields.append(Uf.copy())
+        return K(op, Uf)
+
+    monkeypatch.setattr(cellsolver, "_pdhg", flagged("pdhg", pdhg))
+    monkeypatch.setattr(cellsolver, "_dual_bound", recorded_bound)
+    monkeypatch.setattr(_SymStrain, "K", recorded_K)
+    f0 = abs_sym(mu=1e-6)
+    nu = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    for f, mesh, work in ((f0, 8, 500), (f0, 16, 900), (_laminated_abs_sym(), 8, 4000)):
+        fields.clear(), bounds.clear()
+        spec = CellSpec(boundary=JumpData(np.zeros(2), np.array([0.0, 1.0]), nu), mesh=mesh,
+                        frame=frame_for_normal(nu))
+        sol = solve_ld(spec, f)
+        (iters,) = sol.diagnostics["pdhg_iters"]
+        assert (iters, sol.diagnostics["reason"]) == (work, "gap")
+        # the handed-off field, one per iteration and one average per restart
+        assert len(fields) == 1 + iters + iters // cellsolver.PDHG_CHECK
+        assert len(bounds) == iters // cellsolver.PDHG_CHECK and None not in bounds
+        grid = sol.argmin.grid
+        lowest = min(raw_energy(grid, Uf.reshape(-1, 2), f) for Uf in fields)
+        assert max(bounds) <= lowest
+        assert sol.diagnostics["lower_bound"] <= sol.value
+
+
+def _recorded_solves(monkeypatch):
+    """Wraps _multistart so that each one-start solve records its objective,
+    its start, its diagnostics and the iterations its certify hook read,
+    counted by the gradient passes of its run."""
+    solves = []
+    multistart = cellsolver._multistart
+
+    def recorded(fg, starts, spec, certify=None, finish=None, floor=None):
+        assert len(starts) == 1 and certify is not None
+        grads, certified = [0], []
+
+        def counted_fg(X):
+            F, grad = fg(X)
+
+            def counted(rows):
+                grads[0] += len(rows)
+                return grad(rows)
+
+            return F, counted
+
+        def certify_at(k, x, stress):
+            certified.append(grads[0] - 1)
+            return certify(k, x, stress)
+
+        res, diag = multistart(counted_fg, starts, spec, certify_at, finish, floor)
+        solves.append((fg, starts[0], diag, certified))
+        return res, diag
+
+    monkeypatch.setattr(cellsolver, "_multistart", recorded)
+    return solves
+
+
+def test_certificates_fall_on_doublings_or_one_predicted_iteration(monkeypatch):
+    # each run is certified at iterations 32, 64, 128, ... and at most once
+    # more inside each doubling interval, at the multiple of 32 where the
+    # geometric rate of its last two gaps predicts the gap to close: on the
+    # three check-05 cells at mesh 16 and the laminate cubes (8 cells per
+    # period, grids 8, 16 and 32). The T=2 and T=4 cubes are certified at
+    # 32, 64 and 128 alone: no prediction adds a certificate to them. Up to
+    # its stop, every run follows its serial trajectory bit for bit.
+    solves = _recorded_solves(monkeypatch)
+    f = abs_sym(mu=1e-6)
+    diagonal = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    for dv, nu in (((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), diagonal)):
+        jump_density(f, (0.0, 0.0), (0.0, 0.0), dv, nu, eps_schedule=(1.0,), mesh=16)
+    fhom_dirichlet(HomogSpec(f0=laminate_a(), A=np.outer([1.0, 0.0], [1.0, 0.0]),
+                             T_schedule=(1, 2, 4), mesh_per_period=8))
+    assert [certified for *_, certified in solves] == [
+        [32, 64, 128], [32, 64, 128, 224, 256, 352], [32, 64], [32, 64, 96], [32, 64, 128],
+        [32, 64, 128]]
+    for fg, x0, d, certified in solves:
+        predicted = [it for it in certified if it & (it - 1)]
+        assert all(it % 32 == 0 for it in predicted)
+        assert len({it.bit_length() for it in predicted}) == len(predicted)  # one per doubling
+        assert certified == sorted(certified) and certified[0] == 32
+        (iters, nfev, reason), = d["starts"]
+        assert (certified[-1], reason) == (iters, "gap")
+
+        def fg_row(x):
+            F, grad = fg(x[None])
+            return float(F[0]), grad([0])[0][0]
+
+        run = minimize_lbfgs(fg_row, x0, max_iters=iters)
+        assert (run["iters"], run["nfev"]) == (iters, nfev)
+        if not d.get("pdhg_iters", [0])[0]:
+            assert run["f"] == d["start_values"][0]
 
 
 def _affine_stress(A, U_of, f):

@@ -3,9 +3,14 @@ import pytest
 
 from bdrelax import geometry
 from bdrelax.bdmodel import StructuredBD
-from bdrelax.geometry import (Box, box_halfplane_area, box_integral, box_plane_chord,
-                              box_plane_segment, box_quadrature, clip_halfplane, polygon_area,
-                              segment_midpoints, segment_panels)
+from bdrelax.geometry import (Box, box_integral, box_plane_chord, box_plane_segment,
+                              box_quadrature, clip_halfplane, polygon_area, segment_midpoints,
+                              segment_panels)
+
+
+def box_halfplane_area(box: Box, nu, c: float) -> float:
+    """Area of box intersected with {x . nu <= c}."""
+    return polygon_area(clip_halfplane(box.corners(), nu, c))
 
 
 def test_box_basics():

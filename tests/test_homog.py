@@ -49,11 +49,12 @@ def test_laminate_cells_stop_on_a_certified_gap():
     # the laminate cubes of the homogenization benchmark (8 cells per
     # period, grids 8, 16 and 32): without the Hessian-weighted certificate
     # they take (290, 862, gtol), (1398, 2962, gtol) and (2000, 2078,
-    # max_iters)
+    # max_iters); T=1 closes at the certificate its gaps predict, without it
+    # at (128, 148)
     spec = HomogSpec(f0=laminate_a(), A=np.array([[1.0, 0.0], [0.0, 0.0]]), T_schedule=(1, 2, 4),
                      mesh_per_period=8)
     est = fhom_dirichlet(spec)
-    work = {1: (128, 148, "gap"), 2: (128, 154, "gap"), 4: (128, 149, "gap")}
+    work = {1: (96, 116, "gap"), 2: (128, 154, "gap"), 4: (128, 149, "gap")}
     for T, value in est.samples:
         diag = est.diagnostics[T]
         assert (diag["iters"], diag["nfev"], diag["reason"]) == work[T]
