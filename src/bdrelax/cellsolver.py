@@ -556,7 +556,7 @@ def _starts(x0: np.ndarray, spec: CellSpec, extra_starts=()) -> list:
 
 GAP_TOL = 1e-5  # a certified run ends once value - lower bound <= GAP_TOL * value
 FIRST_CERTIFICATE = 32  # certified at 32, 64, 128, ... and where the gap is predicted to close
-CG_TOL = 1e-12  # relative residual of the equilibrating CG solve
+CG_TOL = 1e-12  # relative residual that ends the equilibrating CG solve, whatever its preconditioner
 PDHG_MAX_ITERS = 10_000  # iteration cap of the primal-dual finish (_pdhg)
 PDHG_CHECK = 100  # the primal-dual finish restarts at its averages and is certified this often
 
@@ -574,7 +574,10 @@ class _SymStrain:
       K(Uf) = Bc U_e is one product per element of a flattened field and
       KT(S) = sum_q w Bc^T S_q its weighted scatter onto the free entries;
     - Ke = sum_q w B_q^T B_q is the 8x8 stiffness that every element of the
-      uniform grid shares, and solve runs CG on the assembled operator;
+      uniform grid shares, and solve runs CG on the assembled operator
+      with it or with one matrix per element, preconditioned by the exact
+      block factor of that operator (_factor), so that it reaches CG_TOL in
+      one or two steps; the shared Ke's factor is built once per operator;
     - norm_sq estimates |K|^2, the top eigenvalue of that operator.
     """
 
@@ -606,23 +609,77 @@ class _SymStrain:
         KUe = Ue @ Ke if Ke.ndim == 2 else np.einsum("ei,eij->ej", Ue, Ke)
         return np.bincount(self.scatter.ravel(), KUe.ravel(), minlength=2 * self.n)[self.dofs]
 
+    def _factor(self, Ke: np.ndarray) -> tuple:
+        """The exact block LU factor of the assembled sum_e Ue^T Ke Ue. The
+        free entries of grid line i (nodes i (m+1) + j, 0 < j < m) form
+        block i - 1 of b = 2 (m - 1) entries 2 (j - 1) + k, and a Q1
+        element couples only neighbouring lines, so the operator is block
+        tridiagonal: diagonal blocks D_i and upper blocks B_i, each held as
+        compact rows (b, 6), row (j, k) against the nodes j - 1, j, j + 1
+        of its own or the next line. Returns the inverses S_i^-1 (L, b, b)
+        of S_0 = D_0, S_i+1 = D_i+1 - B_i^T S_i^-1 B_i, the compact B
+        (L - 1, b, 6) and the columns (b, 6) of those rows in a line padded
+        by two entries on each side."""
+        m = self.grid.mesh
+        b = 2 * (m - 1)
+        cols = 2 * (np.arange(b)[:, None] // 2) + np.arange(6)
+        # element ex m + ey as (ex, ey, side ax of row, of column, ay of row, of column, k, k)
+        K = np.broadcast_to(Ke, (m * m, 8, 8)).reshape(m, m, 2, 2, 2, 2, 2, 2).transpose(
+            0, 1, 3, 6, 2, 5, 4, 7)
+
+        def band(P):  # the rows of node lines against j - 1, j, j + 1, from elements ey = j - 1, j
+            return np.stack([P[:, :-1, 1, 0], P[:, 1:, 0, 0] + P[:, :-1, 1, 1], P[:, 1:, 0, 1]],
+                            axis=3).reshape(len(P), b, 6)
+
+        def dense(rows):
+            full = np.zeros((b, b + 4))
+            full[np.arange(b)[:, None], cols] = rows
+            return full[:, 2:-2]
+
+        D, B = band(K[:-1, :, 1, 1]) + band(K[1:, :, 0, 0]), band(K[1:-1, :, 0, 1])
+        S = np.empty((len(D), b, b))
+        for i in range(len(D)):
+            S[i] = dense(D[i])
+            if i:
+                Bd = dense(B[i - 1])
+                S[i] -= Bd.T @ (S[i - 1] @ Bd)
+            S[i] = np.linalg.inv(S[i])
+        return S, B, cols
+
+    def _precondition(self, factor: tuple, r: np.ndarray) -> np.ndarray:
+        """The factor's solve of the operator for r: one forward sweep
+        z_i+1 = r_i+1 - B_i^T S_i^-1 z_i and one backward sweep
+        x_i = S_i^-1 (z_i - B_i x_i+1)."""
+        S, B, cols = factor
+        L, b = S.shape[:2]
+        z, pad = r.reshape(L, b).copy(), np.zeros(b + 4)
+        for i in range(L - 1):
+            w = (S[i] @ z[i])[:, None] * B[i]
+            z[i + 1] -= np.bincount(cols.ravel(), w.ravel(), minlength=b + 4)[2:-2]
+        for i in range(L - 1, -1, -1):
+            if i < L - 1:
+                pad[2:-2] = z[i + 1]
+                z[i] -= (B[i] * pad[cols]).sum(axis=1)
+            z[i] = S[i] @ z[i]
+        return z.ravel()
+
+    @cached_property
+    def _shared_factor(self) -> tuple:
+        return self._factor(self.Ke)
+
     def solve(self, g: np.ndarray, y=None, Ke=None):
         """CG on the assembled sum_e Ue^T Ke Ue over the free entries, with
-        the shared Ke (Ke None) or one matrix (E, 8, 8) per element and a
-        Jacobi preconditioner, for the right side g from y (or 0) to a
-        relative residual of CG_TOL. Returns (y, the flattened correction
-        field (2 n) or None where CG stops short of CG_TOL)."""
-        shared = Ke is None
-        if shared:
-            Ke = self.Ke
-        else:
-            inv_diag = 1.0 / np.bincount(self.scatter.ravel(),
-                                         np.diagonal(Ke, axis1=1, axis2=2).ravel(),
-                                         minlength=2 * self.n)[self.dofs]
+        the shared Ke (Ke None) or one matrix (E, 8, 8) per element, for the
+        right side g from y (or 0) to a relative residual of CG_TOL,
+        preconditioned by the exact block factor (_factor) of that operator.
+        Returns (y, the flattened correction field (2 n) or None where CG
+        stops short of CG_TOL)."""
+        factor = self._shared_factor if Ke is None else self._factor(Ke)
+        Ke = self.Ke if Ke is None else Ke
         Uy = np.zeros(2 * self.n)
         y = np.zeros(len(g)) if y is None else y.copy()
         res = g - self._stiffness(y, Ke, Uy)
-        p = res.copy() if shared else res * inv_diag
+        p = self._precondition(factor, res)
         rz, stop = res.dot(p), (CG_TOL * CG_TOL) * g.dot(g)
         for _ in range(2 * len(g)):
             if res.dot(res) <= stop:
@@ -631,7 +688,7 @@ class _SymStrain:
             alpha = rz / p.dot(Kp)
             y += alpha * p
             res -= alpha * Kp
-            z = res if shared else res * inv_diag
+            z = self._precondition(factor, res)
             rz, rz_old = res.dot(z), rz
             p = z + (rz / rz_old) * p
         else:
@@ -667,12 +724,14 @@ def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
        relative residual of CG_TOL, so tau = stress - H[e(y)] does no work
        on any such field. For m = 0, H is the identity and K is applied
        through the one 8x8 matrix that every element of the uniform grid
-       has. For m > 0, H_q is the Hessian of f_q at the run's strain
-       S_q = K(U), H[D] = (c / rho)(D - S (S : D) / rho^2) with
-       rho = sqrt(m^2 + |S|^2), so tau is the run's stress after one Newton
-       step; K is assembled as one 8x8 matrix per element and solved with
-       a Jacobi preconditioner. Any positive definite H leaves tau
-       equilibrated: it makes the bound tight, not valid;
+       has, whose block factor every certificate of the solve shares. For
+       m > 0, H_q is the Hessian of f_q at the run's strain S_q = K(U),
+       H[D] = (c / rho)(D - S (S : D) / rho^2) with rho = sqrt(m^2 + |S|^2),
+       so tau is the run's stress after one Newton step; K is assembled as
+       one 8x8 matrix per element and factored for this certificate. The
+       factor only preconditions CG, whose residual test decides validity,
+       and any positive definite H leaves tau equilibrated: it makes the
+       bound tight, not valid;
     2. scale tau into the balls |tau_q| <= c_q by one factor s;
     3. return sum_q w [s tau : e(datum) + m sqrt(c_q^2 - s^2 |tau_q|^2)],
        which equals sum_q w [s tau : sym grad u - f_q*(s tau)] <= sum_q w

@@ -104,7 +104,8 @@ def check_mueller_suite() -> tuple[bool, str]:
     if w["h_values"] != [0.0, 0.0] or not w["mean_is_A0"]:
         ok = False
         msgs.append("convex envelope witness failed")
-    stops = ", ".join(_stop_note(f"Qh({name}) mesh {mesh}", d)
+    floor_only = h.dual_datum is None and h.floor is not None  # the bound is 0 |box|
+    stops = ", ".join(_stop_note(f"Qh({name}) mesh {mesh}", d, floor_only)
                       for name, est in (("Id", est_id), ("A0", est_a0))
                       for mesh, d in est.diagnostics.items())
     detail = (f"h(Id)=0, h(A0)=2, Qh(Id) max {max(v for _, v in est_id.samples):.1e}, "
@@ -112,10 +113,14 @@ def check_mueller_suite() -> tuple[bool, str]:
     return ok, f"{detail if ok else '; '.join(msgs)} ({stops})"
 
 
-def _stop_note(label: str, d: dict) -> str:
+def _stop_note(label: str, d: dict, floor_only: bool = False) -> str:
     """'<label> stopped on <reason>, rel gap <gap / value>' of a cell's
     diagnostics d, with 'n/a' for an uncertified cell; a zero value, whose
-    bound is then 0 as well, reads 0."""
+    bound is then 0 as well, reads 0. Where the integrand's floor is the
+    only bound (`floor_only`), no certificate was made and the note says
+    so in place of the gap."""
+    if floor_only:
+        return f"{label} stopped on {d['reason']}, no certificate (floor bound only)"
     rel = "n/a"
     if "gap" in d:
         value = d["lower_bound"] + d["gap"]

@@ -23,8 +23,11 @@ def test_acceptance(num, name, fn):
 
 
 def test_mueller_check_names_each_sample_stop(monkeypatch):
-    # check 04 names the stop reason and relative gap of every Qh(Id) and
-    # Qh(A0) sample, passing or failing; a zero value with a zero gap reads 0
+    # check 04 names the stop reason of every Qh(Id) and Qh(A0) sample,
+    # passing or failing. Its integrand declares only the floor 0, whose
+    # bound 0 |box| certifies no positive value, so each note says that no
+    # certificate was made where it read "rel gap 1.0e+00" before; a
+    # certified cell still reads its relative gap, and a zero value 0
     reasons = ("gtol", "max_iters", "line_search_stall")
     for a0_values, passed in (((2.0, 1.5, 1.25), True), ((2.0, 1.5, 0.01), False)):
         def sq_envelope(h, A, mesh_schedule, solver):
@@ -36,10 +39,15 @@ def test_mueller_check_names_each_sample_stop(monkeypatch):
         monkeypatch.setattr(selftest, "sq_envelope", sq_envelope)
         ok, detail = selftest.check_mueller_suite()
         assert ok is passed
-        stops = re.findall(r"Qh\((\w+)\) mesh (\d+) stopped on (\w+), rel gap (\S+?)[,)]", detail)
-        assert stops == [(name, mesh, reason, gap)
-                         for name, gap in (("Id", "0.0e+00"), ("A0", "1.0e+00"))
+        stops = re.findall(r"Qh\((\w+)\) mesh (\d+) stopped on (\w+), "
+                           r"(no certificate \(floor bound only\)|rel gap \S+?)[,)]", detail)
+        assert stops == [(name, mesh, reason, "no certificate (floor bound only)")
+                         for name in ("Id", "A0")
                          for mesh, reason in zip(("8", "16", "32"), reasons)]
+    for d, rel in (({"reason": "gap", "lower_bound": 0.5, "gap": 5e-6}, "1.0e-05"),
+                   ({"reason": "gap", "lower_bound": 0.0, "gap": 0.0}, "0.0e+00"),
+                   ({"reason": "gtol"}, "n/a")):
+        assert selftest._stop_note("cell", d) == f"cell stopped on {d['reason']}, rel gap {rel}"
 
 
 def test_folding_check_reports_the_mass_gap_it_measured(monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -800,6 +801,129 @@ def test_dual_bound_is_valid_for_any_stress():
                           (datum, random)):
             bound, _ = _dual_bound(op, datum, (c, m), U, stress)
             assert bound is not None and all(bound <= r for r in raws)
+
+
+def _laminate_cube(mesh, frame=None):
+    """The strain operator, datum, dual datum, a perturbed field and its
+    component stress of laminate-a on the cube Q_T (T = mesh / 8) with the
+    affine datum e1 (x) e1, in the frame `frame`: the Hessian-weighted
+    certificate's input."""
+    f, e1 = laminate_a(), np.array([1.0, 0.0])
+    spec = CellSpec(boundary=AffineData(np.outer(e1, e1), np.zeros(2)), mesh=mesh,
+                    box=Box.cube((0.0, 0.0), mesh / 8.0), frame=frame)
+    grid = Grid(spec.box, spec.mesh, frame=spec.frame)
+    datum, free = spec.boundary.value(grid.nodes), ~grid.boundary_mask
+    noise = np.random.default_rng(mesh).normal(size=datum.shape)
+    U = datum + np.where(free[:, None], 0.1 * noise, 0.0)
+    plan = _plan(grid, grid.conn, grid.n_nodes, 1)
+    _, grad = energy_and_grad(grid, U[None], f, plan=plan)
+    _, (stress,) = grad([0], stress=True)
+    op = _SymStrain(grid, plan, np.flatnonzero(np.repeat(free, 2)))
+    c, m = f.dual_datum
+    c = np.ascontiguousarray(c(plan[2][0]).reshape(-1, len(grid.Nval)).T)
+    return op, datum, (c, m), U, op.comps(stress)
+
+
+def _counted_solves(monkeypatch):
+    """Wraps _SymStrain.solve so that each solve records the matrix Ke it
+    was given (None for the shared one), its operator applications and
+    whether it reached CG_TOL."""
+    solves, applied = [], [0]
+    solve, stiffness = _SymStrain.solve, _SymStrain._stiffness
+
+    def counted_stiffness(op, *args):
+        applied[0] += 1
+        return stiffness(op, *args)
+
+    def counted_solve(op, g, y=None, Ke=None):
+        applied[0] = 0
+        y, Uy = solve(op, g, y, Ke)
+        solves.append((Ke, applied[0], Uy is not None))
+        return y, Uy
+
+    monkeypatch.setattr(_SymStrain, "_stiffness", counted_stiffness)
+    monkeypatch.setattr(_SymStrain, "solve", counted_solve)
+    return solves
+
+
+@pytest.mark.parametrize("mesh", (4, 5, 8, 16))
+def test_block_factor_inverts_the_assembled_operator(mesh, monkeypatch):
+    # the free entries come line by line and a Q1 element couples only
+    # neighbouring lines, so the block factor of sum_e Ue^T Ke Ue inverts
+    # it: with the shared Ke and with the Hessian-weighted Ke of a
+    # laminate-a cube at a perturbed field, on the axis frame and the frames
+    # of the diagonal and of (0.6, 0.8)
+    solves = _counted_solves(monkeypatch)
+    rng = np.random.default_rng(mesh)
+    for nu in (None, (1.0, 1.0), (0.6, 0.8)):
+        frame = None if nu is None else frame_for_normal(np.array(nu) / np.hypot(*nu))
+        op, datum, dual, U, stress = _laminate_cube(mesh, frame)
+        _dual_bound(op, datum, dual, U, stress)
+        (Ke, _, _), = solves[-1:]
+        assert Ke.shape == (mesh * mesh, 8, 8)
+        for Ke in (op.Ke, Ke):
+            Uy = np.zeros(2 * op.n)
+            A = np.stack([op._stiffness(e, Ke, Uy) for e in np.eye(len(op.dofs))], axis=1)
+            factor = op._factor(Ke)
+            for r in rng.normal(size=(3, len(op.dofs))):
+                x = op._precondition(factor, r)
+                assert np.linalg.norm(A @ x - r) <= 1e-10 * np.linalg.norm(r)
+
+
+def test_certificates_reach_cg_tol_in_at_most_three_applications(monkeypatch):
+    # preconditioned by the exact factor, every certificate solve reaches
+    # CG_TOL after one or two CG steps: at most 3 operator applications,
+    # the first forming the residual of the warm start; on the three
+    # check-05 cells at mesh 16 (the shared Ke, in L-BFGS and in the PDHG
+    # finish) and on the laminate-a cubes at 8 cells per period (one
+    # Hessian-weighted Ke per certificate)
+    solves = _counted_solves(monkeypatch)
+    f = abs_sym(mu=1e-6)
+    diagonal = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    for dv, nu in (((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 0.0)), ((0.0, 1.0), diagonal)):
+        jump_density(f, (0.0, 0.0), (0.0, 0.0), dv, nu, eps_schedule=(1.0,), mesh=16)
+    shared = len(solves)
+    fhom_dirichlet(HomogSpec(f0=laminate_a(), A=np.outer([1.0, 0.0], [1.0, 0.0]),
+                             T_schedule=(1, 2, 4), mesh_per_period=8))
+    assert shared >= 20 and len(solves) - shared >= 9
+    assert all((Ke is None) == (k < shared) for k, (Ke, _, _) in enumerate(solves))
+    assert all(reached and applied <= 3 for _, applied, reached in solves)
+
+
+def test_a_perturbed_factor_still_reaches_cg_tol(monkeypatch):
+    # the residual test, not the factor, makes a certificate valid: with
+    # every S_i^-1 scaled by 1.1 the factor no longer inverts the operator,
+    # and CG still reaches CG_TOL, in more steps, to the same bound, for a
+    # Hessian-weighted Ke and for the shared one (m = 0)
+    solves = _counted_solves(monkeypatch)
+    factor, scale, bounds = _SymStrain._factor, [1.0], []
+
+    def scaled(op, Ke):
+        S, B, cols = factor(op, Ke)
+        return scale[0] * S, B, cols
+
+    monkeypatch.setattr(_SymStrain, "_factor", scaled)
+    for scale[0] in (1.0, 1.1):
+        op, datum, (c, m), U, stress = _laminate_cube(16)
+        bounds.append([_dual_bound(op, datum, d, U, stress)[0] for d in ((c, m), (c, 0.0))])
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-10)
+    assert all(reached for *_, reached in solves)
+    (_, exact_m, _), (_, exact_0, _), (_, steps_m, _), (_, steps_0, _) = solves
+    assert exact_m <= 3 and exact_0 <= 3 and steps_m > exact_m + 2 and steps_0 > exact_0 + 2
+
+
+def test_hessian_weighted_certificate_memory():
+    # one Hessian-weighted certificate on the mesh-32 laminate-a cube holds
+    # the factor's inverses S_i^-1 (31 blocks of 62 x 62, 0.95 MB) and
+    # compact upper blocks, not dense ones: its traced peak stays below 3 MB
+    op, datum, dual, U, stress = _laminate_cube(32)
+    tracemalloc.start()
+    try:
+        bound, _ = _dual_bound(op, datum, dual, U, stress)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound is not None and peak < 3e6
 
 
 def test_certified_samples_bound_their_values():
