@@ -48,9 +48,7 @@ class Integrand:
     `dual_datum` (c, m) declares raw = c(x) sqrt(m^2 + |sym A|^2), with c a
     positive number or an x-only function of the points (m,) and m >= 0;
     the conjugate is -m sqrt(c^2 - |tau|^2) on |tau| <= c, and solve_ld
-    then certifies its runs with a duality gap (_dual_bound). `floor` is a
-    number c with raw >= c everywhere, which gives solve_ld the lower bound
-    c |box|.
+    then certifies its runs with a duality gap (_dual_bound).
     """
 
     name: str
@@ -64,13 +62,12 @@ class Integrand:
     mu: float = 0.0
     recession_exact: "Integrand | None" = None
     dual_datum: tuple | None = None
-    floor: float | None = None
 
     def check_flags(self) -> None:
         """Sampled validation of the declared structure flags at 16 seeded
         Gaussian points, to a relative tolerance of 1e-9. The Q1 kernel
         relies on v_independent: it hands such an integrand a zero V, and a
-        wrong dual_datum or floor would certify a false lower bound."""
+        wrong dual_datum would certify a false lower bound."""
         rng, tol = np.random.default_rng(0), 1e-9
         X, V, A = rng.normal(size=(16, 2)), rng.normal(size=(16, 2)), rng.normal(size=(16, 2, 2))
         base = self.raw(X, V, A)
@@ -93,8 +90,6 @@ class Integrand:
             target = c * np.sqrt(m * m + frob_sq(sym(A)))
             if m < 0 or np.any(c <= 0) or np.max(np.abs(base - target)) > tol * np.max(target):
                 raise ValueError(f"integrand {self.name}: dualDatum (c, m = {m:g}) violated")
-        if self.floor is not None and np.any(base < self.floor - tol * (1 + np.max(np.abs(base)))):
-            raise ValueError(f"integrand {self.name}: floor {self.floor:g} violated")
 
 
 def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0=None,
@@ -106,7 +101,7 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
     offset. Flags are those of f0; the exact recession, where f0 has one,
     is (c / s_A) f0^inf(x, v0 + eps_v w, A). A dual datum (c0, m) becomes
     (c c0 / s_A, m s_A), and an offset A0 drops it (the density is no
-    longer of that form); a floor becomes c floor, with or without A0.
+    longer of that form).
     """
     if c <= 0 or s_A <= 0:
         raise ValueError("scale must be positive")
@@ -143,9 +138,7 @@ def reparametrize(f0: Integrand, c: float = 1.0, v0=None, eps_v: float = 1.0, A0
         c0, m = dual
         c1 = (lambda X: c_A * c0(X)) if callable(c0) else c_A * c0
         dual = None if A0 is not None else (c1, m * s_A)
-    floor = None if f0.floor is None else c * f0.floor
-    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_datum=dual,
-                   floor=floor)
+    return replace(f0, value=value, grad=grad, raw=raw, recession_exact=rec, dual_datum=dual)
 
 
 @dataclass(frozen=True)
@@ -573,23 +566,22 @@ class _SymStrain:
       which the kernel's strain half (_q1_strains) forms once here;
       K(Uf) = Bc U_e is one product per element of a flattened field and
       KT(S) = sum_q w Bc^T S_q its weighted scatter onto the free entries;
-    - Ke = sum_q w B_q^T B_q is the 8x8 stiffness that every element of the
-      uniform grid shares, and solve runs CG on the assembled operator
-      with it or with one matrix per element, preconditioned by the exact
-      block factor of that operator (_factor), so that it reaches CG_TOL in
-      one or two steps; the shared Ke's factor is built once per operator;
-    - norm_sq estimates |K|^2, the top eigenvalue of that operator.
+    - solve runs CG on KT H K, H the identity or a map of strains,
+      preconditioned by the exact block factor (_factor) of that operator
+      assembled from 8x8 element matrices, so that it reaches CG_TOL in one
+      or two steps; Ke = sum_q w Bc_q^T Bc_q, the matrix that every element
+      of the uniform grid shares for H the identity, has its factor built
+      once per operator;
+    - norm_sq estimates |K|^2, the top eigenvalue of KT K.
     """
 
     def __init__(self, grid: Grid, plan: tuple, dofs: np.ndarray):
         self.grid, self.dofs, self.n = grid, dofs, grid.n_nodes
-        self.gather, self.scatter = plan[0][0], plan[1][0]
         one = np.arange(4) + 4 * np.arange(8)[:, None, None]  # 8 unit fields of one element
         G = _q1_strains(grid, np.eye(8).reshape(8, 4, 2), one)[1]
-        B = 0.5 * (G + G.transpose(0, 2, 1, 3))  # (Q, k, j, 8), symmetric
-        self.Ke = _q1_scatter(grid, B, 2 * one[..., None] + np.arange(2), 4).reshape(8, 8)
-        self.Bc = self.comps(B).reshape(-1, 8)  # (3 Q, 8)
-        self.slots = np.ascontiguousarray(self.scatter.reshape(-1, 8).T)  # (8, E) flat entries
+        self.Bc = self.comps(0.5 * (G + G.transpose(0, 2, 1, 3))).reshape(-1, 8)  # (3 Q, 8)
+        self.Ke = grid.wq * self.Bc.T @ self.Bc
+        self.slots = np.ascontiguousarray(plan[1][0].reshape(-1, 8).T)  # (8, E) flat entries
 
     def K(self, Uf: np.ndarray) -> np.ndarray:
         return (self.Bc @ Uf.take(self.slots)).reshape(3, -1)
@@ -602,12 +594,6 @@ class _SymStrain:
         """The components (3, Q E) of symmetric stresses (Q, j, k, E)."""
         return np.stack([stress[:, 0, 0], stress[:, 1, 1],
                          math.sqrt(2.0) * stress[:, 0, 1]]).reshape(3, -1)
-
-    def _stiffness(self, y: np.ndarray, Ke, Uy: np.ndarray) -> np.ndarray:
-        Uy[self.dofs] = y
-        Ue = Uy.reshape(self.n, 2).take(self.gather, axis=0).reshape(-1, 8)  # (E, 8)
-        KUe = Ue @ Ke if Ke.ndim == 2 else np.einsum("ei,eij->ej", Ue, Ke)
-        return np.bincount(self.scatter.ravel(), KUe.ravel(), minlength=2 * self.n)[self.dofs]
 
     def _factor(self, Ke: np.ndarray) -> tuple:
         """The exact block LU factor of the assembled sum_e Ue^T Ke Ue. The
@@ -667,24 +653,24 @@ class _SymStrain:
     def _shared_factor(self) -> tuple:
         return self._factor(self.Ke)
 
-    def solve(self, g: np.ndarray, y=None, Ke=None):
-        """CG on the assembled sum_e Ue^T Ke Ue over the free entries, with
-        the shared Ke (Ke None) or one matrix (E, 8, 8) per element, for the
-        right side g from y (or 0) to a relative residual of CG_TOL,
-        preconditioned by the exact block factor (_factor) of that operator.
-        Returns (y, the flattened correction field (2 n) or None where CG
-        stops short of CG_TOL)."""
+    def solve(self, g: np.ndarray, H=None, Ke=None):
+        """CG from 0 on KT H K over the free entries, H the identity (None)
+        or a map of strains (3, Q E), for the right side g to a relative
+        residual of CG_TOL, preconditioned by the exact block factor
+        (_factor) of that operator assembled as sum_e Ue^T Ke Ue, with the
+        shared Ke (Ke None) or one matrix (E, 8, 8) per element. Returns the
+        flattened correction field (2 n), 0 at the boundary entries, or None
+        where CG stops short of CG_TOL."""
         factor = self._shared_factor if Ke is None else self._factor(Ke)
-        Ke = self.Ke if Ke is None else Ke
-        Uy = np.zeros(2 * self.n)
-        y = np.zeros(len(g)) if y is None else y.copy()
-        res = g - self._stiffness(y, Ke, Uy)
+        y, res, P = np.zeros(len(g)), g.copy(), np.zeros(2 * self.n)
         p = self._precondition(factor, res)
         rz, stop = res.dot(p), (CG_TOL * CG_TOL) * g.dot(g)
         for _ in range(2 * len(g)):
             if res.dot(res) <= stop:
                 break
-            Kp = self._stiffness(p, Ke, Uy)
+            P[self.dofs] = p
+            e = self.K(P)
+            Kp = self.KT(e if H is None else H(e))
             alpha = rz / p.dot(Kp)
             y += alpha * p
             res -= alpha * Kp
@@ -692,24 +678,25 @@ class _SymStrain:
             rz, rz_old = res.dot(z), rz
             p = z + (rz / rz_old) * p
         else:
-            return y, None
-        Uy[self.dofs] = y
-        return y, Uy
+            return None
+        P[self.dofs] = y
+        return P
 
     @cached_property
     def norm_sq(self) -> float:
         """|K|^2 from the free entries to sum_q w |.|^2: 50 power steps on
-        the shared stiffness from a seeded Gaussian field."""
-        y, Uy, lam = np.random.default_rng(0).normal(size=len(self.dofs)), np.zeros(2 * self.n), 0.0
+        KT K from a seeded Gaussian field."""
+        y, P, lam = np.random.default_rng(0).normal(size=len(self.dofs)), np.zeros(2 * self.n), 0.0
         for _ in range(50):
             y /= math.sqrt(y.dot(y))
-            Ky = self._stiffness(y, self.Ke, Uy)
+            P[self.dofs] = y
+            Ky = self.KT(self.K(P))
             lam, y = y.dot(Ky), Ky
         return float(lam)
 
 
 def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
-                stress: np.ndarray, y=None):
+                stress: np.ndarray):
     """A lower bound on the discrete infimum of sum_q w f_q(sym grad u_q),
     f_q(S) = c_q sqrt(m^2 + |S|^2), over Q1 fields u equal to `datum` (n, 2)
     at the boundary nodes, from a run's field U (n, 2) and any stress
@@ -718,55 +705,60 @@ def _dual_bound(op: _SymStrain, datum: np.ndarray, dual: tuple, U: np.ndarray,
     `dual` is (c, m): c a number or the radii c_q (Q, E) at the points the
     kernel read, and m >= 0.
 
-    1. equilibrate: CG on the Q1 operator K of 1/2 sum_q w H_q[e(y)] : e(y),
-       e(y) = sym grad y, over fields y vanishing at the boundary nodes
-       solves K y = KT(stress) from y (the previous correction, or 0) to a
-       relative residual of CG_TOL, so tau = stress - H[e(y)] does no work
-       on any such field. For m = 0, H is the identity and K is applied
-       through the one 8x8 matrix that every element of the uniform grid
-       has, whose block factor every certificate of the solve shares. For
+    1. equilibrate: CG from 0 on KT H K, the Q1 operator of 1/2 sum_q w
+       H_q[e(y)] : e(y), e(y) = sym grad y = K(y), over fields y vanishing
+       at the boundary nodes, solves KT H K y = KT(stress) to a relative
+       residual of CG_TOL, so tau = stress - H[e(y)] does no work on any
+       such field. For m = 0, H is the identity, and CG is preconditioned
+       by the block factor of the one 8x8 matrix that every element of the
+       uniform grid has, which every certificate of the solve shares. For
        m > 0, H_q is the Hessian of f_q at the run's strain S_q = K(U),
        H[D] = (c / rho)(D - S (S : D) / rho^2) with rho = sqrt(m^2 + |S|^2),
-       so tau is the run's stress after one Newton step; K is assembled as
-       one 8x8 matrix per element and factored for this certificate. The
-       factor only preconditions CG, whose residual test decides validity,
-       and any positive definite H leaves tau equilibrated: it makes the
-       bound tight, not valid;
+       so tau is the run's stress after one Newton step; its 8x8 matrices,
+       one per element, are assembled only to build this certificate's
+       factor. The factor only preconditions CG, whose residual test
+       decides validity, and any positive definite H leaves tau
+       equilibrated: it makes the bound tight, not valid;
     2. scale tau into the balls |tau_q| <= c_q by one factor s;
     3. return sum_q w [s tau : e(datum) + m sqrt(c_q^2 - s^2 |tau_q|^2)],
        which equals sum_q w [s tau : sym grad u - f_q*(s tau)] <= sum_q w
        f_q(sym grad u) for every admissible u, f_q*(tau) =
        -m sqrt(c_q^2 - |tau|^2) being the conjugate (Fenchel-Young).
 
-    Returns (bound, y), with bound None where CG stops short of CG_TOL.
+    Returns the bound, or None where CG stops short of CG_TOL.
     """
     grid, (c, m) = op.grid, dual
     Q, E = len(grid.Nval), len(grid.conn)
-    Ke = None
+    H = Ke = None
     if m > 0:
         B = op.Bc.reshape(3, Q, 8)
         S = op.K(U.ravel()).reshape(3, Q, E)
         rho2 = m * m + (S * S).sum(axis=0)
         a = c / np.sqrt(rho2)  # (Q, E)
+
+        def H(D):  # the Hessians at the run's strains, applied to strains D (3, Q E)
+            D = D.reshape(3, Q, E)
+            return (a * (D - S * ((S * D).sum(axis=0) / rho2))).reshape(3, -1)
+
         b = np.einsum("cqi,cqe->qei", B, S)  # B_q^T S_q
         BtB = np.einsum("cqi,cqj->qij", B, B).reshape(Q, 64)
         Ke = (a.T @ BtB).reshape(E, 8, 8) - np.einsum("qei,qej->eij", (a / rho2)[..., None] * b, b)
         Ke *= grid.wq
-    y, Uy = op.solve(op.KT(stress), y, Ke)
+    Uy = op.solve(op.KT(stress), H, Ke)
     if Uy is None:
-        return None, y
-    D = op.K(Uy).reshape(3, Q, E)
-    tau = stress.reshape(3, Q, E) - (D if m == 0 else a * (D - S * ((S * D).sum(axis=0) / rho2)))
+        return None
+    D = op.K(Uy)
+    tau = (stress - (D if H is None else H(D))).reshape(3, Q, E)
     size = np.sqrt((tau * tau).sum(axis=0))  # (Q, E)
     s = c / max(size.max(), c) if np.ndim(c) == 0 else 1.0 / max((size / c).max(), 1.0)
     bound = grid.wq * s * (tau.reshape(3, -1) * op.K(datum.ravel())).sum()
     if m > 0:
         bound += grid.wq * m * np.sqrt(np.maximum(c * c - (s * size) ** 2, 0.0)).sum()
-    return bound, y
+    return bound
 
 
 def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarray, scale: float,
-          raw_value, best: float, y=None) -> tuple:
+          raw_value, best: float) -> tuple:
     """The primal-dual finish of a cell whose raw density is c(x) |sym A|:
     PDHG (Chambolle and Pock, J. Math. Imaging Vision 40, 2011) on the
     saddle point min_u max_{|sigma_q| <= c_q} sum_q w sigma_q : sym grad u_q
@@ -788,11 +780,11 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
     over the last PDHG_CHECK iterations (Applegate, Hinder, Lu and Lubin,
     arXiv:2105.12715), the averaged field competes for the field of lowest
     energy so far, and it certifies that field: its raw_value(U) against the
-    best of `best` and _dual_bound at the averaged sigma, from the CG
-    correction y; the bound equilibrates sigma itself, so the iterate needs
-    no pairing with a gradient. It ends on "gap" once the value is within
-    GAP_TOL of that bound, or on "max_iters" after PDHG_MAX_ITERS. Returns
-    (field, bound, reason, iterations, y).
+    best of `best` and _dual_bound at the averaged sigma; the bound
+    equilibrates sigma itself, so the iterate needs no pairing with a
+    gradient. It ends on "gap" once the value is within GAP_TOL of that
+    bound, or on "max_iters" after PDHG_MAX_ITERS. Returns (field, bound,
+    reason, iterations).
     """
     dofs, c_q = op.dofs, np.reshape(c, -1)  # c_q at the (q, e) points of a stress's components
     ratio = (scale / float(c_q.max())) ** 2 / (2.0 * op.grid.h[0] * op.grid.h[1])
@@ -829,12 +821,12 @@ def _pdhg(op: _SymStrain, datum: np.ndarray, c, U: np.ndarray, stress: np.ndarra
             continue
         U_best = U_low.reshape(-1, 2)
         value = raw_value(U_best)
-        bound, y = _dual_bound(op, datum, (c, 0.0), U_best, sigma, y)
+        bound = _dual_bound(op, datum, (c, 0.0), U_best, sigma)
         if bound is not None:
             best = max(best, bound)
         if value - best <= GAP_TOL * value:
-            return U_best, best, "gap", it, y
-    return U_best, best, "max_iters", PDHG_MAX_ITERS, y
+            return U_best, best, "gap", it
+    return U_best, best, "max_iters", PDHG_MAX_ITERS
 
 
 def _predicted_certificate(i0: int, g0: float, i1: int, g1: float, target: float):
@@ -847,7 +839,7 @@ def _predicted_certificate(i0: int, g0: float, i1: int, g1: float, target: float
     return it if it < 2 * i1 else None
 
 
-def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, floor=None):
+def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, raw=None):
     """Minimize fg, which maps stacked points X (K, d) to values (K,) and a
     grad(rows) giving the gradients (len(rows), d) of the listed rows, from
     each of `starts` in lockstep on one thread (spec.solver.jobs has no
@@ -861,7 +853,7 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
 
     With `certify`, grad(rows) returns the gradients and a stress per row
     (None where certify reads none), and at iterations 32, 64, 128, ...
-    each run's accepted point gets certify(k, x, stress) = (its raw value,
+    each run's accepted point gets certify(x, stress) = (its raw value,
     a lower bound on the cell's discrete infimum or None), a bound that
     equilibrates the stress it is handed and so needs no gradient. After
     each of these doubling certificates a run is certified at most once
@@ -872,38 +864,31 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
     times the value. With `finish`, a run whose gap (value minus best bound)
     at a doubling certificate is not at most half its previous doubling
     certificate's is handed off there:
-    finish(k, x, stress, best bound) = (its final point, a bound, its reason
+    finish(x, stress, best bound) = (its final point, a bound, its reason
     "gap" or "max_iters", its iterations, which the diagnostics hold as
     pdhg_iters), and the run's smoothed value there comes from one fg call.
-    With `floor` = (a lower bound, raw: x -> the raw value of a point), the
-    best bound starts there, and a run that ends on its own closes as a
-    certified one does when raw(x) minus the best bound is at most GAP_TOL
-    times that value plus 1e-12 x datum scale x |box|; its reason stays.
+    With `raw`, x -> the raw value of a point, a run that ends on its own
+    closes as a certified one does when raw(x) is at most 1e-12 x datum
+    scale x |box|, as every raw density is >= 0; its reason stays.
     Once a run has closed, every active run whose last accepted point
     would lose the selection to it ends at that point in the same round,
-    with reason "superseded": by the bound, no start can end more than
-    GAP_TOL below the closed value. Up to its end, every run follows its
-    serial trajectory. A run's stop reason is then "gtol", "gap",
-    "superseded", "max_iters" or "line_search_stall".
+    with reason "superseded": by the bound, or by raw >= 0, no start can end
+    more than GAP_TOL (or that 1e-12 margin) below the closed value. Up to
+    its end, every run follows its serial trajectory. A run's stop reason is
+    then "gtol", "gap", "superseded", "max_iters" or "line_search_stall".
     """
     runs = [lbfgs_steps(x, spec.solver.max_iters) for x in starts]
     points, results = [next(run) for run in runs], [None] * len(runs)
     grads_sent, best = [0] * len(runs), -math.inf  # a run's gradients count its iterations
     accepted, pdhg_iters, closed = [math.inf] * len(runs), [0] * len(runs), []
     gaps, lasts, predicted = {}, {}, {}  # per run: last doubling gap, last certificate, next one
-    if floor is not None:
-        best, raw = floor
-        atol = 1e-12 * spec.boundary.scale * spec.box.volume
+    atol = 1e-12 * spec.boundary.scale * spec.box.volume
 
     def send(k, msg):
         try:
             points[k] = runs[k].send(msg)
         except StopIteration as stop:
             results[k] = stop.value
-
-    def closes(r):  # its raw value is within GAP_TOL of the best bound
-        value = raw(r["x"])
-        return value - best <= GAP_TOL * value + atol
 
     active = list(range(len(runs)))
     with np.errstate(over="ignore", invalid="ignore"):  # lbfgs_steps judges non-finite values
@@ -923,7 +908,7 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
                     it, grads_sent[k] = grads_sent[k], grads_sent[k] + 1
                     doubling = it >= FIRST_CERTIFICATE and it & (it - 1) == 0
                     if certify and (doubling or it == predicted.get(k)):
-                        value, bound = certify(k, X[i], stress)
+                        value, bound = certify(X[i], stress)
                         if bound is not None:
                             best = max(best, bound)
                         gap, last = value - best, lasts.get(k)
@@ -941,12 +926,12 @@ def _multistart(fg, starts: list, spec: CellSpec, certify=None, finish=None, flo
                     send(k, g)
             del grad  # the strains it holds go before the next round builds its own
             for k, x, stress in handoffs:
-                x, bound, reason, pdhg_iters[k] = finish(k, x, stress, best)
+                x, bound, reason, pdhg_iters[k] = finish(x, stress, best)
                 best = max(best, bound)
                 results[k].update(x=x, f=float(fg(x[None])[0][0]), reason=reason,
                                   converged=reason == "gap")
             closed += [k for k in active if results[k] is not None and (
-                results[k]["reason"] == "gap" or floor is not None and closes(results[k]))]
+                results[k]["reason"] == "gap" or raw is not None and raw(results[k]["x"]) <= atol)]
             if closed:
                 r = min(closed, key=lambda k: (results[k]["f"], k))
                 for k in active:
@@ -987,9 +972,9 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
     that is not certified converts nothing); the bound equilibrates
     whatever stress it is given. c is read at the points the kernel read
     (the frozen point under freeze_x), and the diagnostics then hold the
-    best lower_bound found and the gap, value - lower_bound. An integrand
-    with a floor c (raw >= c) has the lower bound c |box|, against which a
-    run that ends on its own closes the solve (_multistart).
+    best lower_bound found and the gap, value - lower_bound. A run that
+    ends on its own at a raw value of 0, up to rounding, closes the solve
+    (_multistart): every raw density is >= 0.
     """
     grid = Grid(spec.box, spec.mesh, frame=spec.frame)
     datum = np.asarray(spec.boundary.value(grid.nodes), dtype=float)
@@ -1022,27 +1007,23 @@ def solve_ld(spec: CellSpec, f: Integrand, extra_starts=()) -> CellSolution:
         U[free] = x.reshape(-1, 2)
         return U
 
-    corrections = {}  # each run's last CG correction, its next warm start
     op = None if dual is None else _SymStrain(grid, plan, dofs)
 
     def raw_value(U):
         return raw_energy(grid, U, f, freeze_x=spec.freeze_x)
 
-    def certify(k, x, stress):
+    def certify(x, stress):
         U = field(x)
-        bound, corrections[k] = _dual_bound(op, datum, dual, U, op.comps(stress),
-                                            corrections.get(k))
-        return raw_value(U), bound
+        return raw_value(U), _dual_bound(op, datum, dual, U, op.comps(stress))
 
-    def finish(k, x, stress, best):
-        U, bound, reason, iters, corrections[k] = _pdhg(
-            op, datum, dual[0], field(x), op.comps(stress), spec.boundary.scale, raw_value, best,
-            corrections.get(k))
+    def finish(x, stress, best):
+        U, bound, reason, iters = _pdhg(op, datum, dual[0], field(x), op.comps(stress),
+                                        spec.boundary.scale, raw_value, best)
         return U[free].ravel(), bound, reason, iters
 
-    floor = None if f.floor is None else (f.floor * spec.box.volume, lambda x: raw_value(field(x)))
     res, diag = _multistart(fg, starts, spec, None if dual is None else certify,
-                            finish if dual is not None and dual[1] == 0 else None, floor)
+                            finish if dual is not None and dual[1] == 0 else None,
+                            lambda x: raw_value(field(x)))
     Ubest = field(res["x"])
     argmin = GridDisplacement(grid=grid, values=Ubest)
     value = raw_energy(grid, Ubest, f, freeze_x=spec.freeze_x)
@@ -1269,7 +1250,7 @@ def solve_sbd(spec: CellSpec, f1: Integrand, g1: SurfaceIntegrand) -> CellSoluti
     nudged = corners + 1e-9 * (corners.mean(axis=1, keepdims=True) - corners)
     x0 = spec.boundary.value(nudged.reshape(-1, 2)).ravel()
     res, diag = _multistart(fg, _starts(x0, spec), spec,
-                            None if bound is None else lambda k, x, _: (raw_value(x), bound))
+                            None if bound is None else lambda x, _: (raw_value(x), bound))
     value = raw_value(res["x"])
     if bound is not None:
         diag.update(lower_bound=bound, gap=value - bound)

@@ -181,8 +181,7 @@ def _h_pieces(A):
 
 
 def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
-    """mueller_h as a full-gradient Integrand (depends on the skew part),
-    with the floor 0."""
+    """mueller_h as a full-gradient Integrand (depends on the skew part)."""
 
     def raw(X, V, A):
         l1, l2, l3, l4 = _h_pieces(A)
@@ -217,7 +216,7 @@ def mueller_h_integrand(mu: float = 1e-6) -> Integrand:
 
     f = Integrand(name="mueller-h", value=value, grad=grad, raw=raw,
                   convex=False, one_homogeneous=True, sym_only=False,
-                  v_independent=True, mu=mu, floor=0.0)
+                  v_independent=True, mu=mu)
     return replace(f, recession_exact=f)
 
 
@@ -495,6 +494,8 @@ def jump_density(f0, x0, v_minus, v_plus, nu, eps_schedule=DEFAULT_EPS_SCHEDULE,
     v_plus = np.asarray(v_plus, dtype=float).reshape(2)
     if np.allclose(v_minus, v_plus):
         raise ValueError("v_plus must differ from v_minus")
+    if variant not in ("eps", "bis"):
+        raise ValueError(f"unknown variant {variant!r}: use 'eps' or 'bis'")
     spec = CellSpec(boundary=JumpData(v_minus=v_minus, v_plus=v_plus, nu=nu), mesh=mesh,
                     solver=solver or SolverParams(), frame=frame_for_normal(nu),
                     freeze_x=np.asarray(x0, dtype=float).reshape(2))

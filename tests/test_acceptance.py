@@ -24,24 +24,23 @@ def test_acceptance(num, name, fn):
 
 def test_mueller_check_names_each_sample_stop(monkeypatch):
     # check 04 names the stop reason of every Qh(Id) and Qh(A0) sample,
-    # passing or failing. Its integrand declares only the floor 0, whose
-    # bound 0 |box| certifies no positive value, so each note says that no
-    # certificate was made where it read "rel gap 1.0e+00" before; a
-    # certified cell still reads its relative gap, and a zero value 0
+    # passing or failing. Its integrand declares no conjugate, so its cells
+    # carry no lower_bound and each note reads "rel gap n/a"; a certified
+    # cell reads its relative gap, and a zero value 0
     reasons = ("gtol", "max_iters", "line_search_stall")
     for a0_values, passed in (((2.0, 1.5, 1.25), True), ((2.0, 1.5, 0.01), False)):
         def sq_envelope(h, A, mesh_schedule, solver):
             values = (0.0, 0.0, 0.0) if np.array_equal(A, np.eye(2)) else a0_values
             return DensityEstimate.from_samples(
-                (mesh, v, {"reason": r, "lower_bound": 0.0, "gap": v})
+                (mesh, v, {"reason": r})
                 for mesh, v, r in zip(mesh_schedule, values, reasons))
 
         monkeypatch.setattr(selftest, "sq_envelope", sq_envelope)
         ok, detail = selftest.check_mueller_suite()
         assert ok is passed
         stops = re.findall(r"Qh\((\w+)\) mesh (\d+) stopped on (\w+), "
-                           r"(no certificate \(floor bound only\)|rel gap \S+?)[,)]", detail)
-        assert stops == [(name, mesh, reason, "no certificate (floor bound only)")
+                           r"rel gap (\S+?)[,)]", detail)
+        assert stops == [(name, mesh, reason, "n/a")
                          for name in ("Id", "A0")
                          for mesh, reason in zip(("8", "16", "32"), reasons)]
     for d, rel in (({"reason": "gap", "lower_bound": 0.5, "gap": 5e-6}, "1.0e-05"),

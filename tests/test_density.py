@@ -471,6 +471,15 @@ def test_jump_density_validation():
         jump_density(abs_sym(), X0, (0.0, 0.0), (0.0, 0.0), (1.0, 0.0))
 
 
+def test_jump_density_rejects_an_unknown_variant():
+    # only 'eps' and 'bis' name a variant: a misspelt one used to run the
+    # eps cell and return its value (0.70711 here)
+    for variant in ("typo", "EPS", ""):
+        with pytest.raises(ValueError, match="variant"):
+            jump_density(abs_sym(), (0, 0), (0, 0), (0, 1), (1, 0), eps_schedule=(1.0,), mesh=8,
+                         variant=variant)
+
+
 # ---------------------------------------------------------------------------
 # recession
 

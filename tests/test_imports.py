@@ -108,6 +108,29 @@ def test_certificate_applies_one_strain_form():
     assert callers == {"_q1_quadrature", "_SymStrain.__init__"}
 
 
+def test_one_lower_bound_path():
+    """No module passes a `floor=` declaration: the only floor is the zero
+    every raw density has, and it needs no datum. Inside _SymStrain only
+    __init__, K and KT index field entries (slots, gather or scatter): the
+    certificate and its CG apply the one product KT H K, with no second
+    stiffness product beside it."""
+    offenders = []
+    for path in SRC:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                offenders += [f"{path.name}:{node.lineno}: floor=" for kw in node.keywords
+                              if kw.arg == "floor"]
+    tree = ast.parse((SRC[0].parent / "cellsolver.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "_SymStrain")
+    for method in cls.body:
+        if not isinstance(method, ast.FunctionDef) or method.name in ("__init__", "K", "KT"):
+            continue
+        offenders += [f"cellsolver.py:{node.lineno}: _SymStrain.{method.name} reads {node.attr}"
+                      for node in ast.walk(method) if isinstance(node, ast.Attribute)
+                      and node.attr in ("slots", "gather", "scatter")]
+    assert not offenders, f"a second lower-bound path or operator form: {offenders}"
+
+
 def test_integrand_corpus_stays_in_density():
     """Only density.py builds Integrand and SurfaceIntegrand values, and no
     module imports the corpus helper _smooth_norm: the corpus has one home
